@@ -7,14 +7,31 @@
 //! knob setting the group-by cardinality. On low-cardinality group-bys
 //! the combiner folds nearly every emitted pair before it travels the
 //! shuffle — spill bytes collapse — while near-distinct keys leave it
-//! nothing to fold (the regime `scale_shuffle` measures). Every
-//! combined run's output is asserted byte-identical to its
-//! combiner-free twin.
+//! nothing to fold (the regime `scale_shuffle` measures) and the map
+//! side bails out to pass-through; a last pair of rows groups by row id
+//! instead, so every key is emitted exactly once. Every combined run's
+//! output is asserted byte-identical to its combiner-free twin, and
+//! every row holds the site-1 tripwire `combine_in ≤ map_output_records
+//! + spilled_records`: no pair is folded twice on the map side.
 
 use mr_engine::{run_job, Builtin, InputSpec, JobConfig, JobResult};
+use mr_ir::builder::FunctionBuilder;
+use mr_ir::ParamId;
 use mr_json::Json;
 use mr_workloads::data::{generate_uservisits, UserVisitsConfig};
 use mr_workloads::pavlo::benchmark2;
+
+/// `SELECT rowid, SUM(adRevenue) … GROUP BY rowid`: the map key is the
+/// record's position in the file, so no two emits share a key.
+fn group_by_row_id() -> mr_ir::Function {
+    let mut b = FunctionBuilder::new("by_row_id_map");
+    let row = b.load_param(ParamId::Key);
+    let v = b.load_param(ParamId::Value);
+    let revenue = b.get_field(v, "adRevenue");
+    b.emit(row, revenue);
+    b.ret();
+    b.finish()
+}
 
 fn main() {
     bench::worker_guard();
@@ -28,7 +45,8 @@ fn main() {
     );
     let dir = bench::bench_dir("scale-combine");
     let visits = bench::scaled(60_000);
-    let program = benchmark2();
+    let by_ip = benchmark2().mapper;
+    let by_row = group_by_row_id();
     if let (Some(plan), attempts) = bench::fault_env() {
         println!("fault drill: {plan} (max {attempts} attempts per task)\n");
     }
@@ -37,7 +55,12 @@ fn main() {
     let mut json_rows: Vec<Json> = Vec::new();
 
     // 0 = the generator's fully-random IPs (near-distinct keys).
-    for cardinality in [16usize, 1024, 0] {
+    for (card_label, cardinality, mapper) in [
+        ("16", 16usize, &by_ip),
+        ("1024", 1024, &by_ip),
+        ("random", 0, &by_ip),
+        ("distinct", 0, &by_row),
+    ] {
         let input = dir.join(format!("uservisits-{cardinality}.seq"));
         generate_uservisits(
             &input,
@@ -55,7 +78,7 @@ fn main() {
                 InputSpec::SeqFile {
                     path: input.clone(),
                 },
-                program.mapper.clone(),
+                mapper.clone(),
                 Builtin::Sum,
             )
             .with_reducers(4)
@@ -71,11 +94,6 @@ fn main() {
         // Size budgets off the real shuffle volume, like scale_shuffle.
         let resident = run_job(&job(None, false)).expect("resident run");
         let shuffle_size = resident.counters.shuffle_bytes as usize;
-        let card_label = if cardinality == 0 {
-            "random".to_string()
-        } else {
-            cardinality.to_string()
-        };
 
         for (budget_label, divisor) in [("shuffle/4", 4usize), ("shuffle/16", 16)] {
             let budget = (shuffle_size / divisor).max(64);
@@ -91,6 +109,15 @@ fn main() {
                 combined.counters.spilled_records <= plain.counters.spilled_records,
                 "combining must not grow the spill"
             );
+            let c = &combined.counters;
+            assert!(
+                c.combine_in <= c.map_output_records + c.spilled_records,
+                "cardinality {card_label}, {budget_label}: a pair was re-folded on the map \
+                 side ({} in > {} emitted + {} spilled)",
+                c.combine_in,
+                c.map_output_records,
+                c.spilled_records
+            );
 
             let ratio = |r: &JobResult| {
                 if combined.counters.spill_bytes_written == 0 {
@@ -104,19 +131,18 @@ fn main() {
                 }
             };
             rows.push(vec![
-                card_label.clone(),
+                card_label.to_string(),
                 format!("{budget_label} ({})", bench::fmt_bytes(budget as u64)),
                 bench::fmt_bytes(plain.counters.spill_bytes_written),
                 bench::fmt_bytes(combined.counters.spill_bytes_written),
                 ratio(&plain),
-                format!(
-                    "{}→{}",
-                    combined.counters.combine_in, combined.counters.combine_out
-                ),
+                format!("{}→{}", c.combine_in, c.combine_out),
+                c.combine_bypassed.to_string(),
                 bench::fmt_secs(plain_time),
                 bench::fmt_secs(combined_time),
             ]);
             json_rows.push(Json::obj([
+                ("keys", Json::str(card_label)),
                 (
                     "cardinality",
                     if cardinality == 0 {
@@ -144,11 +170,10 @@ fn main() {
                     "combined_spilled_records",
                     Json::Int(combined.counters.spilled_records as i64),
                 ),
-                ("combine_in", Json::Int(combined.counters.combine_in as i64)),
-                (
-                    "combine_out",
-                    Json::Int(combined.counters.combine_out as i64),
-                ),
+                ("map_output_records", Json::Int(c.map_output_records as i64)),
+                ("combine_in", Json::Int(c.combine_in as i64)),
+                ("combine_out", Json::Int(c.combine_out as i64)),
+                ("combine_bypassed", Json::Int(c.combine_bypassed as i64)),
                 ("plain_secs", bench::json_secs(plain_time)),
                 ("combined_secs", bench::json_secs(combined_time)),
             ]));
@@ -164,6 +189,7 @@ fn main() {
             "Spill (combined)",
             "Reduction",
             "Combine in→out",
+            "Bypassed",
             "Plain",
             "Combined",
         ],

@@ -11,7 +11,9 @@
 //! configuration axes — shuffle budget × shuffle codec × map-side
 //! combining × parallelism × deterministic fault schedule — asserting
 //! the output byte-identical to the unoptimized, fault-free,
-//! fully-resident, uncompressed baseline every time.
+//! fully-resident, uncompressed baseline every time. A second sweep
+//! holds the plan fixed and varies the *key distribution* instead, the
+//! input property the map-side combiner's bail-out decides on.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -85,15 +87,11 @@ fn process_backend(workers: usize, speculate: bool) -> BackendSpec {
     })
 }
 
-/// The axes: (budget, codec) × combining × parallelism, crossed with
-/// three fault schedules (none; a retried map-task failure; a retried
-/// reduce-task failure plus a transient run-file read error). The
-/// codec axis only exists under a budget — without spills there is
-/// nothing to compress — and covers every `ShuffleCompression`
-/// variant, so each candidate plan is proven byte-identical to the
-/// uncompressed baseline under compression too.
-fn engine_cfgs() -> Vec<EngineCfg> {
-    let faults: Vec<(Option<FaultPlan>, usize)> = vec![
+/// The three fault schedules, each with the attempts it needs: none; a
+/// retried map-task failure; a retried reduce-task failure plus a
+/// transient run-file read error.
+fn fault_schedules() -> Vec<(Option<FaultPlan>, usize)> {
+    vec![
         (None, 1),
         (Some(FaultPlan::new().fail_map(0, 0, 3)), 2),
         (
@@ -104,7 +102,18 @@ fn engine_cfgs() -> Vec<EngineCfg> {
             ),
             3,
         ),
-    ];
+    ]
+}
+
+/// The axes: (budget, codec) × combining × parallelism, crossed with
+/// three fault schedules (none; a retried map-task failure; a retried
+/// reduce-task failure plus a transient run-file read error). The
+/// codec axis only exists under a budget — without spills there is
+/// nothing to compress — and covers every `ShuffleCompression`
+/// variant, so each candidate plan is proven byte-identical to the
+/// uncompressed baseline under compression too.
+fn engine_cfgs() -> Vec<EngineCfg> {
+    let faults = fault_schedules();
     let mut shuffles: Vec<(Option<usize>, ShuffleCompression)> =
         vec![(None, ShuffleCompression::None)];
     for codec in ShuffleCompression::ALL {
@@ -645,4 +654,162 @@ fn manimal_level_fault_plumbing() {
         .execute_baseline(&clean_sub, Arc::new(Builtin::Count))
         .unwrap();
     assert_eq!(execution.result.output, clean_run.result.output);
+}
+
+/// The three shapes the staging table's bail-out tells apart.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum KeyDist {
+    /// 16 keys: the table collapses the split and never drains.
+    Few,
+    /// Every key once: the table folds nothing.
+    Distinct,
+    /// The first half of the split is distinct, the second repeats it:
+    /// the bail-out fires on the first half and the repeats arrive in
+    /// pass-through, for sites 2 and 3 to fold.
+    DistinctThenRepeats,
+}
+
+impl KeyDist {
+    fn key(self, i: usize, rows: usize) -> String {
+        match self {
+            KeyDist::Few => format!("k{:02}", i % 16),
+            KeyDist::Distinct => format!("key-{i:06}"),
+            KeyDist::DistinctThenRepeats => format!("key-{:06}", i % (rows / 2)),
+        }
+    }
+}
+
+/// `emit(value.k, value.v)` over a two-column file written with `dist`.
+fn key_dist_submission(dir: &Path, dist: KeyDist, rows: usize) -> (Program, PathBuf) {
+    let schema = mr_ir::Schema::new(
+        "KV",
+        vec![
+            ("k", mr_ir::schema::FieldType::Str),
+            ("v", mr_ir::schema::FieldType::Int),
+        ],
+    )
+    .into_arc();
+    let records: Vec<mr_ir::Record> = (0..rows)
+        .map(|i| {
+            let v = (i * 37 % 101) as i64 - 50;
+            mr_ir::record::record(&schema, vec![dist.key(i, rows).into(), Value::Int(v)])
+        })
+        .collect();
+    let input = dir.join(format!("{dist:?}-{rows}.seq"));
+    mr_storage::seqfile::write_seqfile(&input, Arc::clone(&schema), records).unwrap();
+    let mapper = mr_ir::asm::parse_function(
+        r#"
+        func map(key, value) {
+          r0 = param value
+          r1 = field r0.k
+          r2 = field r0.v
+          emit r1, r2
+          ret
+        }
+        "#,
+    )
+    .unwrap();
+    (Program::new("key-dist", mapper, schema), input)
+}
+
+/// The key-distribution cells' common ground: combining on, one map
+/// split per job (so "the split" is the whole file), resident, clean,
+/// local.
+fn key_dist_cfg() -> EngineCfg {
+    EngineCfg {
+        budget: None,
+        codec: ShuffleCompression::None,
+        combining: true,
+        parallelism: 1,
+        attempts: 1,
+        fault: None,
+        writer_threads: 1,
+        pool: PoolKind::Fresh,
+        backend: BackendSpec::Local,
+    }
+}
+
+/// The key-distribution axis: every combining reducer × {resident, tiny
+/// budget} × fault schedule × backend over each [`KeyDist`]. Every cell
+/// is byte-identical to `execute_baseline`; the bail-out fires exactly
+/// where the table drains without having reduced; and a retried run
+/// reports the combine counters of the clean one.
+#[test]
+fn key_distribution_axis_matches_baseline_and_bails_out_where_expected() {
+    const ROWS: usize = 3000;
+    // One worker's staging share is 1 KiB: 16 resident partials fit (no
+    // drain, no check), ~50 distinct pairs do not.
+    const TINY: usize = 2048;
+    let dir = tmpdir("key-dist");
+    let faults = fault_schedules();
+    for dist in [
+        KeyDist::Few,
+        KeyDist::Distinct,
+        KeyDist::DistinctThenRepeats,
+    ] {
+        let (program, input) = key_dist_submission(&dir, dist, ROWS);
+        let manimal = Manimal::new(dir.join(format!("{dist:?}-work"))).unwrap();
+        let submission = manimal.submit(&program, &input);
+        let full_scan = manimal.plans(&submission).unwrap().pop().unwrap();
+        assert!(full_scan.applied.is_empty() && full_scan.combine);
+        for reducer in [Builtin::Sum, Builtin::Count, Builtin::Max, Builtin::Min] {
+            let baseline = manimal
+                .execute_baseline(&submission, Arc::new(reducer))
+                .unwrap()
+                .result;
+            assert_eq!(baseline.counters.combine_in, 0);
+            for budget in [None, Some(TINY)] {
+                for backend in [BackendSpec::Local, process_backend(2, false)] {
+                    let mut clean = None;
+                    for (fault, attempts) in &faults {
+                        let cfg = EngineCfg {
+                            budget,
+                            attempts: *attempts,
+                            fault: fault.clone(),
+                            backend: backend.clone(),
+                            ..key_dist_cfg()
+                        };
+                        let cell = format!("{dist:?} {reducer:?} under {cfg:?}");
+                        let result = run_descriptor(&full_scan, Arc::new(reducer), &cfg)
+                            .unwrap_or_else(|e| panic!("{cell} failed: {e}"));
+                        assert_eq!(result.output, baseline.output, "{cell} diverged");
+                        let c = result.counters;
+                        assert_eq!(c.map_output_records, ROWS as u64);
+                        assert_eq!(c.task_retries > 0, fault.is_some(), "{cell}");
+                        let bails = dist != KeyDist::Few && budget.is_some();
+                        assert_eq!(c.combine_bypassed > 0, bails, "{cell}: {c:?}");
+                        if budget.is_none() && backend == BackendSpec::Local {
+                            // Resident: site 1 is the only site, and it
+                            // sees each emit exactly once.
+                            assert_eq!(c.combine_in, ROWS as u64, "{cell}");
+                        }
+                        let combine = (c.combine_in, c.combine_out, c.combine_bypassed);
+                        assert_eq!(*clean.get_or_insert(combine), combine, "{cell}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// With no staging cap to force a drain, the table still checks itself
+/// every 65 536 emits: a resident all-distinct split bails out there,
+/// and the pairs staged after it are exactly the ones not aggregated.
+#[test]
+fn resident_distinct_split_bails_out_at_the_unforced_check() {
+    const ROWS: usize = 70_000;
+    let dir = tmpdir("key-dist-unforced");
+    let (program, input) = key_dist_submission(&dir, KeyDist::Distinct, ROWS);
+    let manimal = Manimal::new(dir.join("work")).unwrap();
+    let submission = manimal.submit(&program, &input);
+    let full_scan = manimal.plans(&submission).unwrap().pop().unwrap();
+    let baseline = manimal
+        .execute_baseline(&submission, Arc::new(Builtin::Sum))
+        .unwrap()
+        .result;
+    let result = run_descriptor(&full_scan, Arc::new(Builtin::Sum), &key_dist_cfg()).unwrap();
+    assert_eq!(result.output, baseline.output);
+    let c = result.counters;
+    assert_eq!((c.combine_in, c.combine_out), (65_536, 65_536));
+    assert_eq!(c.combine_bypassed, ROWS as u64 - 65_536);
 }

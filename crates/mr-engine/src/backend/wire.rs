@@ -148,6 +148,7 @@ macro_rules! counter_fields {
             dict_reused,
             combine_in,
             combine_out,
+            combine_bypassed,
             reduce_input_groups,
             reduce_output_records,
             instructions_executed,
@@ -961,6 +962,7 @@ mod tests {
             counters: CounterSnapshot {
                 map_input_records: u64::MAX,
                 spill_count: 1,
+                combine_bypassed: 9,
                 ..Default::default()
             },
             shuffle_nanos: 12345,
@@ -970,6 +972,7 @@ mod tests {
         assert_eq!(d.runs[0].partition, 2);
         assert_eq!(d.counters.map_input_records, u64::MAX, "u64 exactness");
         assert_eq!(d.counters.spill_count, 1);
+        assert_eq!(d.counters.combine_bypassed, 9);
 
         let assign = ReduceAssign {
             partition: 1,

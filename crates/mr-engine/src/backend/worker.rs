@@ -15,8 +15,8 @@
 //! stays byte-identical while the plumbing is simpler:
 //!
 //! * **All map output spills.** There is no cross-process resident
-//!   tail, so after the final fold every staged partition is written as
-//!   a sorted run (the spill counters therefore report total shuffle
+//!   tail, so at the end of the split every staged partition is written
+//!   as a sorted run (the spill counters therefore report total shuffle
 //!   disk traffic, which is higher than the local backend's for the
 //!   same job).
 //! * **No io-site faults.** `io:` fault sites are operation-counted
@@ -37,15 +37,15 @@ use mr_ir::value::Value;
 
 use mr_storage::blockcodec::ShuffleCompression;
 
-use crate::combine::{pair_bytes, CombineStrategy};
+use crate::combine::CombineStrategy;
 use crate::counters::Counters;
 use crate::dictctx::DictContext;
 use crate::error::{EngineError, Result};
 use crate::merge::{LoserTree, RunStream};
-use crate::partition::partition;
 use crate::pool::BufferPool;
-use crate::runner::{reduce_groups, FaultGate, Staging, StreamPairs};
+use crate::runner::{reduce_groups, FaultGate, StreamPairs};
 use crate::spill::{write_sorted_run, AttemptDir, SpillRun};
+use crate::staging::Staging;
 
 use super::protocol::*;
 use super::wire::{
@@ -175,11 +175,12 @@ fn report_failure(
     write_frame(writer, TAG_TASK_ERR, &err.encode())
 }
 
-/// One map attempt: read the split, map, stage (folding at the combine
-/// sites exactly like the local runner), and spill *everything* as
-/// sorted runs into a fresh attempt directory. Side effects stay in
-/// the returned [`AttemptDir`]; counters stay in the returned snapshot
-/// until the coordinator commits them.
+/// One map attempt: read the split, map, stage (through the same
+/// [`Staging`] as the local runner, so combine site 1 and its bail-out
+/// behave identically), and spill *everything* as sorted runs into a
+/// fresh attempt directory. Side effects stay in the returned
+/// [`AttemptDir`]; counters stay in the returned snapshot until the
+/// coordinator commits them.
 fn run_map_attempt(
     job: &WireJob,
     combine: &CombineStrategy,
@@ -189,7 +190,7 @@ fn run_map_attempt(
 ) -> Result<(MapDone, AttemptDir)> {
     let acc = Counters::new();
     let dir = AttemptDir::create(&job.job_dir, "map", assign.task, assign.attempt)?;
-    let mut staging = Staging::new(job.num_reducers, pool);
+    let mut staging = Staging::new(job.num_reducers, combine, pool);
     let mut seqs = vec![0usize; job.num_reducers];
     let mut runs: Vec<(usize, SpillRun)> = Vec::new();
     let mut shuffle_nanos = 0u64;
@@ -292,32 +293,26 @@ fn map_attempt_loop(
         effects += stats.side_effects;
         outputs += emit_buf.len() as u64;
         for (ok, ov) in emit_buf.drain(..) {
-            let bytes = pair_bytes(&ok, &ov);
-            shuffle_bytes += bytes as u64;
-            let p = partition(&ok, job.num_reducers);
-            staging.push(p, (ok, ov), bytes);
+            shuffle_bytes += staging.emit(ok, ov)? as u64;
         }
-        if let Some(cap) = local_cap.filter(|cap| staging.total_bytes >= *cap) {
-            staging.fold(combine, acc)?;
-            if staging.total_bytes >= cap {
-                spill_all(
-                    job,
-                    combine,
-                    pool,
-                    dict,
-                    acc,
-                    dir,
-                    staging,
-                    seqs,
-                    runs,
-                    shuffle_nanos,
-                )?;
-            }
+        if local_cap.is_some_and(|cap| staging.total_bytes >= cap) {
+            staging.check_reduction();
+            spill_all(
+                job,
+                combine,
+                pool,
+                dict,
+                acc,
+                dir,
+                staging,
+                seqs,
+                runs,
+                shuffle_nanos,
+            )?;
         }
     }
-    // Final fold + spill-everything: with no resident tail to hand
-    // back, whatever is staged becomes the attempt's last runs.
-    staging.fold(combine, acc)?;
+    // Spill-everything: with no resident tail to hand back, whatever is
+    // staged becomes the attempt's last runs.
     spill_all(
         job,
         combine,
@@ -330,6 +325,7 @@ fn map_attempt_loop(
         runs,
         shuffle_nanos,
     )?;
+    staging.finish(acc);
 
     Counters::add(&acc.map_input_records, records);
     Counters::add(&acc.map_invocations, records);

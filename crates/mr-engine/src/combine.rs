@@ -22,24 +22,29 @@
 //! engine behaves exactly like the seed. With a combiner, folding fires
 //! at three sites:
 //!
-//! 1. **Staging flush** ([`CombineStrategy::combine_staged`]): a map
-//!    worker's task-local buffer is folded to one partial per key
-//!    before it is absorbed into the shared bucket — after this point
+//! 1. **Staging** (`staging.rs`): each emit is injected and
+//!    hash-aggregated into its partition's table as it is staged, one
+//!    partial per key per drain — until the attempt sees the table is
+//!    not reducing and bails out to pass-through. After this point
 //!    every pair in the shuffle is a partial.
 //! 2. **Spill time** ([`CombineStrategy::combine_sorted`]): a detached
-//!    bucket buffer is folded again after its stable sort, so runs
-//!    shrink before they hit disk (also applied when compaction
-//!    rewrites runs).
+//!    buffer is folded after its stable sort, adjacent equal keys
+//!    merged in place, so runs shrink before they hit disk. Compaction
+//!    folds the same way while it rewrites runs.
 //! 3. **The merge grouping loop** ([`CombineStrategy::make_reducer`]):
 //!    reduce streams each key's surviving partials through the same
 //!    grouping loop as always, but the "reducer" folds them with
 //!    *merge* and emits via *finish*.
 //!
-//! The `combine_in` / `combine_out` counters record pairs entering and
-//! leaving sites 1 and 2 (plus compaction) — and only those, so
-//! `combine_in - combine_out` is exactly the shuffle traffic the
-//! combiner removed. The reduce-side fold of site 3 removes none and is
-//! deliberately not counted.
+//! The counters count each pair once per site it passes. Site 1:
+//! `combine_in` is the emits that entered a table, `combine_out` the
+//! entries the tables handed downstream, and `combine_bypassed` the
+//! emits staged after the bail-out (in neither of the other two), so
+//! `combine_in + combine_bypassed = map_output_records` whenever a
+//! combiner is active. Site 2 and compaction: the pairs before and
+//! after the merge. `combine_in - combine_out` is exactly the shuffle
+//! traffic the combiner removed; the reduce-side fold of site 3 removes
+//! none and is deliberately not counted.
 
 use std::sync::Arc;
 
@@ -117,42 +122,8 @@ impl CombineStrategy {
         self.combiner.as_deref().map(Combiner::name)
     }
 
-    /// Site 1 — fold a map worker's staged pairs for one partition down
-    /// to one partial per key. `bytes` is the caller's byte accounting
-    /// for `pairs`; the returned value replaces it (recomputed after
-    /// folding, unchanged when inactive).
-    ///
-    /// The buffer is stably sorted by key so equal keys fold in
-    /// emission order; since `merge` is commutative the grouping is
-    /// semantically free, and the sort is work the spill path would
-    /// have done anyway.
-    pub fn combine_staged(
-        &self,
-        pairs: &mut Vec<(Value, Value)>,
-        bytes: usize,
-        counters: &Counters,
-    ) -> Result<usize> {
-        let Some(combiner) = &self.combiner else {
-            return Ok(bytes);
-        };
-        if pairs.len() < 2 {
-            // Nothing foldable, but the lone pair still needs injecting
-            // so everything downstream is uniformly in partial domain.
-            if let Some((k, v)) = pairs.first_mut() {
-                *v = combiner.inject(k, v)?;
-            }
-            return Ok(pairs.iter().map(|(k, v)| pair_bytes(k, v)).sum());
-        }
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        let folded = fold_sorted(pairs, |k, v| combiner.inject(k, v), combiner.as_ref())?;
-        Counters::add(&counters.combine_in, pairs.len() as u64);
-        Counters::add(&counters.combine_out, folded.len() as u64);
-        *pairs = folded;
-        Ok(pairs.iter().map(|(k, v)| pair_bytes(k, v)).sum())
-    }
-
-    /// Sites 2 (spill write) and the compaction rewrite — fold an
-    /// already-sorted buffer of *partials*, merging adjacent equal keys.
+    /// Site 2 — fold a key-sorted buffer of *partials* in place: each
+    /// run of adjacent equal keys merges, in order, into its first pair.
     pub fn combine_sorted(
         &self,
         pairs: &mut Vec<(Value, Value)>,
@@ -161,13 +132,23 @@ impl CombineStrategy {
         let Some(combiner) = &self.combiner else {
             return Ok(());
         };
-        if pairs.len() < 2 {
+        if pairs.is_empty() {
             return Ok(());
         }
-        let folded = fold_sorted(pairs, |_, v| Ok(v.clone()), combiner.as_ref())?;
         Counters::add(&counters.combine_in, pairs.len() as u64);
-        Counters::add(&counters.combine_out, folded.len() as u64);
-        *pairs = folded;
+        let mut last = 0;
+        for next in 1..pairs.len() {
+            let (kept, rest) = pairs.split_at_mut(next);
+            let (key, acc) = &mut kept[last];
+            if *key == rest[0].0 {
+                *acc = combiner.merge(key, std::mem::take(acc), &rest[0].1)?;
+            } else {
+                last += 1;
+                pairs.swap(last, next);
+            }
+        }
+        pairs.truncate(last + 1);
+        Counters::add(&counters.combine_out, pairs.len() as u64);
         Ok(())
     }
 
@@ -198,31 +179,10 @@ impl std::fmt::Debug for CombineStrategy {
     }
 }
 
-/// Fold a key-sorted buffer: `lift` maps each value into the partial
-/// domain (inject for raw map output, clone for already-partial runs),
-/// and adjacent equal keys merge into one pair.
-fn fold_sorted(
-    pairs: &[(Value, Value)],
-    lift: impl Fn(&Value, &Value) -> Result<Value>,
-    combiner: &dyn Combiner,
-) -> Result<Vec<(Value, Value)>> {
-    let mut folded: Vec<(Value, Value)> = Vec::new();
-    for (k, v) in pairs {
-        let lifted = lift(k, v)?;
-        match folded.last_mut() {
-            Some((fk, acc)) if fk == k => {
-                let prev = std::mem::take(acc);
-                *acc = combiner.merge(k, prev, &lifted)?;
-            }
-            _ => folded.push((k.clone(), lifted)),
-        }
-    }
-    Ok(folded)
-}
-
 /// The reduce-side half of an active combiner: each key group arriving
-/// from the merge holds that key's surviving partials (one per
-/// staging-flush/spill that saw the key); fold them and finish.
+/// from the merge holds that key's surviving partials (one per staging
+/// drain, pass-through emit or spill that saw the key); fold them and
+/// finish.
 struct CombiningReducer {
     combiner: Arc<dyn Combiner>,
 }
@@ -422,31 +382,47 @@ mod tests {
         );
     }
 
+    /// The reference the in-place merge is compared against: clone each
+    /// pair into a fresh `Vec`, merging adjacent equal keys on the way.
+    fn fold_sorted(pairs: &[(Value, Value)], combiner: &dyn Combiner) -> Vec<(Value, Value)> {
+        let mut folded: Vec<(Value, Value)> = Vec::new();
+        for (k, v) in pairs {
+            match folded.last_mut() {
+                Some((fk, acc)) if fk == k => {
+                    *acc = combiner.merge(k, std::mem::take(acc), v).unwrap();
+                }
+                _ => folded.push((k.clone(), v.clone())),
+            }
+        }
+        folded
+    }
+
     #[test]
-    fn staged_combine_folds_duplicates_and_recounts_bytes() {
-        let counters = Counters::new();
-        let mut pairs = vec![
-            (Value::str("b"), Value::Int(1)),
-            (Value::str("a"), Value::Int(2)),
-            (Value::str("b"), Value::Int(3)),
-            (Value::str("a"), Value::Int(4)),
-            (Value::str("a"), Value::Int(6)),
-        ];
-        let bytes = strategy(Builtin::Sum)
-            .combine_staged(&mut pairs, 999, &counters)
-            .unwrap();
-        assert_eq!(
-            pairs,
-            vec![
-                (Value::str("a"), Value::Int(12)),
-                (Value::str("b"), Value::Int(4)),
-            ]
-        );
-        let expect: usize = pairs.iter().map(|(k, v)| pair_bytes(k, v)).sum();
-        assert_eq!(bytes, expect);
-        let snap = counters.snapshot();
-        assert_eq!(snap.combine_in, 5);
-        assert_eq!(snap.combine_out, 2);
+    fn in_place_merge_matches_the_reference_fold() {
+        // Key runs of every length at the front, middle and end, with
+        // Int/Double keys and values that compare equal but print
+        // differently.
+        let keys = [0i64, 0, 0, 1, 2, 2, 3, 4, 4, 4, 4, 5, 6, 6];
+        for b in [Builtin::Sum, Builtin::Max, Builtin::Min] {
+            for len in 0..=keys.len() {
+                let mut pairs: Vec<(Value, Value)> = keys[..len]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| match i % 2 {
+                        0 => (Value::Int(k), Value::Int(7)),
+                        _ => (Value::Double(k as f64), Value::Double(7.0)),
+                    })
+                    .collect();
+                let combiner = b.combiner().unwrap();
+                let expect = fold_sorted(&pairs, combiner.as_ref());
+                let counters = Counters::new();
+                strategy(b).combine_sorted(&mut pairs, &counters).unwrap();
+                assert_eq!(format!("{pairs:?}"), format!("{expect:?}"), "{b:?} {len}");
+                let snap = counters.snapshot();
+                assert_eq!(snap.combine_in, len as u64);
+                assert_eq!(snap.combine_out, expect.len() as u64);
+            }
+        }
     }
 
     #[test]
@@ -459,25 +435,9 @@ mod tests {
         let orig = pairs.clone();
         let s = CombineStrategy::passthrough();
         assert!(!s.is_active());
-        let bytes = s.combine_staged(&mut pairs, 77, &counters).unwrap();
-        assert_eq!(bytes, 77);
         s.combine_sorted(&mut pairs, &counters).unwrap();
         assert_eq!(pairs, orig);
         assert_eq!(counters.snapshot().combine_in, 0);
-    }
-
-    #[test]
-    fn count_injects_ones_then_sums() {
-        let counters = Counters::new();
-        let mut pairs = vec![
-            (Value::str("k"), Value::str("anything")),
-            (Value::str("k"), Value::Null),
-            (Value::str("k"), Value::Int(42)),
-        ];
-        strategy(Builtin::Count)
-            .combine_staged(&mut pairs, 0, &counters)
-            .unwrap();
-        assert_eq!(pairs, vec![(Value::str("k"), Value::Int(3))]);
     }
 
     #[test]

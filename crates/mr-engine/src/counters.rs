@@ -49,13 +49,19 @@ pub struct Counters {
     /// reused instead of retrained — retries, sibling map tasks,
     /// compaction, and repeat jobs over the same data all count here.
     pub dict_reused: AtomicU64,
-    /// Pairs that entered a shuffle-side combine site (staging flush,
-    /// spill write, compaction rewrite — the reduce-side fold is not
-    /// counted). Zero when no combiner is plugged in.
+    /// Pairs that entered a shuffle-side combine site, once per site:
+    /// emits aggregated by a staging table, pairs in a buffer about to
+    /// be spill-written, pairs read by a compaction rewrite (the
+    /// reduce-side fold is not counted). Zero when no combiner is
+    /// plugged in.
     pub combine_in: AtomicU64,
     /// Pairs those combine sites emitted; `combine_in - combine_out` is
     /// exactly the shuffle traffic the combiner removed.
     pub combine_out: AtomicU64,
+    /// Emits staged without aggregation after a map attempt saw its
+    /// table was not reducing and bailed out (`staging.rs`); counted in
+    /// neither `combine_in` nor `combine_out` at that site.
+    pub combine_bypassed: AtomicU64,
     /// Distinct keys seen by reduce.
     pub reduce_input_groups: AtomicU64,
     /// Records produced by reduce.
@@ -116,6 +122,7 @@ impl Counters {
             dict_reused: self.dict_reused.load(Ordering::Relaxed),
             combine_in: self.combine_in.load(Ordering::Relaxed),
             combine_out: self.combine_out.load(Ordering::Relaxed),
+            combine_bypassed: self.combine_bypassed.load(Ordering::Relaxed),
             reduce_input_groups: self.reduce_input_groups.load(Ordering::Relaxed),
             reduce_output_records: self.reduce_output_records.load(Ordering::Relaxed),
             instructions_executed: self.instructions_executed.load(Ordering::Relaxed),
@@ -149,6 +156,7 @@ impl Counters {
         Counters::add(&self.dict_reused, s.dict_reused);
         Counters::add(&self.combine_in, s.combine_in);
         Counters::add(&self.combine_out, s.combine_out);
+        Counters::add(&self.combine_bypassed, s.combine_bypassed);
         Counters::add(&self.reduce_input_groups, s.reduce_input_groups);
         Counters::add(&self.reduce_output_records, s.reduce_output_records);
         Counters::add(&self.instructions_executed, s.instructions_executed);
@@ -206,6 +214,8 @@ pub struct CounterSnapshot {
     pub combine_in: u64,
     /// Pairs leaving combine sites.
     pub combine_out: u64,
+    /// Emits staged unaggregated after the map-side bail-out.
+    pub combine_bypassed: u64,
     /// Distinct reduce keys.
     pub reduce_input_groups: u64,
     /// Reduce output records.
@@ -244,6 +254,7 @@ impl std::fmt::Display for CounterSnapshot {
         writeln!(f, "spill bytes writtn: {}", self.spill_bytes_written)?;
         writeln!(f, "combine in        : {}", self.combine_in)?;
         writeln!(f, "combine out       : {}", self.combine_out)?;
+        writeln!(f, "combine bypassed  : {}", self.combine_bypassed)?;
         writeln!(f, "reduce groups     : {}", self.reduce_input_groups)?;
         writeln!(f, "reduce output     : {}", self.reduce_output_records)?;
         writeln!(f, "map task failures : {}", self.map_task_failures)?;
@@ -299,6 +310,7 @@ mod tests {
         Counters::add(&attempt.map_input_records, 7);
         Counters::add(&attempt.spilled_records, 3);
         Counters::add(&attempt.combine_in, 2);
+        Counters::add(&attempt.combine_bypassed, 4);
         let job = Counters::new();
         Counters::add(&job.map_input_records, 1);
         job.absorb(&attempt.snapshot());
@@ -306,6 +318,7 @@ mod tests {
         assert_eq!(s.map_input_records, 8);
         assert_eq!(s.spilled_records, 3);
         assert_eq!(s.combine_in, 2);
+        assert_eq!(s.combine_bypassed, 4);
         assert_eq!(s.task_retries, 0);
     }
 

@@ -118,7 +118,7 @@ impl InputSpec {
                     out.push(SplitReader::Widened {
                         reader: meta.read_split_with_faults(&sp, io.cloned())?,
                         next_key: first_record,
-                        target: Arc::clone(source_schema),
+                        target: private_schema(source_schema),
                     });
                     first_record += records;
                 }
@@ -131,7 +131,7 @@ impl InputSpec {
                     out.push(SplitReader::Delta {
                         reader: meta.read_split(off, records)?,
                         next_key: before,
-                        widen_to: widen_to.clone(),
+                        widen_to: widen_to.as_ref().map(private_schema),
                     });
                 }
                 Ok(out)
@@ -170,6 +170,15 @@ impl InputSpec {
             InputSpec::Dict { path } => Ok(Arc::clone(DictFileReader::open(path)?.schema())),
         }
     }
+}
+
+/// A split reader's own copy of a schema. Every record a reader yields
+/// holds a handle on its schema, so a schema shared by the splits of one
+/// file has its reference count written by every map thread several
+/// times per record — the cache line bounces, and two threads widening
+/// a projected file ran slower than one.
+fn private_schema(shared: &Arc<Schema>) -> Arc<Schema> {
+    Arc::new(Schema::clone(shared))
 }
 
 /// One split's record stream.

@@ -201,7 +201,7 @@ pub struct JobConfig {
     pub dict_store: Option<PathBuf>,
     /// Map-side combiner. `None` (the default) runs the plain
     /// emit→spill→merge pipeline; with a combiner, emitted pairs are
-    /// folded at the staging flush, at spill time, and in the merge
+    /// folded as they are staged, at spill time, and in the merge
     /// grouping loop — output stays identical to the combiner-free run
     /// (see [`crate::combine`]). The builtin reducers declare safe
     /// combiners via [`Builtin::combiner`];

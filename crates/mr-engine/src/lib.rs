@@ -26,7 +26,7 @@
 //!
 //! Orthogonally, [`JobConfig::combiner`](job::JobConfig::combiner)
 //! plugs a map-side combiner into every stage of that pipeline
-//! ([`combine`]): emitted pairs fold at the staging flush, at spill
+//! ([`combine`]): emitted pairs fold as they are staged, at spill
 //! time, and in the merge grouping loop — same output again, with the
 //! shuffle traffic of an algebraic aggregate collapsed near the key
 //! cardinality.
@@ -66,6 +66,7 @@ pub mod reducer;
 pub mod runner;
 pub mod spill;
 pub mod spillwriter;
+pub(crate) mod staging;
 
 pub use backend::{maybe_worker_entry, worker_main, ExecBackend, LocalBackend, ProcessBackend};
 pub use combine::{CombineStrategy, Combiner};

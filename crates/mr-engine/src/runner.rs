@@ -11,7 +11,7 @@
 //! resident tail ([`crate::merge`]) through the grouping loop — same
 //! output, bounded memory. Every stage additionally runs through the
 //! pluggable [`CombineStrategy`]: with [`JobConfig::combiner`] set,
-//! pairs fold at the staging flush, at spill time, and in the merge
+//! pairs fold as they are staged, at spill time, and in the merge
 //! grouping loop (see [`crate::combine`]).
 //!
 //! # Task attempts and the commit protocol
@@ -69,7 +69,7 @@ use mr_storage::runfile::RunFileReader;
 use parking_lot::Mutex as PlMutex;
 
 use crate::allocstats;
-use crate::combine::{pair_bytes, CombineStrategy};
+use crate::combine::CombineStrategy;
 use crate::counters::Counters;
 use crate::dictctx::DictContext;
 use crate::error::{EngineError, Result};
@@ -78,11 +78,11 @@ use crate::input::SplitReader;
 use crate::job::{JobConfig, OutputSpec};
 use crate::mapper::MapperFactory;
 use crate::merge::{compact_runs, LoserTree, RunStream};
-use crate::partition::partition;
 use crate::pool::BufferPool;
 use crate::reducer::Reducer;
 use crate::spill::{write_sorted_run, AttemptDir, ShuffleBucket, SpillDir, SpillRun};
 use crate::spillwriter::{SpillWriter, SpillWriterCfg};
+use crate::staging::Staging;
 
 /// Where a job's time went, for bench tables that need to attribute
 /// spill cost.
@@ -244,7 +244,7 @@ fn run_map_attempt(
     attempt: usize,
 ) -> Result<MapAttemptOutput> {
     let acc = Counters::new();
-    let mut staging = Staging::new(ctx.num_reducers, ctx.pool);
+    let mut staging = Staging::new(ctx.num_reducers, ctx.combine, ctx.pool);
     let mut attempt_dir: Option<AttemptDir> = None;
     let mut writer: Option<SpillWriter> = None;
 
@@ -270,7 +270,7 @@ fn run_map_attempt(
             return Err(e);
         }
     };
-    let (staged, staged_bytes) = staging.into_parts(ctx.pool);
+    let (staged, staged_bytes) = staging.into_parts();
     Ok(MapAttemptOutput {
         staged,
         staged_bytes,
@@ -280,8 +280,8 @@ fn run_map_attempt(
     })
 }
 
-/// The fallible body of a map attempt: the record loop plus the final
-/// fold and counter rollup. Separated from [`run_map_attempt`] so its
+/// The fallible body of a map attempt: the record loop plus the
+/// counter rollup. Separated from [`run_map_attempt`] so its
 /// `?`-returns cannot skip the writer join / buffer recycling.
 fn map_attempt_loop(
     ctx: &MapCtx<'_>,
@@ -322,27 +322,19 @@ fn map_attempt_loop(
         effects += stats.side_effects;
         outputs += emit_buf.len() as u64;
         for (ok, ov) in emit_buf.drain(..) {
-            let bytes = pair_bytes(&ok, &ov);
-            shuffle_bytes += bytes as u64;
-            let p = partition(&ok, ctx.num_reducers);
-            staging.push(p, (ok, ov), bytes);
+            shuffle_bytes += staging.emit(ok, ov)? as u64;
         }
-        if let Some(cap) = ctx.local_cap.filter(|cap| staging.total_bytes >= *cap) {
-            // Fold first (combine site 1): with an active combiner a
-            // low-cardinality staging buffer collapses to one partial
-            // per key and often drops back under the cap without
-            // touching disk — the cross-flush folding the shared
-            // buckets used to provide. Only what folding cannot shrink
-            // spills to attempt-scoped runs.
-            staging.fold(ctx.combine, acc)?;
-            if staging.total_bytes >= cap {
-                spill_staging(ctx, acc, task.id, attempt, staging, attempt_dir, writer)?;
-            }
+        // Combine site 1 already happened inside `emit`: with an active
+        // combiner `total_bytes` counts table-resident partials, so a
+        // low-cardinality split never gets here. What does is drained
+        // to attempt-scoped runs, and the drain is where the attempt
+        // asks whether aggregating is still paying.
+        if ctx.local_cap.is_some_and(|cap| staging.total_bytes >= cap) {
+            staging.check_reduction();
+            spill_staging(ctx, acc, task.id, attempt, staging, attempt_dir, writer)?;
         }
     }
-    // Final fold: everything left resident enters commit in partial
-    // domain, exactly as the old staging flush guaranteed.
-    staging.fold(ctx.combine, acc)?;
+    staging.finish(acc);
 
     Counters::add(&acc.map_input_records, records);
     Counters::add(&acc.map_invocations, records);
@@ -352,118 +344,6 @@ fn map_attempt_loop(
     Counters::add(&acc.shuffle_bytes, shuffle_bytes);
     Counters::add(&acc.input_bytes, reader.bytes_read());
     Ok(())
-}
-
-/// A map attempt's task-local staging, partitioned by reducer. Raw
-/// emissions and already-folded partials are kept apart because
-/// [`CombineStrategy::combine_staged`] *injects* raw values into the
-/// partial domain — running it twice over the same pair would corrupt
-/// aggregates whose inject is not idempotent (Count lifts any value to
-/// 1). [`fold`](Staging::fold) injects only the raw tail, then
-/// merge-folds it into the partials.
-pub(crate) struct Staging {
-    /// Unfolded emissions since the last fold, per partition.
-    raw: Vec<Vec<(Value, Value)>>,
-    raw_bytes: Vec<usize>,
-    /// Folded partials (combiner active only), per partition, sorted.
-    partials: Vec<Vec<(Value, Value)>>,
-    partial_bytes: Vec<usize>,
-    /// Total staged bytes across both buffers and all partitions.
-    pub(crate) total_bytes: usize,
-}
-
-impl Staging {
-    /// Every slot is a pooled loan: `2 × num_reducers` buffers come out
-    /// of the pool here and every one goes back via
-    /// [`into_parts`](Staging::into_parts) (commit puts the staged
-    /// halves after absorbing them) or [`recycle`](Staging::recycle) on
-    /// the error path.
-    pub(crate) fn new(num_reducers: usize, pool: &BufferPool) -> Staging {
-        Staging {
-            raw: (0..num_reducers).map(|_| pool.get_pairs()).collect(),
-            raw_bytes: vec![0; num_reducers],
-            partials: (0..num_reducers).map(|_| pool.get_pairs()).collect(),
-            partial_bytes: vec![0; num_reducers],
-            total_bytes: 0,
-        }
-    }
-
-    pub(crate) fn push(&mut self, p: usize, pair: (Value, Value), bytes: usize) {
-        self.raw[p].push(pair);
-        self.raw_bytes[p] += bytes;
-        self.total_bytes += bytes;
-    }
-
-    /// Combine site 1: inject-fold each partition's raw tail and merge
-    /// it into the partials. A pass-through without a combiner.
-    pub(crate) fn fold(&mut self, combine: &CombineStrategy, acc: &Counters) -> Result<()> {
-        if !combine.is_active() {
-            return Ok(());
-        }
-        for p in 0..self.raw.len() {
-            if self.raw[p].is_empty() {
-                continue;
-            }
-            let mut chunk = std::mem::take(&mut self.raw[p]);
-            combine.combine_staged(&mut chunk, self.raw_bytes[p], acc)?;
-            self.raw_bytes[p] = 0;
-            self.partials[p].append(&mut chunk);
-            // Restore the drained (pooled) buffer so the slot keeps its
-            // warmed-up capacity instead of reallocating from zero.
-            self.raw[p] = chunk;
-            // Both halves are sorted partials now; a stable sort plus a
-            // merge-only fold collapses them to one partial per key.
-            self.partials[p].sort_by(|a, b| a.0.cmp(&b.0));
-            combine.combine_sorted(&mut self.partials[p], acc)?;
-            self.partial_bytes[p] = self.partials[p].iter().map(|(k, v)| pair_bytes(k, v)).sum();
-        }
-        self.total_bytes = self.partial_bytes.iter().sum();
-        Ok(())
-    }
-
-    /// Detach partition `p`'s staged pairs for a spill, replacing the
-    /// slot with a fresh pooled loan so the mapper keeps staging while
-    /// the detached buffer rides the background writer. With a combiner
-    /// the raw tail must already be folded in (the spill path folds
-    /// before writing).
-    pub(crate) fn take(&mut self, p: usize, pool: &BufferPool) -> Vec<(Value, Value)> {
-        debug_assert!(self.raw[p].is_empty() || self.partials[p].is_empty());
-        self.total_bytes -= self.raw_bytes[p] + self.partial_bytes[p];
-        self.raw_bytes[p] = 0;
-        self.partial_bytes[p] = 0;
-        let mut out = std::mem::replace(&mut self.partials[p], pool.get_pairs());
-        out.append(&mut self.raw[p]);
-        out
-    }
-
-    pub(crate) fn is_empty(&self, p: usize) -> bool {
-        self.raw[p].is_empty() && self.partials[p].is_empty()
-    }
-
-    /// Tear down into `(pairs, bytes)` per partition for the commit.
-    /// The merged buffer per partition stays on loan (the commit
-    /// recycles it after absorbing); the emptied other half of each
-    /// slot goes straight back to the pool here.
-    fn into_parts(mut self, pool: &BufferPool) -> (Vec<Vec<(Value, Value)>>, Vec<usize>) {
-        let mut staged = Vec::with_capacity(self.raw.len());
-        let mut bytes = Vec::with_capacity(self.raw.len());
-        for p in 0..self.raw.len() {
-            bytes.push(self.raw_bytes[p] + self.partial_bytes[p]);
-            let mut pairs = std::mem::take(&mut self.partials[p]);
-            pairs.append(&mut self.raw[p]);
-            pool.put_pairs(std::mem::take(&mut self.raw[p]));
-            staged.push(pairs);
-        }
-        (staged, bytes)
-    }
-
-    /// Return every loaned buffer to the pool — the failed-attempt
-    /// teardown.
-    pub(crate) fn recycle(mut self, pool: &BufferPool) {
-        for buf in self.raw.drain(..).chain(self.partials.drain(..)) {
-            pool.put_pairs(buf);
-        }
-    }
 }
 
 /// Re-open one map task's split for a retry attempt.
@@ -477,13 +357,12 @@ fn reopen_split(ctx: &MapCtx<'_>, task: &MapTask) -> Result<SplitReader> {
         .ok_or_else(|| EngineError::Config(format!("split {} vanished on retry", task.split)))
 }
 
-/// Spill every nonempty (already-folded) staged partition of a map
-/// attempt into attempt-scoped runs via the background
-/// [`SpillWriter`]: detach the buffer, hand it to the writer, and keep
-/// mapping — sort/compress/flush happen off the map loop (synchronously
-/// when [`JobConfig::spill_writer_threads`] is 0). Spill counters go to
-/// the attempt-local accumulator: only a committed attempt's spills
-/// count.
+/// Spill every nonempty staged partition of a map attempt into
+/// attempt-scoped runs via the background [`SpillWriter`]: detach the
+/// buffer, hand it to the writer, and keep mapping — sort/compress/flush
+/// happen off the map loop (synchronously when
+/// [`JobConfig::spill_writer_threads`] is 0). Spill counters go to the
+/// attempt-local accumulator: only a committed attempt's spills count.
 fn spill_staging(
     ctx: &MapCtx<'_>,
     acc: &Arc<Counters>,

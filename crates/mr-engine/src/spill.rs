@@ -389,7 +389,7 @@ mod tests {
         let dir = SpillDir::create(None, "combine-spill").unwrap();
         let counters = Counters::new();
         let combine = CombineStrategy::new(Builtin::Sum.combiner());
-        // Partials, as the staging flush would have produced them.
+        // Partials, as pass-through staging hands them over.
         let mut pairs = vec![
             (Value::Int(2), Value::Int(10)),
             (Value::Int(1), Value::Int(1)),

@@ -8,7 +8,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mr_engine::{run_job, Builtin, InputSpec, JobConfig, JobResult};
+use mr_engine::{
+    run_job, Builtin, FnMapperFactory, InputSpec, JobConfig, JobResult, ReducerFactory,
+};
 use mr_ir::asm::parse_function;
 use mr_ir::record::{record, Record};
 use mr_ir::schema::{FieldType, Schema};
@@ -282,6 +284,120 @@ proptest! {
         prop_assert!(
             combined.counters.spilled_records <= plain.counters.spilled_records
         );
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// One emitted value or key: an integer payload, as `Int` or `Double`.
+fn numeric(as_double: bool, n: i64) -> Value {
+    if as_double {
+        Value::Double(n as f64)
+    } else {
+        Value::Int(n)
+    }
+}
+
+/// What a combiner-free MapReduce makes of `stream`: a stable sort by
+/// key, each run of equal keys handed — first key, values in emission
+/// order — to the raw reducer, the output sorted like the job sorts it.
+/// No engine code but the reducer itself.
+fn raw_reduce(reducer: Builtin, stream: &[(Value, Value)]) -> Vec<(Value, Value)> {
+    let mut sorted = stream.to_vec();
+    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut out = Vec::new();
+    let mut raw = reducer.create();
+    for group in sorted.chunk_by(|a, b| a.0 == b.0) {
+        let values: Vec<Value> = group.iter().map(|(_, v)| v.clone()).collect();
+        raw.reduce(&group[0].0, &values, &mut out).unwrap();
+    }
+    out.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Table aggregation (with its drains and its bail-out, wherever the
+    /// random budget puts them) followed by the reduce-side fold equals
+    /// the raw reducer on the same stream, representation included:
+    /// `Int(2)` and `Double(2.0)` are one key reported as whichever was
+    /// emitted first, `i64` sums wrap, and a `Max`/`Min` tie between
+    /// `Int(n)` and `Double(n)` resolves by emission order.
+    #[test]
+    fn table_then_reduce_fold_equals_the_raw_reducer(
+        stream in proptest::collection::vec(
+            (
+                any::<bool>(),
+                0i64..6,
+                any::<bool>(),
+                prop_oneof![-3i64..4, -3i64..4, Just(i64::MAX), Just(i64::MIN)],
+            ),
+            0..200,
+        ),
+        reducer_pick in 0usize..4,
+        budget in prop_oneof![Just(None), (32usize..1024).prop_map(Some)],
+    ) {
+        let reducer = [Builtin::Sum, Builtin::Count, Builtin::Max, Builtin::Min][reducer_pick];
+        let s = Schema::new(
+            "N",
+            vec![
+                ("kd", FieldType::Bool),
+                ("k", FieldType::Int),
+                ("vd", FieldType::Bool),
+                ("v", FieldType::Long),
+            ],
+        )
+        .into_arc();
+        let records: Vec<Record> = stream
+            .iter()
+            .map(|&(kd, k, vd, v)| {
+                record(&s, vec![Value::Bool(kd), Value::Int(k), Value::Bool(vd), Value::Int(v)])
+            })
+            .collect();
+        let path = tmp("table-prop");
+        write_seqfile(&path, s, records).unwrap();
+        let emitted: Vec<(Value, Value)> = stream
+            .iter()
+            .map(|&(kd, k, vd, v)| (numeric(kd, k), numeric(vd, v)))
+            .collect();
+
+        let mut j = JobConfig::ir_job(
+            "table-prop",
+            InputSpec::SeqFile { path: path.clone() },
+            emit_kv_mapper(),
+            reducer,
+        )
+        .with_reducers(2)
+        // One split, so the job's emission order is the stream's.
+        .with_parallelism(1)
+        .with_declared_combiner();
+        j.inputs[0].mapper = Arc::new(FnMapperFactory(
+            |_k: &Value, v: &Value, out: &mut Vec<(Value, Value)>| {
+                let r = v.as_record().unwrap();
+                let field = |name| r.get(name).unwrap();
+                let int = |name| field(name).as_int().unwrap();
+                out.push((
+                    numeric(field("kd").is_truthy(), int("k")),
+                    numeric(field("vd").is_truthy(), int("v")),
+                ));
+            },
+        ));
+        j.sort_output = true;
+        j.shuffle_buffer_bytes = budget;
+        let combined = run_job(&j).unwrap();
+
+        let expect = raw_reduce(reducer, &emitted);
+        prop_assert_eq!(format!("{:?}", combined.output), format!("{expect:?}"));
+        let c = combined.counters;
+        prop_assert_eq!(c.map_output_records, emitted.len() as u64);
+        prop_assert!(c.combine_bypassed <= c.map_output_records);
+        if budget.is_none() {
+            prop_assert_eq!(
+                (c.combine_in, c.combine_bypassed),
+                (emitted.len() as u64, 0),
+                "resident: every emit enters the table exactly once"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -315,7 +315,11 @@ impl DeltaFileMeta {
         input.seek(SeekFrom::Start(offset))?;
         Ok(DeltaFileReader {
             input,
-            schema: Arc::clone(&self.schema),
+            // A copy of its own, not a handle on the meta's: every
+            // record a reader yields clones this `Arc`, and readers of
+            // different splits run on different threads — sharing one
+            // reference count made them fight over its cache line.
+            schema: Arc::new(Schema::clone(&self.schema)),
             is_delta: self.is_delta.clone(),
             prev: vec![0; self.schema.len()],
             remaining: records,
