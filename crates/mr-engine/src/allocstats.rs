@@ -31,6 +31,20 @@ pub fn totals() -> (u64, u64) {
     }
 }
 
+/// Allocations made by the calling thread since it started (0 without
+/// the feature). Unlike [`totals`], this attributes cleanly while other
+/// threads — a test harness, a sibling test — allocate too.
+pub fn thread_count() -> u64 {
+    #[cfg(feature = "bench-alloc")]
+    {
+        counting::THREAD_COUNT.with(std::cell::Cell::get)
+    }
+    #[cfg(not(feature = "bench-alloc"))]
+    {
+        0
+    }
+}
+
 /// Whether the counting allocator is compiled in (the `bench-alloc`
 /// feature). Lets bench output distinguish "zero allocations" from
 /// "not measured".
@@ -41,15 +55,27 @@ pub fn enabled() -> bool {
 #[cfg(feature = "bench-alloc")]
 mod counting {
     use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     pub static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
     pub static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
+    thread_local! {
+        // Const-initialised and drop-free, so touching it from inside
+        // the allocator neither allocates nor registers a destructor.
+        pub static THREAD_COUNT: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn count_on_thread() {
+        let _ = THREAD_COUNT.try_with(|c| c.set(c.get() + 1));
+    }
+
     struct CountingAlloc;
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count_on_thread();
             ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
             ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
             System.alloc(layout)
@@ -60,6 +86,7 @@ mod counting {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count_on_thread();
             ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
             // Only the growth is new demand on the allocator.
             ALLOC_BYTES.fetch_add(
@@ -81,8 +108,10 @@ mod tests {
     #[test]
     fn totals_advance_on_allocation() {
         let (c0, b0) = totals();
+        let t0 = thread_count();
         let v: Vec<u8> = Vec::with_capacity(4096);
         let (c1, b1) = totals();
+        assert_eq!(thread_count(), t0 + 1);
         assert!(c1 > c0);
         assert!(b1 - b0 >= 4096);
         drop(v);

@@ -29,7 +29,10 @@ pub enum InputSpec {
         path: PathBuf,
     },
     /// B+Tree index range scan: only records whose index key falls in
-    /// one of the ranges are read. Keys are the index keys.
+    /// one of the ranges are read. Each range is cut into up to `hint`
+    /// splits over disjoint runs of whole leaves, so an indexed selection
+    /// keeps every map worker busy. Keys are the original input keys
+    /// stored with the entries.
     BTreeRanges {
         /// The index path.
         path: PathBuf,
@@ -71,9 +74,10 @@ impl InputSpec {
     /// [`open`](Self::open) with an IO fault injector threaded into
     /// the sequence-file readers (`SeqFile` and `Projected`; the
     /// other formats have no injection hooks). Split boundaries depend
-    /// only on `hint`, so re-opening the same input with the same hint
-    /// — how a retried map task re-reads its split — always yields the
-    /// same splits.
+    /// only on the input's files and `hint`, so re-opening the same input
+    /// with the same hint — how a retried map task re-reads its split,
+    /// and how a process-backend worker finds the split its coordinator
+    /// planned — always yields the same splits.
     pub fn open_with_faults(
         &self,
         hint: usize,
@@ -97,11 +101,11 @@ impl InputSpec {
             }
             InputSpec::BTreeRanges { path, ranges } => {
                 let idx = BTreeIndex::open(path)?;
-                let mut out = Vec::with_capacity(ranges.len());
+                let mut out = Vec::new();
                 for (low, high) in ranges {
-                    out.push(SplitReader::BTree {
-                        scanner: idx.scan(low.clone(), high.clone())?,
-                    });
+                    for scanner in idx.scan_spans(low.clone(), high.clone(), hint.max(1))? {
+                        out.push(SplitReader::BTree { scanner });
+                    }
                 }
                 Ok(out)
             }
@@ -378,7 +382,7 @@ mod tests {
             ],
         };
         let readers = spec.open(4).unwrap();
-        assert_eq!(readers.len(), 2, "one split per range");
+        assert_eq!(readers.len(), 2, "each range lies within one leaf");
         let mut keys: Vec<i64> = Vec::new();
         for rd in readers {
             for item in rd {
@@ -388,6 +392,34 @@ mod tests {
         keys.sort_unstable();
         let expected: Vec<i64> = (10..15).chain(990..1000).collect();
         assert_eq!(keys, expected);
+    }
+
+    #[test]
+    fn btree_range_splits_into_leaf_spans() {
+        let s = schema();
+        let path = tmp("btree-spans");
+        let mut w = BTreeWriter::with_page_size(&path, Arc::clone(&s), 1024).unwrap();
+        for i in 0..2000 {
+            let r = record(&s, vec![format!("u{i}").into(), Value::Int(i)]);
+            w.append(&Value::Int(i), &Value::Int(i), &r).unwrap();
+        }
+        w.finish().unwrap();
+        let spec = InputSpec::BTreeRanges {
+            path,
+            ranges: vec![(ScanBound::Incl(Value::Int(300)), ScanBound::Unbounded)],
+        };
+        let keys = |readers: Vec<SplitReader>| -> Vec<i64> {
+            readers
+                .into_iter()
+                .flatten()
+                .map(|item| item.unwrap().0.as_int().unwrap())
+                .collect()
+        };
+        assert_eq!(spec.open(1).unwrap().len(), 1);
+        let two = spec.open(2).unwrap();
+        assert_eq!(two.len(), 2, "a wide range fills the hint");
+        assert_eq!(keys(two), (300..2000).collect::<Vec<_>>());
+        assert_eq!(keys(spec.open(2).unwrap()), keys(spec.open(1).unwrap()));
     }
 
     #[test]

@@ -69,13 +69,15 @@ impl Mapper for IrMapper {
         value: &Value,
         out: &mut Vec<(Value, Value)>,
     ) -> Result<MapStats> {
-        let output = self.interp.invoke_map(&self.func, key, value)?;
-        let stats = MapStats {
-            instructions: output.instructions_executed,
-            side_effects: output.effects.len() as u64,
-        };
-        out.extend(output.emits);
-        Ok(stats)
+        let before = out.len();
+        let instructions = self
+            .interp
+            .invoke_map_into(&self.func, key, value, out)
+            .inspect_err(|_| out.truncate(before))?;
+        Ok(MapStats {
+            instructions,
+            side_effects: self.interp.effects().len() as u64,
+        })
     }
 }
 

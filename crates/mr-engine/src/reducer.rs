@@ -242,11 +242,11 @@ impl Reducer for IrReducer {
         out: &mut Vec<(Value, Value)>,
     ) -> Result<()> {
         let list = Value::list(values.to_vec());
-        let output = self
-            .interp
-            .invoke_map(&self.func, key, &list)
+        let before = out.len();
+        self.interp
+            .invoke_map_into(&self.func, key, &list, out)
+            .inspect_err(|_| out.truncate(before))
             .map_err(|e| EngineError::Reduce(e.to_string()))?;
-        out.extend(output.emits);
         Ok(())
     }
 }

@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 
+use mr_engine::mapper::{IrMapper, Mapper};
 use mr_engine::{allocstats, run_job, BufferPool, Builtin, InputSpec, JobConfig};
 use mr_ir::asm::parse_function;
 use mr_ir::record::record;
@@ -73,4 +74,68 @@ fn jobs_report_alloc_deltas_and_pooling_reduces_them() {
         unpooled.counters.alloc_count
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// The interpreter's per-record path allocates nothing. A B1-shaped
+/// mapper — two opaque-tuple accessor calls on string-constant field
+/// names and a conditional emit — runs through `IrMapper`; once the
+/// task's emit buffer is warm, neither an emitting nor a skipped record
+/// makes a heap allocation. Counted on this thread only, so whatever
+/// else the test process does cannot blur the count.
+#[test]
+fn ir_mapper_invocations_allocate_nothing_once_warm() {
+    let schema = Schema::new(
+        "Rankings",
+        vec![
+            ("pageURL", FieldType::Str),
+            ("pageRank", FieldType::Int),
+            ("avgDuration", FieldType::Int),
+        ],
+    )
+    .into_arc();
+    let f = parse_function(
+        r#"
+        func map(key, value) {
+          r0 = param value
+          r1 = const "pageRank"
+          r2 = call tuple.get_int(r0, r1)
+          r3 = const 50
+          r4 = cmp gt r2, r3
+          br r4, hit, exit
+        hit:
+          r5 = const "pageURL"
+          r6 = call tuple.get_str(r0, r5)
+          emit r6, r2
+        exit:
+          ret
+        }
+        "#,
+    )
+    .unwrap();
+    let page = |rank: i64| -> Value {
+        record(
+            &schema,
+            vec![format!("http://u{rank}").into(), Value::Int(rank), 1.into()],
+        )
+        .into()
+    };
+    let (hit, miss) = (page(90), page(10));
+    let mut mapper = IrMapper::new(Arc::new(f));
+    let mut out = Vec::new();
+    mapper.map(&Value::Int(0), &hit, &mut out).unwrap();
+    assert_eq!(out.len(), 1, "the warm-up record emits");
+
+    for (what, value, emits) in [("emitting", &hit, 1), ("skipped", &miss, 0)] {
+        let before = allocstats::thread_count();
+        for i in 0..1000 {
+            out.clear();
+            mapper.map(&Value::Int(i), value, &mut out).unwrap();
+            assert_eq!(out.len(), emits);
+        }
+        assert_eq!(
+            allocstats::thread_count() - before,
+            0,
+            "{what} records allocated"
+        );
+    }
 }

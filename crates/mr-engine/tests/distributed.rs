@@ -17,6 +17,7 @@ use mr_ir::asm::parse_function;
 use mr_ir::record::{record, Record};
 use mr_ir::schema::{FieldType, Schema};
 use mr_ir::value::Value;
+use mr_storage::btree::{BTreeWriter, ScanBound};
 use mr_storage::seqfile::write_seqfile;
 use mr_storage::StorageError;
 use proptest::prelude::*;
@@ -192,6 +193,52 @@ fn process_backend_matches_local_output() {
         );
         assert_clean(&parent);
     }
+}
+
+/// An indexed selection reads its range as leaf spans: at parallelism 2
+/// the B+Tree range opens into more than one split, and the process
+/// backend's coordinator and workers — and a retried local attempt —
+/// cut the same spans, so every run is byte-identical to a clean local
+/// one over duplicate-heavy keys.
+#[test]
+fn btree_leaf_spans_agree_across_backends_and_retries() {
+    let s = schema();
+    let path = tmp("btree-spans");
+    let mut w = BTreeWriter::with_page_size(&path, Arc::clone(&s), 1024).unwrap();
+    for i in 0..3000i64 {
+        let v = i / 7;
+        let r = record(&s, vec![format!("k{}", i % 13).into(), Value::Int(v)]);
+        w.append(&Value::Int(v), &Value::Int(i), &r).unwrap();
+    }
+    w.finish().unwrap();
+    let input = InputSpec::BTreeRanges {
+        path,
+        ranges: vec![(ScanBound::Incl(Value::Int(100)), ScanBound::Unbounded)],
+    };
+    assert_eq!(input.open(2).unwrap().len(), 2, "the range fills the hint");
+
+    let parent = tmp("btree-spans-spills");
+    std::fs::create_dir_all(&parent).unwrap();
+    let job = |backend: BackendSpec| {
+        JobConfig::ir_job("btree-spans", input.clone(), emit_kv_mapper(), Builtin::Sum)
+            .with_reducers(3)
+            .with_parallelism(2)
+            .with_max_attempts(2)
+            .with_spill_dir(&parent)
+            .with_backend(backend)
+    };
+    let local = run_job(&job(BackendSpec::Local)).unwrap();
+    assert_eq!(local.counters.map_input_records, 3000 - 700);
+    let proc = run_job(&job(process(2, false))).unwrap();
+    assert_eq!(proc.output, local.output, "process backend diverged");
+    assert_eq!(proc.counters.map_input_records, 3000 - 700);
+    let retried = run_job(
+        &job(BackendSpec::Local).with_fault_plan(Arc::new(FaultPlan::new().fail_map(1, 0, 5))),
+    )
+    .unwrap();
+    assert_eq!(retried.output, local.output, "retried span diverged");
+    assert_eq!(retried.counters.task_retries, 1);
+    assert_clean(&parent);
 }
 
 /// SIGKILL a worker on its very first assignment — mid-map. The job

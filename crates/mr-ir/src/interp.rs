@@ -4,13 +4,21 @@
 //! variables persist across `map()` invocations within a task — exactly
 //! the Java `Mapper`-object lifetime that makes the paper's Fig. 2
 //! program unsafe to optimize.
+//!
+//! The per-record loop does no lookup by name and no allocation of its
+//! own: construction resolves every `call` to its registry entry, call
+//! arguments go through one reused buffer, operands are borrowed from
+//! the register frame, and [`Interpreter::invoke_map_into`] appends
+//! emits to the caller's buffer. Construction also gives string and byte
+//! constants a task-private copy, so the map threads running one shared
+//! [`Function`] never write the same reference count.
 
 use std::collections::HashMap;
 
 use crate::error::IrError;
 use crate::function::Function;
-use crate::instr::{BinOp, Instr, ParamId, SideEffectKind};
-use crate::stdlib::stdlib;
+use crate::instr::{BinOp, Instr, ParamId, Reg, SideEffectKind};
+use crate::stdlib::{stdlib, FuncDef};
 use crate::value::Value;
 
 /// Everything a single `map()` invocation produced.
@@ -47,11 +55,79 @@ pub struct Interpreter {
     /// Scratch register frame, reused across invocations to avoid
     /// per-record allocation.
     frame: Vec<Option<Value>>,
+    /// What construction resolved in the function.
+    prepared: Prepared,
+    /// Call arguments, reused by every call.
+    argv: Vec<Value>,
+    /// Side effects of the latest invocation.
+    effects: Vec<(SideEffectKind, Vec<Value>)>,
+}
+
+/// The function as one task runs it: one [`Site`] per instruction.
+#[derive(Debug)]
+struct Prepared {
+    /// The prepared function's instruction buffer (address, length). A
+    /// task passes the same function on every invocation; anything else
+    /// is prepared afresh.
+    identity: (usize, usize),
+    sites: Vec<Site>,
+}
+
+/// What an instruction needs beyond its own operands.
+#[derive(Debug)]
+enum Site {
+    /// Nothing.
+    Plain,
+    /// A `const` instruction's value, copied for this task.
+    Const(Value),
+    /// A `call`'s registry entry; `None` for a name the registry lacks,
+    /// reported when (and only if) the call executes.
+    Call(Option<&'static FuncDef>),
+}
+
+impl Prepared {
+    fn new(func: &Function) -> Prepared {
+        let lib = stdlib();
+        Prepared {
+            identity: identity(func),
+            sites: func
+                .instrs
+                .iter()
+                .map(|instr| match instr {
+                    Instr::Const { val, .. } => Site::Const(private_copy(val)),
+                    Instr::Call { func: name, .. } => Site::Call(lib.get(name)),
+                    _ => Site::Plain,
+                })
+                .collect(),
+        }
+    }
+}
+
+fn identity(func: &Function) -> (usize, usize) {
+    (func.instrs.as_ptr() as usize, func.instrs.len())
+}
+
+/// A copy of `v` that shares no reference count with it: strings and
+/// byte arrays are re-allocated, everything else is cloned.
+fn private_copy(v: &Value) -> Value {
+    match v {
+        Value::Str(s) => Value::str(&**s),
+        Value::Bytes(b) => Value::bytes(&**b),
+        other => other.clone(),
+    }
+}
+
+/// Borrow a bound register.
+fn reg(frame: &[Option<Value>], r: Reg) -> Result<&Value, IrError> {
+    frame[r.0 as usize]
+        .as_ref()
+        .ok_or(IrError::UnboundRegister(r))
 }
 
 impl Interpreter {
     /// Create an interpreter for one task running `func`, initializing
-    /// member variables to their declared values.
+    /// member variables to their declared values. Unknown call targets
+    /// are not an error here; they fail the invocation that reaches them.
     pub fn new(func: &Function) -> Self {
         Self::with_config(func, InterpConfig::default())
     }
@@ -63,9 +139,12 @@ impl Interpreter {
             members: func
                 .members
                 .iter()
-                .map(|(n, v)| (n.clone(), v.clone()))
+                .map(|(n, v)| (n.clone(), private_copy(v)))
                 .collect(),
             frame: vec![None; func.num_regs()],
+            prepared: Prepared::new(func),
+            argv: Vec::new(),
+            effects: Vec::new(),
         }
     }
 
@@ -75,6 +154,11 @@ impl Interpreter {
         self.members.get(name)
     }
 
+    /// Side effects the latest invocation recorded.
+    pub fn effects(&self) -> &[(SideEffectKind, Vec<Value>)] {
+        &self.effects
+    }
+
     /// Run one `map(key, value)` invocation.
     pub fn invoke_map(
         &mut self,
@@ -82,27 +166,53 @@ impl Interpreter {
         key: &Value,
         value: &Value,
     ) -> Result<MapOutput, IrError> {
-        if self.frame.len() < func.num_regs() {
-            self.frame.resize(func.num_regs(), None);
+        let mut emits = Vec::new();
+        let instructions_executed = self.invoke_map_into(func, key, value, &mut emits)?;
+        Ok(MapOutput {
+            emits,
+            effects: std::mem::take(&mut self.effects),
+            instructions_executed,
+        })
+    }
+
+    /// Run one `map(key, value)` invocation, appending its emits to
+    /// `emits`; returns the instructions executed. The invocation's side
+    /// effects are left in [`effects`](Self::effects). On error, emits
+    /// made before the failing instruction stay appended.
+    pub fn invoke_map_into(
+        &mut self,
+        func: &Function,
+        key: &Value,
+        value: &Value,
+        emits: &mut Vec<(Value, Value)>,
+    ) -> Result<u64, IrError> {
+        if self.prepared.identity != identity(func) {
+            self.prepared = Prepared::new(func);
+            self.frame
+                .resize(self.frame.len().max(func.num_regs()), None);
         }
         for slot in &mut self.frame {
             *slot = None;
         }
-        let mut out = MapOutput::default();
+        self.effects.clear();
+        let mut executed = 0u64;
         let mut pc: usize = 0;
-        let mut fuel = self.config.fuel;
-        let lib = stdlib();
 
         loop {
             let instr = func.instrs.get(pc).ok_or(IrError::FellOffEnd)?;
-            fuel = fuel.checked_sub(1).ok_or(IrError::FuelExhausted)?;
-            out.instructions_executed += 1;
+            if executed == self.config.fuel {
+                return Err(IrError::FuelExhausted);
+            }
+            executed += 1;
             match instr {
-                Instr::Const { dst, val } => {
-                    self.frame[dst.0 as usize] = Some(val.clone());
+                Instr::Const { dst, .. } => {
+                    let Site::Const(v) = &self.prepared.sites[pc] else {
+                        unreachable!("site {pc} was prepared from a const")
+                    };
+                    self.frame[dst.0 as usize] = Some(v.clone());
                 }
                 Instr::Move { dst, src } => {
-                    let v = self.read(*src)?;
+                    let v = reg(&self.frame, *src)?.clone();
                     self.frame[dst.0 as usize] = Some(v);
                 }
                 Instr::LoadParam { dst, param } => {
@@ -113,7 +223,7 @@ impl Interpreter {
                     self.frame[dst.0 as usize] = Some(v);
                 }
                 Instr::GetField { dst, obj, field } => {
-                    let v = self.read(*obj)?;
+                    let v = reg(&self.frame, *obj)?;
                     let rec = v.as_record().ok_or_else(|| IrError::Type {
                         context: format!("field .{field}"),
                         expected: "record",
@@ -126,29 +236,34 @@ impl Interpreter {
                     self.frame[dst.0 as usize] = Some(fv);
                 }
                 Instr::BinOp { dst, op, lhs, rhs } => {
-                    let l = self.read(*lhs)?;
-                    let r = self.read(*rhs)?;
-                    self.frame[dst.0 as usize] = Some(eval_binop(*op, &l, &r)?);
+                    let v = eval_binop(*op, reg(&self.frame, *lhs)?, reg(&self.frame, *rhs)?)?;
+                    self.frame[dst.0 as usize] = Some(v);
                 }
                 Instr::Cmp { dst, op, lhs, rhs } => {
-                    let l = self.read(*lhs)?;
-                    let r = self.read(*rhs)?;
-                    self.frame[dst.0 as usize] = Some(Value::Bool(op.eval(&l, &r)));
+                    let b = op.eval(reg(&self.frame, *lhs)?, reg(&self.frame, *rhs)?);
+                    self.frame[dst.0 as usize] = Some(Value::Bool(b));
                 }
                 Instr::Not { dst, src } => {
-                    let v = self.read(*src)?;
-                    self.frame[dst.0 as usize] = Some(Value::Bool(!v.is_truthy()));
+                    let b = !reg(&self.frame, *src)?.is_truthy();
+                    self.frame[dst.0 as usize] = Some(Value::Bool(b));
                 }
                 Instr::Call {
                     dst,
                     func: name,
                     args,
                 } => {
-                    let argv: Vec<Value> = args
-                        .iter()
-                        .map(|r| self.read(*r))
-                        .collect::<Result<_, _>>()?;
-                    let result = lib.eval(name, &argv)?;
+                    self.argv.clear();
+                    for r in args {
+                        self.argv.push(reg(&self.frame, *r)?.clone());
+                    }
+                    let Site::Call(def) = self.prepared.sites[pc] else {
+                        unreachable!("site {pc} was prepared from a call")
+                    };
+                    let result = def
+                        .ok_or_else(|| IrError::UnknownFunction(name.clone()))
+                        .and_then(|def| def.call(&self.argv));
+                    self.argv.clear();
+                    let result = result?;
                     if let Some(dst) = dst {
                         self.frame[dst.0 as usize] = Some(result);
                     }
@@ -162,7 +277,7 @@ impl Interpreter {
                     self.frame[dst.0 as usize] = Some(v);
                 }
                 Instr::SetMember { name, src } => {
-                    let v = self.read(*src)?;
+                    let v = reg(&self.frame, *src)?.clone();
                     self.members.insert(name.clone(), v);
                 }
                 Instr::Jmp { target } => {
@@ -177,7 +292,7 @@ impl Interpreter {
                     then_tgt,
                     else_tgt,
                 } => {
-                    let t = self.read(*cond)?.is_truthy();
+                    let t = reg(&self.frame, *cond)?.is_truthy();
                     let target = if t { *then_tgt } else { *else_tgt };
                     if target >= func.instrs.len() {
                         return Err(IrError::BadJump(target));
@@ -186,27 +301,20 @@ impl Interpreter {
                     continue;
                 }
                 Instr::Emit { key: k, value: v } => {
-                    let kv = self.read(*k)?;
-                    let vv = self.read(*v)?;
-                    out.emits.push((kv, vv));
+                    let pair = (reg(&self.frame, *k)?.clone(), reg(&self.frame, *v)?.clone());
+                    emits.push(pair);
                 }
                 Instr::SideEffect { kind, args } => {
-                    let argv: Vec<Value> = args
+                    let argv = args
                         .iter()
-                        .map(|r| self.read(*r))
+                        .map(|r| reg(&self.frame, *r).cloned())
                         .collect::<Result<_, _>>()?;
-                    out.effects.push((*kind, argv));
+                    self.effects.push((*kind, argv));
                 }
-                Instr::Ret => return Ok(out),
+                Instr::Ret => return Ok(executed),
             }
             pc += 1;
         }
-    }
-
-    fn read(&self, reg: crate::instr::Reg) -> Result<Value, IrError> {
-        self.frame[reg.0 as usize]
-            .clone()
-            .ok_or(IrError::UnboundRegister(reg))
     }
 }
 
@@ -269,6 +377,8 @@ pub fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, IrError> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::instr::CmpOp;
@@ -429,6 +539,154 @@ mod tests {
             eval_binop(BinOp::Concat, &Value::str("a"), &Value::str("b")).unwrap(),
             Value::str("ab")
         );
+    }
+
+    /// `if v { r = <name>(v, v); emit r, r }` — the call only runs on a
+    /// truthy value.
+    fn guarded_call(name: &str) -> Function {
+        let mut b = FunctionBuilder::new("map");
+        let v = b.load_param(ParamId::Value);
+        let (t, e) = (b.fresh_label("t"), b.fresh_label("e"));
+        b.br(v, t, e);
+        b.bind(t);
+        let r = b.call(name, vec![v, v]);
+        b.emit(r, r);
+        b.bind(e);
+        b.ret();
+        b.finish()
+    }
+
+    #[test]
+    fn unknown_function_fails_only_when_reached() {
+        let f = guarded_call("no.such.fn");
+        let mut interp = Interpreter::new(&f);
+        let out = interp
+            .invoke_map(&f, &Value::Null, &Value::Bool(false))
+            .unwrap();
+        assert!(out.emits.is_empty());
+        assert_eq!(
+            interp
+                .invoke_map(&f, &Value::Null, &Value::Bool(true))
+                .unwrap_err(),
+            IrError::UnknownFunction("no.such.fn".into())
+        );
+    }
+
+    #[test]
+    fn arity_error_matches_the_registry() {
+        let f = guarded_call("str.len");
+        let mut interp = Interpreter::new(&f);
+        let v = Value::str("x");
+        assert_eq!(
+            interp.invoke_map(&f, &Value::Null, &v).unwrap_err(),
+            stdlib().eval("str.len", &[v.clone(), v]).unwrap_err()
+        );
+    }
+
+    #[test]
+    fn instruction_counts_and_fuel_are_exact() {
+        let f = select_map();
+        let s = webpage_schema();
+        let hi: Value = record(&s, vec!["http://a".into(), 5.into()]).into();
+        let lo: Value = record(&s, vec!["http://b".into(), 0.into()]).into();
+        let mut interp = Interpreter::new(&f);
+        // param, field, const, cmp, br, param, emit, ret.
+        assert_eq!(
+            interp
+                .invoke_map(&f, &Value::Null, &hi)
+                .unwrap()
+                .instructions_executed,
+            8
+        );
+        // param, field, const, cmp, br, ret.
+        let mut emits = Vec::new();
+        assert_eq!(
+            interp
+                .invoke_map_into(&f, &Value::Null, &lo, &mut emits)
+                .unwrap(),
+            6
+        );
+        let mut tight = Interpreter::with_config(&f, InterpConfig { fuel: 8 });
+        assert!(tight.invoke_map(&f, &Value::Null, &hi).is_ok());
+        let mut short = Interpreter::with_config(&f, InterpConfig { fuel: 7 });
+        assert_eq!(
+            short.invoke_map(&f, &Value::Null, &hi).unwrap_err(),
+            IrError::FuelExhausted
+        );
+    }
+
+    /// Two tasks of one shared function never touch the reference count
+    /// of its string constants or member initial values.
+    #[test]
+    fn tasks_share_no_reference_count_with_the_function() {
+        let mut b = FunctionBuilder::new("bench1_map");
+        b.declare_member("label", Value::str("seen"));
+        let v = b.load_param(ParamId::Value);
+        let rank_name = b.const_str("rank");
+        let rank = b.call("tuple.get_int", vec![v, rank_name]);
+        let url_name = b.const_str("url");
+        let url = b.call("tuple.get_str", vec![v, url_name]);
+        let label = b.get_member("label");
+        b.emit(url, label);
+        b.emit(url, rank);
+        b.ret();
+        let f = b.finish();
+        let shared_strings = |f: &Function| -> Vec<usize> {
+            let consts = f.instrs.iter().filter_map(|i| match i {
+                Instr::Const {
+                    val: Value::Str(s), ..
+                } => Some(Arc::strong_count(s)),
+                _ => None,
+            });
+            let members = f.members.iter().filter_map(|(_, v)| match v {
+                Value::Str(s) => Some(Arc::strong_count(s)),
+                _ => None,
+            });
+            consts.chain(members).collect()
+        };
+        assert_eq!(shared_strings(&f), vec![1, 1, 1]);
+
+        let tasks: Vec<Interpreter> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|t| {
+                    let f = &f;
+                    scope.spawn(move || {
+                        let s = webpage_schema();
+                        let mut interp = Interpreter::new(f);
+                        let mut emits = Vec::new();
+                        for i in 0..100 {
+                            let page = record(&s, vec![format!("u{t}-{i}").into(), i.into()]);
+                            interp
+                                .invoke_map_into(f, &Value::Null, &page.into(), &mut emits)
+                                .unwrap();
+                        }
+                        assert_eq!(emits.len(), 200);
+                        interp
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(shared_strings(&f), vec![1, 1, 1]);
+        drop(tasks);
+    }
+
+    #[test]
+    fn invoke_map_and_invoke_map_into_agree() {
+        let f = select_map();
+        let s = webpage_schema();
+        let mut by_value = Interpreter::new(&f);
+        let mut into = Interpreter::new(&f);
+        let mut emits = vec![(Value::str("earlier"), Value::Null)];
+        let mut expected = emits.clone();
+        for rank in [5, 0, 7] {
+            let page: Value = record(&s, vec!["http://a".into(), rank.into()]).into();
+            let key = Value::Int(rank);
+            expected.extend(by_value.invoke_map(&f, &key, &page).unwrap().emits);
+            into.invoke_map_into(&f, &key, &page, &mut emits).unwrap();
+        }
+        assert_eq!(emits, expected);
+        assert_eq!(emits.len(), 3, "the buffer is appended to, not replaced");
     }
 
     #[test]

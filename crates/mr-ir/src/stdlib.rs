@@ -52,6 +52,20 @@ pub struct FuncDef {
     pub doc: &'static str,
 }
 
+impl FuncDef {
+    /// Evaluate with `args`; checks arity.
+    pub fn call(&self, args: &[Value]) -> Result<Value, IrError> {
+        if args.len() != self.arity {
+            return Err(IrError::Arity {
+                func: self.name.to_string(),
+                expected: self.arity,
+                got: args.len(),
+            });
+        }
+        (self.eval)(self.name, args)
+    }
+}
+
 impl std::fmt::Debug for FuncDef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FuncDef")
@@ -68,7 +82,9 @@ pub struct Stdlib {
 }
 
 impl Stdlib {
-    /// Look up a function by registry name.
+    /// Look up a function by registry name. The process-wide registry
+    /// ([`stdlib`]) hands out `&'static` entries, which is how the
+    /// interpreter resolves each call site once per task.
     pub fn get(&self, name: &str) -> Option<&FuncDef> {
         self.funcs.get(name)
     }
@@ -81,17 +97,9 @@ impl Stdlib {
 
     /// Evaluate a call; checks existence and arity.
     pub fn eval(&self, name: &str, args: &[Value]) -> Result<Value, IrError> {
-        let def = self
-            .get(name)
-            .ok_or_else(|| IrError::UnknownFunction(name.to_string()))?;
-        if args.len() != def.arity {
-            return Err(IrError::Arity {
-                func: name.to_string(),
-                expected: def.arity,
-                got: args.len(),
-            });
-        }
-        (def.eval)(name, args)
+        self.get(name)
+            .ok_or_else(|| IrError::UnknownFunction(name.to_string()))?
+            .call(args)
     }
 
     /// All registered names, sorted (for documentation output).

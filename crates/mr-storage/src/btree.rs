@@ -19,12 +19,21 @@
 //! magic "MRBT1"
 //! varint header_len, header = page_size varint + encode_schema(schema)
 //! pages (fixed page_size each; page id = position)
-//! footer: root u64, n_pages u64, entries u64, first_leaf u64, "MRBTF"
+//! footer: root u64, n_pages u64, entries u64, n_leaves u64, "MRBTF"
 //! ```
 //!
 //! Page formats:
 //! * leaf: `[0u8][next_leaf u64][varint n][varint klen, key, varint vlen, val]*`
 //! * internal: `[1u8][varint n][varint child_id, varint klen, min_key]*`
+//!
+//! Because the build writes leaves first, the leaves are exactly the page
+//! ids `0..n_leaves`, in key order, and every internal page id is
+//! `>= n_leaves`. Readers rely on that instead of the `next_leaf` chain:
+//! a range scan descends once for the first leaf its low bound may touch
+//! and once for the last leaf its high bound may touch, and walks the ids
+//! in between. That makes a range divisible — [`BTreeIndex::scan_spans`]
+//! cuts it into disjoint, contiguous leaf spans that separate map tasks
+//! read in parallel — and [`BTreeIndex::scan`] is the one-span case.
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -76,7 +85,47 @@ impl ScanBound {
             ScanBound::Excl(b) => key < b,
         }
     }
+
+    /// The descent to the first leaf that may hold a key this low bound
+    /// admits. For `Incl(b)` that is the last leaf whose min key is
+    /// strictly below `b`: duplicates of `b` may straddle a leaf
+    /// boundary, so the leaf *before* the first one starting with `b` can
+    /// end with copies of it.
+    fn low_descent(&self) -> Descent<'_> {
+        match self {
+            ScanBound::Unbounded => Descent::First,
+            ScanBound::Incl(b) => Descent::Below(b),
+            ScanBound::Excl(b) => Descent::AtOrBelow(b),
+        }
+    }
+
+    /// The descent to the last leaf that may hold a key this high bound
+    /// admits.
+    fn high_descent(&self) -> Descent<'_> {
+        match self {
+            ScanBound::Unbounded => Descent::Last,
+            ScanBound::Incl(b) => Descent::AtOrBelow(b),
+            ScanBound::Excl(b) => Descent::Below(b),
+        }
+    }
 }
+
+/// Which child a descent follows through each internal page.
+#[derive(Debug, Clone, Copy)]
+enum Descent<'a> {
+    /// The leftmost leaf.
+    First,
+    /// The rightmost leaf.
+    Last,
+    /// The last child whose min key is `< key` (the first child if none).
+    Below(&'a Value),
+    /// The last child whose min key is `<= key` (the first child if none).
+    AtOrBelow(&'a Value),
+}
+
+/// Far deeper than any tree a file can hold: a descent that goes deeper
+/// is following a cycle in a corrupt file.
+const MAX_DEPTH: u32 = 64;
 
 /// Builds a B+Tree from key-sorted `(key, record)` pairs.
 pub struct BTreeWriter {
@@ -206,11 +255,9 @@ impl BTreeWriter {
         let mut page = Vec::with_capacity(self.page_size);
         page.push(0u8);
         // Leaves are written consecutively during the build, so the next
-        // leaf is simply id + 1 — patched to NO_LEAF for the final leaf
-        // by writing the footer's first_leaf/leaf count… we cannot seek
-        // back through BufWriter cheaply, so instead store the *guess*
-        // id + 1 and let the reader stop when it has left the key range
-        // or hits a non-leaf page.
+        // leaf is simply id + 1. The final leaf's pointer is not patched
+        // (we cannot seek back through BufWriter cheaply); readers walk
+        // leaf ids below the footer's leaf count and never follow it.
         page.extend_from_slice(&(id + 1).to_le_bytes());
         encode_u64(self.leaf_entries, &mut page);
         page.extend_from_slice(&self.leaf_buf);
@@ -388,6 +435,17 @@ impl BTreeIndex {
         let n_pages = u64::from_le_bytes(tail[8..16].try_into().expect("8"));
         let entry_count = u64::from_le_bytes(tail[16..24].try_into().expect("8"));
         let n_leaves = u64::from_le_bytes(tail[24..32].try_into().expect("8"));
+        // Scans trust the page counts to bound leaf ids, so they must
+        // describe exactly the pages between the header and the footer.
+        let pages_end = n_pages
+            .checked_mul(page_size)
+            .and_then(|b| b.checked_add(data_start + 37));
+        if pages_end != Some(file_size) || n_leaves == 0 || n_leaves > n_pages || root >= n_pages {
+            return Err(StorageError::corrupt(
+                "btree",
+                "footer page counts disagree with the file",
+            ));
+        }
         Ok(BTreeIndex {
             path,
             page_size: page_size as usize,
@@ -406,47 +464,97 @@ impl BTreeIndex {
         &self.schema
     }
 
-    /// Scan entries whose key lies within `[low, high]`.
+    /// Scan entries whose key lies within `[low, high]`: the one-span
+    /// case of [`scan_spans`](Self::scan_spans).
     pub fn scan(&self, low: ScanBound, high: ScanBound) -> Result<BTreeScanner> {
-        let mut f = File::open(&self.path)?;
-        let mut page = vec![0u8; self.page_size];
-        // Descend from root to the first candidate leaf.
-        let mut pid = self.root;
-        let mut pages_read = 0u64;
-        loop {
-            read_page(&mut f, self.data_start, self.page_size, pid, &mut page)?;
-            pages_read += 1;
-            match page[0] {
-                0 => break,
-                1 => {
-                    pid = descend(&page, &low)?;
-                }
-                other => {
-                    return Err(StorageError::corrupt(
-                        "btree",
-                        format!("unknown page type {other}"),
-                    ))
-                }
-            }
+        let mut spans = self.scan_spans(low, high, 1)?;
+        Ok(spans.pop().expect("a scan has at least one span"))
+    }
+
+    /// Cut the scan of `[low, high]` into at most `max_spans` scanners
+    /// over disjoint, contiguous runs of leaves, in key order: read one
+    /// after another, they yield exactly what [`scan`](Self::scan)
+    /// yields. The spans cover the leaves from the low bound's descent to
+    /// the high bound's, split as evenly as whole leaves allow, so the cut
+    /// is a pure function of the file, the bounds and `max_spans` — every
+    /// process that opens the same range with the same count gets the
+    /// same spans. The descents' pages are charged to the first span.
+    pub fn scan_spans(
+        &self,
+        low: ScanBound,
+        high: ScanBound,
+        max_spans: usize,
+    ) -> Result<Vec<BTreeScanner>> {
+        let mut file = File::open(&self.path)?;
+        let (first, low_pages) = self.descend(&mut file, low.low_descent())?;
+        let (last, high_pages) = self.descend(&mut file, high.high_descent())?;
+        // An empty range (high below low) still reads the low leaf once
+        // and yields nothing.
+        let leaves = last.max(first) - first + 1;
+        let spans = (max_spans.max(1) as u64).min(leaves);
+        let mut file = Some(file);
+        let mut out = Vec::with_capacity(spans as usize);
+        for i in 0..spans {
+            let start = first + leaves * i / spans;
+            out.push(BTreeScanner {
+                file: match file.take() {
+                    Some(f) => f,
+                    None => File::open(&self.path)?,
+                },
+                // A private copy: every record holds a handle on its
+                // schema, and spans run on different map threads.
+                schema: Arc::new(Schema::clone(&self.schema)),
+                data_start: self.data_start,
+                page_size: self.page_size,
+                low: low.clone(),
+                high: high.clone(),
+                page: Vec::new(),
+                entry_pos: 0,
+                entries_left: 0,
+                first_leaf: start,
+                next_leaf: start,
+                end_leaf: first + leaves * (i + 1) / spans - 1,
+                pages_read: if i == 0 { low_pages + high_pages } else { 0 },
+                done: false,
+                started: false,
+            });
         }
-        let mut scanner = BTreeScanner {
-            file: f,
-            index_schema: Arc::clone(&self.schema),
-            data_start: self.data_start,
-            page_size: self.page_size,
-            n_leaves: self.n_leaves,
-            low,
-            high,
-            page,
-            entry_pos: 0,
-            entries_left: 0,
-            current_leaf: pid,
-            pages_read,
-            done: false,
-            started: false,
-        };
-        scanner.load_current_leaf_entries()?;
-        Ok(scanner)
+        Ok(out)
+    }
+
+    /// Descend from the root to the leaf `to` names; returns the leaf
+    /// id and the internal pages read on the way.
+    fn descend(&self, file: &mut File, to: Descent<'_>) -> Result<(u64, u64)> {
+        match to {
+            Descent::First => return Ok((0, 0)),
+            Descent::Last => return Ok((self.n_leaves.saturating_sub(1), 0)),
+            Descent::Below(_) | Descent::AtOrBelow(_) => {}
+        }
+        let mut page = Vec::new();
+        let mut pid = self.root;
+        let mut pages = 0u64;
+        while pid >= self.n_leaves {
+            if pages == u64::from(MAX_DEPTH) {
+                return Err(StorageError::corrupt(
+                    "btree",
+                    "descent never reaches a leaf",
+                ));
+            }
+            page.resize(self.page_size, 0);
+            read_page(file, self.data_start, self.page_size, pid, &mut page)?;
+            pages += 1;
+            if page[0] != 1 {
+                return Err(StorageError::corrupt(
+                    "btree",
+                    format!(
+                        "page {pid}: expected an internal page, found type {}",
+                        page[0]
+                    ),
+                ));
+            }
+            pid = pick_child(&page, to)?;
+        }
+        Ok((pid, pages))
     }
 
     /// Scan everything.
@@ -473,9 +581,9 @@ fn read_page(
     Ok(())
 }
 
-/// In an internal page, pick the last child whose min key is <= the low
-/// bound (or the first child for unbounded scans).
-fn descend(page: &[u8], low: &ScanBound) -> Result<u64> {
+/// In an internal page, pick the child descent `to` follows: the last child
+/// whose min key passes its test (the first child when none does).
+fn pick_child(page: &[u8], to: Descent<'_>) -> Result<u64> {
     let mut pos = 1usize;
     let (n, used) = decode_u64(&page[pos..])?;
     pos += used;
@@ -489,51 +597,59 @@ fn descend(page: &[u8], low: &ScanBound) -> Result<u64> {
             .get(pos..pos + klen as usize)
             .ok_or_else(|| StorageError::corrupt("btree", "internal entry overruns page"))?;
         pos += klen as usize;
-        if chosen.is_none() {
-            chosen = Some(child);
-            continue;
-        }
-        let keep_descending = match low {
-            ScanBound::Unbounded => false,
-            ScanBound::Incl(b) | ScanBound::Excl(b) => {
-                if key_bytes.is_empty() {
-                    false
-                } else {
-                    let (k, _) = decode_value(key_bytes)?;
-                    k <= *b
+        let follow = chosen.is_none()
+            || match to {
+                Descent::First => false,
+                Descent::Last => true,
+                Descent::Below(b) | Descent::AtOrBelow(b) => {
+                    !key_bytes.is_empty() && {
+                        let (k, _) = decode_value(key_bytes)?;
+                        if matches!(to, Descent::Below(_)) {
+                            k < *b
+                        } else {
+                            k <= *b
+                        }
+                    }
                 }
-            }
-        };
-        if keep_descending {
-            chosen = Some(child);
-        } else {
+            };
+        if !follow {
             break;
         }
+        chosen = Some(child);
     }
     chosen.ok_or_else(|| StorageError::corrupt("btree", "empty internal page"))
 }
 
-/// Iterates `(original key, record)` pairs of a range scan. The range
-/// filter applies to the *index* key; the yielded key is the original
-/// input key stored with the entry.
+/// Iterates `(original key, record)` pairs of one leaf span of a range
+/// scan. The range filter applies to the *index* key; the yielded key is
+/// the original input key stored with the entry.
 pub struct BTreeScanner {
     file: File,
-    index_schema: Arc<Schema>,
+    schema: Arc<Schema>,
     data_start: u64,
     page_size: usize,
-    n_leaves: u64,
     low: ScanBound,
     high: ScanBound,
     page: Vec<u8>,
     entry_pos: usize,
     entries_left: u64,
-    current_leaf: u64,
+    /// First leaf id of the span.
+    first_leaf: u64,
+    /// Next leaf id to load.
+    next_leaf: u64,
+    /// Last leaf id of the span (inclusive).
+    end_leaf: u64,
     pages_read: u64,
     done: bool,
     started: bool,
 }
 
 impl BTreeScanner {
+    /// The leaf ids this span reads.
+    pub fn leaves(&self) -> std::ops::RangeInclusive<u64> {
+        self.first_leaf..=self.end_leaf
+    }
+
     /// Pages fetched so far; `pages_read * page_size` approximates bytes
     /// touched — the quantity index scans save.
     pub fn pages_read(&self) -> u64 {
@@ -545,38 +661,29 @@ impl BTreeScanner {
         self.pages_read * self.page_size as u64
     }
 
-    fn load_current_leaf_entries(&mut self) -> Result<()> {
-        debug_assert_eq!(self.page[0], 0, "must be on a leaf");
-        let mut pos = 1 + 8;
-        let (n, used) = decode_u64(&self.page[pos..])?;
-        pos += used;
-        self.entries_left = n;
-        self.entry_pos = pos;
-        Ok(())
-    }
-
-    fn advance_leaf(&mut self) -> Result<bool> {
-        let next = u64::from_le_bytes(self.page[1..9].try_into().expect("8"));
-        if next == NO_LEAF || next >= self.n_leaves {
-            return Ok(false);
-        }
-        self.current_leaf = next;
-        let mut page = std::mem::take(&mut self.page);
+    /// Read leaf `id` into the page buffer and position at its first
+    /// entry.
+    fn load_leaf(&mut self, id: u64) -> Result<()> {
+        self.page.resize(self.page_size, 0);
         read_page(
             &mut self.file,
             self.data_start,
             self.page_size,
-            next,
-            &mut page,
+            id,
+            &mut self.page,
         )?;
-        self.page = page;
         self.pages_read += 1;
         if self.page[0] != 0 {
-            // Ran past the last leaf into internal territory.
-            return Ok(false);
+            return Err(StorageError::corrupt(
+                "btree",
+                format!("page {id}: expected a leaf, found type {}", self.page[0]),
+            ));
         }
-        self.load_current_leaf_entries()?;
-        Ok(true)
+        let pos = 1 + 8;
+        let (n, used) = decode_u64(&self.page[pos..])?;
+        self.entries_left = n;
+        self.entry_pos = pos + used;
+        Ok(())
     }
 
     fn next_entry(&mut self) -> Result<Option<(Value, Record)>> {
@@ -585,10 +692,12 @@ impl BTreeScanner {
         }
         loop {
             while self.entries_left == 0 {
-                if !self.advance_leaf()? {
+                if self.next_leaf > self.end_leaf {
                     self.done = true;
                     return Ok(None);
                 }
+                self.load_leaf(self.next_leaf)?;
+                self.next_leaf += 1;
             }
             // Decode one entry (bounds-checked: a corrupted length
             // must surface as an error, not a slice panic).
@@ -622,7 +731,7 @@ impl BTreeScanner {
             }
             let row_bytes = &self.page[row_start..row_start + vlen as usize];
             let (orig_key, used) = decode_value(row_bytes)?;
-            let (record, _) = decode_row(&self.index_schema, &row_bytes[used..])?;
+            let (record, _) = decode_row(&self.schema, &row_bytes[used..])?;
             return Ok(Some((orig_key, record)));
         }
     }
@@ -735,6 +844,96 @@ mod tests {
         assert!(hits
             .iter()
             .all(|r| r.get("rank").unwrap() == &Value::Int(5)));
+    }
+
+    /// Seven copies of each key on 256-byte pages put runs of duplicates
+    /// across most leaf boundaries. An inclusive low bound must start in
+    /// the leaf that holds the *first* copy, not the first leaf whose min
+    /// key equals the bound.
+    #[test]
+    fn duplicates_straddling_a_leaf_boundary_are_all_found() {
+        let s = schema();
+        let path = tmp("dup-straddle");
+        let mut w = BTreeWriter::with_page_size(&path, Arc::clone(&s), 256).unwrap();
+        for k in 0..40i64 {
+            for d in 0..7 {
+                let r = record(&s, vec![format!("u{k}-{d}").into(), Value::Int(k)]);
+                w.append(&Value::Int(k), &Value::Int(k * 7 + d), &r)
+                    .unwrap();
+            }
+        }
+        assert!(w.finish().unwrap().height >= 2);
+        let idx = BTreeIndex::open(&path).unwrap();
+        for k in 0..40i64 {
+            assert_eq!(idx.lookup(&Value::Int(k)).unwrap().len(), 7, "key {k}");
+            let at_least: Vec<i64> = idx
+                .scan(ScanBound::Incl(Value::Int(k)), ScanBound::Unbounded)
+                .unwrap()
+                .map(|r| r.unwrap().0.as_int().unwrap())
+                .collect();
+            assert_eq!(at_least, (k * 7..280).collect::<Vec<_>>(), ">= {k}");
+        }
+    }
+
+    #[test]
+    fn spans_partition_a_range_scan() {
+        let path = tmp("spans");
+        build(5_000, 1024, &path);
+        let idx = BTreeIndex::open(&path).unwrap();
+        let (lo, hi) = (
+            ScanBound::Incl(Value::Int(100)),
+            ScanBound::Excl(Value::Int(4900)),
+        );
+        let whole: Vec<i64> = idx
+            .scan(lo.clone(), hi.clone())
+            .unwrap()
+            .map(|r| r.unwrap().0.as_int().unwrap())
+            .collect();
+        for hint in 1..=8 {
+            let spans = idx.scan_spans(lo.clone(), hi.clone(), hint).unwrap();
+            assert_eq!(spans.len(), hint, "a wide range fills the hint");
+            for pair in spans.windows(2) {
+                assert_eq!(*pair[0].leaves().end() + 1, *pair[1].leaves().start());
+            }
+            let joined: Vec<i64> = spans
+                .into_iter()
+                .flatten()
+                .map(|r| r.unwrap().0.as_int().unwrap())
+                .collect();
+            assert_eq!(joined, whole, "hint {hint}");
+        }
+        // A one-leaf range cannot be cut.
+        let one = idx
+            .scan_spans(
+                ScanBound::Incl(Value::Int(10)),
+                ScanBound::Incl(Value::Int(11)),
+                8,
+            )
+            .unwrap();
+        assert_eq!(one.len(), 1);
+    }
+
+    /// Scans bound leaf ids by the footer's counts, so counts that do not
+    /// describe the file are rejected at open.
+    #[test]
+    fn footer_counts_must_match_the_file() {
+        let path = tmp("footer");
+        build(1000, 1024, &path);
+        let good = std::fs::read(&path).unwrap();
+        let n = good.len();
+        let corrupt = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            matches!(BTreeIndex::open(&path), Err(StorageError::Corrupt { .. }))
+        };
+        for n_leaves in [0u64, u64::MAX / 2] {
+            let mut bad = good.clone();
+            bad[n - 13..n - 5].copy_from_slice(&n_leaves.to_le_bytes());
+            assert!(corrupt(&bad), "n_leaves {n_leaves}");
+        }
+        let mut one_page_short = good[..n - 37 - 1024].to_vec();
+        one_page_short.extend_from_slice(&good[n - 37..]);
+        assert!(corrupt(&one_page_short));
+        assert!(!corrupt(&good));
     }
 
     #[test]

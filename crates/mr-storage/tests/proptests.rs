@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use mr_ir::record::{record, Record};
 use mr_ir::schema::{FieldType, Schema};
 use mr_ir::value::Value;
-use mr_storage::btree::{BTreeIndex, BTreeWriter, ScanBound};
+use mr_storage::btree::{BTreeIndex, BTreeScanner, BTreeWriter, ScanBound};
 use mr_storage::rowcodec::{decode_row, decode_value, encode_row, encode_value};
 use mr_storage::varint::{decode_i64, decode_u64, encode_i64, encode_u64};
 use mr_storage::{DeltaFileReader, DeltaFileWriter, DictFileReader, DictFileWriter};
@@ -134,6 +134,87 @@ proptest! {
         let (back, n) = decode_row(&test_schema(), &buf).unwrap();
         prop_assert_eq!(back, r);
         prop_assert_eq!(n, buf.len());
+    }
+}
+
+fn bound_strategy() -> impl Strategy<Value = ScanBound> {
+    prop_oneof![
+        Just(ScanBound::Unbounded),
+        (-2i64..42).prop_map(|k| ScanBound::Incl(Value::Int(k))),
+        (-2i64..42).prop_map(|k| ScanBound::Excl(Value::Int(k))),
+    ]
+}
+
+fn admits(lo: &ScanBound, hi: &ScanBound, k: i64) -> bool {
+    let k = Value::Int(k);
+    let above = match lo {
+        ScanBound::Unbounded => true,
+        ScanBound::Incl(b) => k >= *b,
+        ScanBound::Excl(b) => k > *b,
+    };
+    let below = match hi {
+        ScanBound::Unbounded => true,
+        ScanBound::Incl(b) => k <= *b,
+        ScanBound::Excl(b) => k < *b,
+    };
+    above && below
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Leaf-span splits: over random page sizes, duplicate-heavy keys,
+    /// every kind of bound and hints 1–8, the spans are non-empty,
+    /// disjoint and contiguous runs of leaves, the same hint cuts the
+    /// same spans, and reading them one after another yields exactly the
+    /// one-span scan — which itself equals full scan + filter.
+    #[test]
+    fn btree_spans_concatenate_to_the_scan(
+        mut keys in proptest::collection::vec(0i64..40, 1..400),
+        page_size in 128usize..1024,
+        lo in bound_strategy(),
+        hi in bound_strategy(),
+        hint in 1usize..9,
+    ) {
+        keys.sort_unstable();
+        let schema = Schema::new("E", vec![("k", FieldType::Int)]).into_arc();
+        let path = tmp("btree-spans");
+        let mut w = BTreeWriter::with_page_size(&path, Arc::clone(&schema), page_size).unwrap();
+        for (i, &k) in keys.iter().enumerate() {
+            let r = record(&schema, vec![Value::Int(k)]);
+            w.append(&Value::Int(k), &Value::Int(i as i64), &r).unwrap();
+        }
+        w.finish().unwrap();
+        let idx = BTreeIndex::open(&path).unwrap();
+        let positions = |scanner: BTreeScanner| -> Vec<i64> {
+            scanner.map(|r| r.unwrap().0.as_int().unwrap()).collect()
+        };
+
+        let whole = positions(idx.scan(lo.clone(), hi.clone()).unwrap());
+        let expected: Vec<i64> = (0..keys.len() as i64)
+            .filter(|&i| admits(&lo, &hi, keys[i as usize]))
+            .collect();
+        prop_assert_eq!(&whole, &expected);
+
+        let spans = idx.scan_spans(lo.clone(), hi.clone(), hint).unwrap();
+        prop_assert!(!spans.is_empty() && spans.len() <= hint, "{} spans", spans.len());
+        let leaves: Vec<_> = spans.iter().map(BTreeScanner::leaves).collect();
+        for span in &leaves {
+            prop_assert!(span.start() <= span.end(), "empty span {:?}", span);
+        }
+        for pair in leaves.windows(2) {
+            prop_assert_eq!(*pair[0].end() + 1, *pair[1].start());
+        }
+        let again: Vec<_> = idx
+            .scan_spans(lo.clone(), hi.clone(), hint)
+            .unwrap()
+            .iter()
+            .map(BTreeScanner::leaves)
+            .collect();
+        prop_assert_eq!(&again, &leaves);
+        let joined: Vec<i64> = spans.into_iter().flat_map(positions).collect();
+        prop_assert_eq!(joined, whole);
+        std::fs::remove_file(&path).ok();
     }
 }
 
