@@ -35,7 +35,7 @@
 //! naturally one-shot.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -43,39 +43,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use mr_ir::value::Value;
-
-use crate::allocstats;
-use crate::counters::Counters;
+use crate::counters::{CounterSnapshot, Counters};
 use crate::error::{EngineError, Result};
 use crate::fault::FaultPlan;
-use crate::job::{JobConfig, OutputSpec, ProcessCfg};
-use crate::runner::{JobResult, PhaseTimings};
+use crate::job::{JobConfig, ProcessCfg};
+use crate::runner::PhaseTimings;
 use crate::spill::SpillDir;
 
 use super::protocol::*;
 use super::wire::{self, MapAssign, MapDone, ReduceAssign, ReduceDone, TaskErr};
-use super::ExecBackend;
+use super::{plan_map_tasks, JobRun, Partitions};
 
 /// How long a handler waits for its freshly-forked worker to connect
 /// and say hello before declaring the spawn failed.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Coordinator-side executor forking worker processes (see the module
-/// docs). Construct with the job's [`ProcessCfg`]; [`run`] drives one
-/// job end to end and reaps every child before returning.
-///
-/// [`run`]: ExecBackend::run
-pub struct ProcessBackend {
-    cfg: ProcessCfg,
-}
-
-impl ProcessBackend {
-    /// Backend for the given worker configuration.
-    pub fn new(cfg: ProcessCfg) -> ProcessBackend {
-        ProcessBackend { cfg }
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
@@ -127,6 +108,15 @@ struct SchedState {
     reduce_done_at: Option<Instant>,
 }
 
+impl SchedState {
+    fn task(&mut self, kind: Kind, task: usize) -> &mut TaskState {
+        match kind {
+            Kind::Map => &mut self.maps[task],
+            Kind::Reduce => &mut self.reduces[task],
+        }
+    }
+}
+
 /// What a handler does next.
 enum Next {
     Map(MapAssign),
@@ -143,6 +133,53 @@ struct Sched {
 }
 
 impl Sched {
+    /// A scheduler in the map phase over `map_meta`'s tasks — or, with
+    /// no splits at all (degenerate but legal), straight in the reduce
+    /// phase over empty partitions.
+    fn new(
+        map_meta: Vec<(usize, usize)>,
+        reducers: usize,
+        max_attempts: usize,
+        speculate: bool,
+        counters: Arc<Counters>,
+    ) -> Sched {
+        let maps = map_meta.len();
+        let (phase, queue, map_done_at) = match maps {
+            0 => (
+                Phase::Reduce,
+                (0..reducers).map(|p| (Kind::Reduce, p)).collect(),
+                Some(Instant::now()),
+            ),
+            _ => (
+                Phase::Map,
+                (0..maps).map(|t| (Kind::Map, t)).collect(),
+                None,
+            ),
+        };
+        let state = SchedState {
+            phase,
+            queue,
+            maps: (0..maps).map(|_| TaskState::default()).collect(),
+            map_meta,
+            reduces: (0..reducers).map(|_| TaskState::default()).collect(),
+            committed_maps: 0,
+            committed_reduces: 0,
+            partition_runs: vec![Vec::new(); reducers],
+            partition_seq: vec![0; reducers],
+            out_paths: vec![None; reducers],
+            error: None,
+            map_done_at,
+            reduce_done_at: None,
+        };
+        Sched {
+            state: Mutex::new(state),
+            cv: Condvar::new(),
+            max_attempts,
+            speculate,
+            counters,
+        }
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, SchedState> {
         self.state.lock().expect("scheduler lock poisoned")
     }
@@ -185,10 +222,7 @@ impl Sched {
     }
 
     fn launch(&self, st: &mut SchedState, kind: Kind, task: usize) -> Next {
-        let t = match kind {
-            Kind::Map => &mut st.maps[task],
-            Kind::Reduce => &mut st.reduces[task],
-        };
+        let t = st.task(kind, task);
         let attempt = t.launches;
         t.launches += 1;
         t.running += 1;
@@ -210,77 +244,58 @@ impl Sched {
         }
     }
 
-    /// Commit a finished map attempt (rename its runs into the job
-    /// directory under fresh sequence numbers) unless another attempt
-    /// of the task got there first. Returns whether the attempt won.
-    /// A rename failure mid-commit is not retryable — part of the
-    /// attempt may already be published — so it aborts the job.
-    fn commit_map(&self, done: &MapDone, job_dir: &Path) -> Result<bool> {
+    /// Commit a finished attempt of `kind` task `task` unless another
+    /// attempt of the task got there first: `publish` renames its files
+    /// to their job-level names under the lock, then its `counters` are
+    /// absorbed. Returns whether the attempt won. A rename failure
+    /// mid-commit is not retryable — part of the attempt may already be
+    /// published — so it fails the job.
+    fn commit(
+        &self,
+        kind: Kind,
+        task: usize,
+        counters: &CounterSnapshot,
+        publish: impl FnOnce(&mut SchedState) -> std::io::Result<()>,
+    ) -> bool {
         let mut st = self.lock();
-        st.maps[done.task].running -= 1;
-        if st.maps[done.task].committed {
-            self.cv.notify_all();
-            return Ok(false);
-        }
-        for r in &done.runs {
-            let seq = st.partition_seq[r.partition];
-            let dest = job_dir.join(format!("run-{:05}-{seq:06}", r.partition));
-            std::fs::rename(&r.path, &dest).map_err(|e| {
-                let err: EngineError = e.into();
-                st.error = Some(EngineError::TaskFailed {
-                    task: format!("map task {} commit", done.task),
-                    attempts: 1,
-                    cause: Box::new(err),
-                });
-                self.cv.notify_all();
-                EngineError::Config("commit failed".into())
-            })?;
-            st.partition_seq[r.partition] = seq + 1;
-            st.partition_runs[r.partition].push(dest);
-        }
-        st.maps[done.task].committed = true;
-        st.committed_maps += 1;
-        self.counters.absorb(&done.counters);
-        if st.committed_maps == st.maps.len() {
-            st.phase = Phase::Reduce;
-            st.map_done_at = Some(Instant::now());
-            let reduces = st.reduces.len();
-            st.queue = (0..reduces).map(|p| (Kind::Reduce, p)).collect();
+        let t = st.task(kind, task);
+        t.running -= 1;
+        let won = !t.committed
+            && match publish(&mut st) {
+                Ok(()) => true,
+                Err(e) => {
+                    st.error = Some(EngineError::TaskFailed {
+                        task: format!("{} task {task} commit", kind.label()),
+                        attempts: 1,
+                        cause: Box::new(e.into()),
+                    });
+                    false
+                }
+            };
+        if won {
+            st.task(kind, task).committed = true;
+            self.counters.absorb(counters);
+            match kind {
+                Kind::Map => {
+                    st.committed_maps += 1;
+                    if st.committed_maps == st.maps.len() {
+                        st.phase = Phase::Reduce;
+                        st.map_done_at = Some(Instant::now());
+                        let reduces = st.reduces.len();
+                        st.queue = (0..reduces).map(|p| (Kind::Reduce, p)).collect();
+                    }
+                }
+                Kind::Reduce => {
+                    st.committed_reduces += 1;
+                    if st.committed_reduces == st.reduces.len() {
+                        st.phase = Phase::Done;
+                        st.reduce_done_at = Some(Instant::now());
+                    }
+                }
+            }
         }
         self.cv.notify_all();
-        Ok(true)
-    }
-
-    /// Commit a finished reduce attempt by renaming its output run to
-    /// `out-{p:05}`, first-wins like the map commit.
-    fn commit_reduce(&self, done: &ReduceDone, job_dir: &Path) -> Result<bool> {
-        let mut st = self.lock();
-        st.reduces[done.partition].running -= 1;
-        if st.reduces[done.partition].committed {
-            self.cv.notify_all();
-            return Ok(false);
-        }
-        let dest = job_dir.join(format!("out-{:05}", done.partition));
-        if let Err(e) = std::fs::rename(&done.out, &dest) {
-            let err: EngineError = e.into();
-            st.error = Some(EngineError::TaskFailed {
-                task: format!("reduce task {} commit", done.partition),
-                attempts: 1,
-                cause: Box::new(err),
-            });
-            self.cv.notify_all();
-            return Err(EngineError::Config("commit failed".into()));
-        }
-        st.out_paths[done.partition] = Some(dest);
-        st.reduces[done.partition].committed = true;
-        st.committed_reduces += 1;
-        self.counters.absorb(&done.counters);
-        if st.committed_reduces == st.reduces.len() {
-            st.phase = Phase::Done;
-            st.reduce_done_at = Some(Instant::now());
-        }
-        self.cv.notify_all();
-        Ok(true)
+        won
     }
 
     /// Record a failed attempt: count it, requeue the task when no
@@ -289,10 +304,7 @@ impl Sched {
     /// committed (a speculative loser dying late) are ignored entirely.
     fn fail(&self, kind: Kind, task: usize, cause: EngineError) {
         let mut st = self.lock();
-        let t = match kind {
-            Kind::Map => &mut st.maps[task],
-            Kind::Reduce => &mut st.reduces[task],
-        };
+        let t = st.task(kind, task);
         t.running -= 1;
         if t.committed {
             self.cv.notify_all();
@@ -436,11 +448,11 @@ fn spawn_worker(ctx: &HandlerCtx<'_>, id: usize) -> Result<Child> {
         .map_err(|e| EngineError::Remote(format!("spawning worker {program:?}: {e}")))
 }
 
-/// Drive one worker slot: spawn a worker, feed it tasks, commit or
-/// fail its results; on worker death (fault-plan kill or otherwise),
+/// Drive one worker slot: spawn a worker, ship it the job, and
+/// [`serve`] it; on worker death (fault-plan kill or otherwise),
 /// respawn under a fresh id until the job finishes.
 fn worker_slot(ctx: &HandlerCtx<'_>) {
-    'respawn: loop {
+    loop {
         if ctx.sched.finished() {
             return;
         }
@@ -452,352 +464,406 @@ fn worker_slot(ctx: &HandlerCtx<'_>) {
                 return;
             }
         };
-        let stream = match ctx.broker.wait_for(id, CONNECT_TIMEOUT) {
-            Ok(s) => s,
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                ctx.sched.abort(e);
-                return;
-            }
-        };
-        let mut reader = BufReader::new(match stream.try_clone() {
-            Ok(s) => s,
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                ctx.sched.abort(e.into());
-                return;
-            }
+        let connected = ctx.broker.wait_for(id, CONNECT_TIMEOUT).and_then(|stream| {
+            let reader = BufReader::new(stream.try_clone()?);
+            let slow_ms = ctx.fault.and_then(|f| f.worker_slow(id)).unwrap_or(0);
+            Ok((
+                reader,
+                stream,
+                wire::encode_job(ctx.job, ctx.job_dir, slow_ms)?,
+            ))
         });
-        let mut writer = BufWriter::new(stream);
-        let slow_ms = ctx.fault.and_then(|f| f.worker_slow(id)).unwrap_or(0);
-        let payload = match wire::encode_job(ctx.job, ctx.job_dir, slow_ms) {
-            Ok(p) => p,
+        let (reader, stream, payload) = match connected {
+            Ok(c) => c,
             Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
+                reap(&mut child);
                 ctx.sched.abort(e);
                 return;
             }
         };
+        let mut writer = BufWriter::new(stream);
         if write_frame(&mut writer, TAG_JOB, &payload).is_err() {
             let _ = child.wait();
-            continue 'respawn; // worker died before the job frame; try again
+            continue; // worker died before the job frame; try again
         }
-
-        let mut ordinal = 0u64;
-        loop {
-            let next = ctx.sched.next();
-            let (kind, task, attempt, frame) = match &next {
-                Next::Shutdown => {
-                    let _ = write_frame(&mut writer, TAG_SHUTDOWN, b"");
-                    let _ = child.wait();
-                    return;
-                }
-                Next::Map(a) => (Kind::Map, a.task, a.attempt, (TAG_MAP_TASK, a.encode())),
-                Next::Reduce(a) => match a.encode() {
-                    Ok(p) => (Kind::Reduce, a.partition, a.attempt, (TAG_REDUCE_TASK, p)),
-                    Err(e) => {
-                        ctx.sched.fail(Kind::Reduce, a.partition, e);
-                        continue;
-                    }
-                },
-            };
-            if write_frame(&mut writer, frame.0, &frame.1).is_err() {
-                // Worker died between tasks: fail this attempt, respawn.
-                let _ = child.wait();
-                ctx.sched.fail(
-                    kind,
-                    task,
-                    EngineError::Remote("worker connection lost".into()),
-                );
-                continue 'respawn;
-            }
-            let this_ordinal = ordinal;
-            ordinal += 1;
-            if ctx.fault.is_some_and(|f| f.worker_kill(id, this_ordinal)) {
-                // Whole-worker fault injection: SIGKILL, no cleanup on
-                // the worker side — remove its dead attempt dir here,
-                // fail the attempt, and respawn under a fresh id.
-                let _ = child.kill();
-                let _ = child.wait();
-                Counters::add(&ctx.sched.counters.workers_killed, 1);
-                let dead = ctx
-                    .job_dir
-                    .join(format!("attempt-{}-{task:05}-{attempt:03}", kind.label()));
-                let _ = std::fs::remove_dir_all(&dead);
-                ctx.sched.fail(
-                    kind,
-                    task,
-                    EngineError::Remote(format!("worker {id} killed by fault plan")),
-                );
-                continue 'respawn;
-            }
-            match read_frame(&mut reader) {
-                Ok(Some((TAG_MAP_DONE, p))) => match MapDone::decode(&p) {
-                    Ok(done) => {
-                        ctx.shuffle_nanos
-                            .fetch_add(done.shuffle_nanos, Ordering::Relaxed);
-                        match ctx.sched.commit_map(&done, ctx.job_dir) {
-                            Ok(true) => {
-                                if write_frame(&mut writer, TAG_COMMIT_ACK, b"").is_err() {
-                                    // Committed but the worker is gone;
-                                    // its attempt dir (already drained
-                                    // of runs) will not self-clean.
-                                    let dead = ctx
-                                        .job_dir
-                                        .join(format!("attempt-map-{task:05}-{attempt:03}"));
-                                    let _ = std::fs::remove_dir_all(&dead);
-                                    let _ = child.wait();
-                                    continue 'respawn;
-                                }
-                            }
-                            Ok(false) => {
-                                let _ = write_frame(&mut writer, TAG_DISCARD, b"");
-                            }
-                            Err(_) => {
-                                let _ = write_frame(&mut writer, TAG_DISCARD, b"");
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        ctx.sched.fail(kind, task, e);
-                    }
-                },
-                Ok(Some((TAG_REDUCE_DONE, p))) => match ReduceDone::decode(&p) {
-                    Ok(done) => {
-                        ctx.shuffle_nanos
-                            .fetch_add(done.shuffle_nanos, Ordering::Relaxed);
-                        match ctx.sched.commit_reduce(&done, ctx.job_dir) {
-                            Ok(true) => {
-                                if write_frame(&mut writer, TAG_COMMIT_ACK, b"").is_err() {
-                                    let dead = ctx
-                                        .job_dir
-                                        .join(format!("attempt-reduce-{task:05}-{attempt:03}"));
-                                    let _ = std::fs::remove_dir_all(&dead);
-                                    let _ = child.wait();
-                                    continue 'respawn;
-                                }
-                            }
-                            Ok(false) => {
-                                let _ = write_frame(&mut writer, TAG_DISCARD, b"");
-                            }
-                            Err(_) => {
-                                let _ = write_frame(&mut writer, TAG_DISCARD, b"");
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        ctx.sched.fail(kind, task, e);
-                    }
-                },
-                Ok(Some((TAG_TASK_ERR, p))) => {
-                    let cause = match TaskErr::decode(&p) {
-                        Ok(err) if err.injected => EngineError::Injected(err.msg),
-                        Ok(err) => EngineError::Remote(err.msg),
-                        Err(e) => e,
-                    };
-                    ctx.sched.fail(kind, task, cause);
-                }
-                Ok(Some((tag, _))) => {
-                    ctx.sched.abort(EngineError::Remote(format!(
-                        "unexpected frame tag {tag} from worker {id}"
-                    )));
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return;
-                }
-                Ok(None) | Err(_) => {
-                    // The worker died mid-task (crash, or a kill racing
-                    // a previous slot's shutdown): fail the attempt and
-                    // respawn. Its attempt dir may survive the SIGKILL;
-                    // remove it like the kill path does.
-                    let _ = child.wait();
-                    let dead = ctx
-                        .job_dir
-                        .join(format!("attempt-{}-{task:05}-{attempt:03}", kind.label()));
-                    let _ = std::fs::remove_dir_all(&dead);
-                    ctx.sched.fail(
-                        kind,
-                        task,
-                        EngineError::Remote(format!("worker {id} died mid-task")),
-                    );
-                    continue 'respawn;
-                }
-            }
+        if !serve(ctx, id, &mut child, reader, writer) {
+            return;
         }
     }
 }
 
-impl ExecBackend for ProcessBackend {
-    fn name(&self) -> &'static str {
-        "process"
+/// SIGKILL a worker and wait for it.
+fn reap(child: &mut Child) {
+    let _ = child.kill();
+    let _ = child.wait();
+}
+
+/// Feed worker `id` tasks over its connection, committing or failing
+/// each result, until the job is done (`false`, worker shut down) or
+/// the worker is lost (`true`: reaped, respawn). A result frame that
+/// does not answer the assignment just sent — another task or attempt —
+/// is a protocol violation: committing it would index, decrement or
+/// publish some other task, so the job aborts and the worker is
+/// reaped.
+fn serve(
+    ctx: &HandlerCtx<'_>,
+    id: usize,
+    child: &mut Child,
+    mut reader: BufReader<UnixStream>,
+    mut writer: BufWriter<UnixStream>,
+) -> bool {
+    let mut ordinal = 0u64;
+    loop {
+        let next = ctx.sched.next();
+        let (kind, task, attempt, frame) = match &next {
+            Next::Shutdown => {
+                let _ = write_frame(&mut writer, TAG_SHUTDOWN, b"");
+                let _ = child.wait();
+                return false;
+            }
+            Next::Map(a) => (Kind::Map, a.task, a.attempt, (TAG_MAP_TASK, a.encode())),
+            Next::Reduce(a) => match a.encode() {
+                Ok(p) => (Kind::Reduce, a.partition, a.attempt, (TAG_REDUCE_TASK, p)),
+                Err(e) => {
+                    ctx.sched.fail(Kind::Reduce, a.partition, e);
+                    continue;
+                }
+            },
+        };
+        let attempt_dir = ctx
+            .job_dir
+            .join(format!("attempt-{}-{task:05}-{attempt:03}", kind.label()));
+        if write_frame(&mut writer, frame.0, &frame.1).is_err() {
+            // Worker died between tasks: fail this attempt, respawn.
+            let _ = child.wait();
+            ctx.sched.fail(
+                kind,
+                task,
+                EngineError::Remote("worker connection lost".into()),
+            );
+            return true;
+        }
+        let this_ordinal = ordinal;
+        ordinal += 1;
+        if ctx.fault.is_some_and(|f| f.worker_kill(id, this_ordinal)) {
+            // Whole-worker fault injection: SIGKILL, no cleanup on
+            // the worker side — remove its dead attempt dir here,
+            // fail the attempt, and respawn under a fresh id.
+            reap(child);
+            Counters::add(&ctx.sched.counters.workers_killed, 1);
+            let _ = std::fs::remove_dir_all(&attempt_dir);
+            ctx.sched.fail(
+                kind,
+                task,
+                EngineError::Remote(format!("worker {id} killed by fault plan")),
+            );
+            return true;
+        }
+        let done = match read_frame(&mut reader) {
+            Ok(Some((TAG_MAP_DONE, p))) => MapDone::decode(&p).map(Done::Map),
+            Ok(Some((TAG_REDUCE_DONE, p))) => ReduceDone::decode(&p).map(Done::Reduce),
+            Ok(Some((TAG_TASK_ERR, p))) => {
+                let cause = match TaskErr::decode(&p) {
+                    Ok(err) if err.injected => EngineError::Injected(err.msg),
+                    Ok(err) => EngineError::Remote(err.msg),
+                    Err(e) => e,
+                };
+                ctx.sched.fail(kind, task, cause);
+                continue;
+            }
+            Ok(Some((tag, _))) => {
+                ctx.sched.abort(EngineError::Remote(format!(
+                    "unexpected frame tag {tag} from worker {id}"
+                )));
+                reap(child);
+                return false;
+            }
+            Ok(None) | Err(_) => {
+                // The worker died mid-task (crash, or a kill racing
+                // a previous slot's shutdown): fail the attempt and
+                // respawn. Its attempt dir may survive the SIGKILL;
+                // remove it like the kill path does.
+                let _ = child.wait();
+                let _ = std::fs::remove_dir_all(&attempt_dir);
+                ctx.sched.fail(
+                    kind,
+                    task,
+                    EngineError::Remote(format!("worker {id} died mid-task")),
+                );
+                return true;
+            }
+        };
+        let done = match done {
+            Ok(done) => done,
+            Err(e) => {
+                ctx.sched.fail(kind, task, e);
+                continue;
+            }
+        };
+        if !done.answers(kind, task, attempt, ctx.job.num_reducers.max(1)) {
+            ctx.sched.abort(EngineError::Remote(format!(
+                "worker {id} sent a result that does not answer {} task {task} \
+                 attempt {attempt}",
+                kind.label()
+            )));
+            reap(child);
+            return false;
+        }
+        let won = match &done {
+            Done::Map(d) => {
+                ctx.shuffle_nanos
+                    .fetch_add(d.shuffle_nanos, Ordering::Relaxed);
+                ctx.sched.commit(kind, task, &d.counters, |st| {
+                    for (p, r) in &d.runs {
+                        let seq = st.partition_seq[*p];
+                        let dest = ctx.job_dir.join(format!("run-{p:05}-{seq:06}"));
+                        std::fs::rename(&r.path, &dest)?;
+                        st.partition_seq[*p] = seq + 1;
+                        st.partition_runs[*p].push(dest);
+                    }
+                    Ok(())
+                })
+            }
+            Done::Reduce(d) => ctx.sched.commit(kind, task, &d.counters, |st| {
+                let dest = ctx.job_dir.join(format!("out-{task:05}"));
+                std::fs::rename(&d.out, &dest)?;
+                st.out_paths[task] = Some(dest);
+                Ok(())
+            }),
+        };
+        let verdict = if won { TAG_COMMIT_ACK } else { TAG_DISCARD };
+        if write_frame(&mut writer, verdict, b"").is_err() && won {
+            // Committed but the worker is gone; its attempt dir
+            // (already drained of runs) will not self-clean.
+            let _ = std::fs::remove_dir_all(&attempt_dir);
+            let _ = child.wait();
+            return true;
+        }
+    }
+}
+
+/// A decoded result frame.
+enum Done {
+    Map(MapDone),
+    Reduce(ReduceDone),
+}
+
+impl Done {
+    /// Whether the frame answers the assignment a handler sent: the
+    /// same kind, task and attempt, and (for a map) runs only for
+    /// partitions the job has.
+    fn answers(&self, kind: Kind, task: usize, attempt: usize, partitions: usize) -> bool {
+        match self {
+            Done::Map(d) => {
+                kind == Kind::Map
+                    && (d.task, d.attempt) == (task, attempt)
+                    && d.runs.iter().all(|(p, _)| *p < partitions)
+            }
+            Done::Reduce(d) => kind == Kind::Reduce && (d.partition, d.attempt) == (task, attempt),
+        }
+    }
+}
+
+/// Run `run.job` on `cfg.workers` forked worker processes; every child
+/// is reaped before this returns. Returns the committed reduce output
+/// of every partition, read back from the job directory before it is
+/// removed.
+pub(super) fn run(run: &JobRun<'_>, cfg: &ProcessCfg) -> Result<(Partitions, PhaseTimings)> {
+    let start = Instant::now();
+    let job = run.job;
+    let num_reducers = run.num_reducers;
+    let workers = cfg.workers.max(1);
+
+    // The job directory is the shared commit space: attempt dirs,
+    // committed runs, reduce outputs, and the control socket all live
+    // here and vanish together when the SpillDir drops.
+    let spill_dir = SpillDir::create(job.spill_dir.as_deref(), &job.name)?;
+    let job_dir = spill_dir.path().to_path_buf();
+    // Reject non-serializable jobs before any fork.
+    wire::encode_job(job, &job_dir, 0)?;
+
+    // Workers re-open their splits at the same hint, so boundaries agree.
+    let plan = plan_map_tasks(job, None)?.into_iter();
+    let map_meta = plan.map(|(binding, split, _)| (binding, split)).collect();
+
+    let socket = job_dir.join("ctl.sock");
+    let listener = UnixListener::bind(&socket)?;
+    listener.set_nonblocking(true)?;
+
+    let shuffle_nanos = AtomicU64::new(0);
+    let sched = Sched::new(
+        map_meta,
+        num_reducers,
+        run.max_attempts,
+        cfg.speculate,
+        Arc::clone(&run.counters),
+    );
+
+    let broker = Broker::new();
+    let stop_broker = AtomicBool::new(false);
+    let next_id = AtomicUsize::new(0);
+
+    std::thread::scope(|scope| {
+        scope.spawn(|| broker.accept_loop(&listener, &stop_broker));
+        let mut handlers = Vec::new();
+        for _ in 0..workers {
+            let ctx = HandlerCtx {
+                job,
+                cfg,
+                sched: &sched,
+                broker: &broker,
+                job_dir: &job_dir,
+                socket: &socket,
+                fault: job.fault_plan.as_deref(),
+                next_id: &next_id,
+                shuffle_nanos: &shuffle_nanos,
+            };
+            handlers.push(scope.spawn(move || worker_slot(&ctx)));
+        }
+        for h in handlers {
+            let _ = h.join();
+        }
+        stop_broker.store(true, Ordering::Relaxed);
+    });
+
+    let st = sched.state.into_inner().expect("scheduler lock poisoned");
+    if let Some(e) = st.error {
+        return Err(e);
+    }
+    let mut partitions = Vec::with_capacity(num_reducers);
+    for path in &st.out_paths {
+        let path = path.as_ref().expect("every partition commits before Done");
+        let reader = mr_storage::RunFileReader::open(path)?;
+        partitions.push(reader.collect::<std::result::Result<Vec<_>, _>>()?);
+    }
+    drop(spill_dir); // runs, outs, attempt dirs, socket — all gone
+
+    let map_done = st.map_done_at.unwrap_or_else(Instant::now);
+    let reduce_done = st.reduce_done_at.unwrap_or_else(Instant::now);
+    let phases = PhaseTimings {
+        map: map_done.duration_since(start),
+        shuffle: Duration::from_nanos(shuffle_nanos.load(Ordering::Relaxed)),
+        reduce: reduce_done.duration_since(map_done),
+    };
+    Ok((Partitions::Pairs(partitions), phases))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::input::InputSpec;
+    use crate::reducer::Builtin;
+    use mr_ir::asm::parse_function;
+
+    /// What [`serve`] made of one reply: whether the slot respawns, the
+    /// job error, the scheduler's commit count, the worker process's
+    /// exit status, and the verdict frame the fake worker received.
+    struct Served {
+        respawn: bool,
+        error: Option<EngineError>,
+        committed: usize,
+        status: std::process::ExitStatus,
+        verdict: Option<u8>,
     }
 
-    fn run(&self, job: &JobConfig) -> Result<JobResult> {
-        let start = Instant::now();
-        if job.inputs.is_empty() {
-            return Err(EngineError::Config("job has no inputs".into()));
-        }
-        let num_reducers = job.num_reducers.max(1);
-        let max_attempts = job.max_task_attempts.max(1);
-        let workers = self.cfg.workers.max(1);
-        let (alloc_count0, alloc_bytes0) = allocstats::totals();
-
-        // The job directory is the shared commit space: attempt dirs,
-        // committed runs, reduce outputs, and the control socket all
-        // live here and vanish together when the SpillDir drops.
-        let spill_dir = SpillDir::create(job.spill_dir.as_deref(), &job.name)?;
-        let job_dir = spill_dir.path().to_path_buf();
-        // Reject non-serializable jobs before any fork.
-        wire::encode_job(job, &job_dir, 0)?;
-
-        // Plan map tasks exactly like the local runner: one task per
-        // split at the job's parallelism hint. Workers re-open splits
-        // with the same hint, so boundaries agree.
-        let hint = job.map_parallelism.max(1);
-        let mut map_meta: Vec<(usize, usize)> = Vec::new();
-        for (bi, binding) in job.inputs.iter().enumerate() {
-            let splits = binding.input.open(hint)?.len();
-            for s in 0..splits {
-                map_meta.push((bi, s));
-            }
-        }
-
-        let socket = job_dir.join("ctl.sock");
-        let listener = UnixListener::bind(&socket)?;
-        listener.set_nonblocking(true)?;
-
-        let counters = Counters::new();
-        let shuffle_nanos = AtomicU64::new(0);
-        let map_count = map_meta.len();
-        let mut state = SchedState {
-            phase: Phase::Map,
-            queue: (0..map_count).map(|t| (Kind::Map, t)).collect(),
-            maps: (0..map_count).map(|_| TaskState::default()).collect(),
-            map_meta,
-            reduces: (0..num_reducers).map(|_| TaskState::default()).collect(),
-            committed_maps: 0,
-            committed_reduces: 0,
-            partition_runs: vec![Vec::new(); num_reducers],
-            partition_seq: vec![0; num_reducers],
-            out_paths: vec![None; num_reducers],
-            error: None,
-            map_done_at: None,
-            reduce_done_at: None,
+    /// Hand map task 0, attempt 0 (of `tasks`) to a fake worker that
+    /// answers with `reply`, standing in for the worker process with
+    /// `process` (`program, args…`).
+    fn serve_one_reply(tasks: usize, reply: MapDone, process: &[&str]) -> Served {
+        let map = parse_function("func map(key, value) {\n  ret\n}\n").unwrap();
+        let input = InputSpec::SeqFile {
+            path: "/nonexistent".into(),
         };
-        if map_count == 0 {
-            // Degenerate but legal: no splits at all — straight to
-            // reduce over empty partitions.
-            state.phase = Phase::Reduce;
-            state.map_done_at = Some(Instant::now());
-            state.queue = (0..num_reducers).map(|p| (Kind::Reduce, p)).collect();
-        }
-        let sched = Sched {
-            state: Mutex::new(state),
-            cv: Condvar::new(),
-            max_attempts,
-            speculate: self.cfg.speculate,
-            counters: Arc::clone(&counters),
+        let job = JobConfig::ir_job("answers", input, map, Builtin::Count);
+        let sched = Sched::new(vec![(0, 0); tasks], 1, 2, false, Counters::new());
+        let job_dir = SpillDir::create(None, "answers").unwrap();
+        let ctx = HandlerCtx {
+            job: &job,
+            cfg: &ProcessCfg::default(),
+            sched: &sched,
+            broker: &Broker::new(),
+            job_dir: job_dir.path(),
+            socket: &job_dir.path().join("ctl.sock"),
+            fault: None,
+            next_id: &AtomicUsize::new(1),
+            shuffle_nanos: &AtomicU64::new(0),
         };
-
-        let broker = Broker::new();
-        let stop_broker = AtomicBool::new(false);
-        let next_id = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            scope.spawn(|| broker.accept_loop(&listener, &stop_broker));
-            let mut handlers = Vec::new();
-            for _ in 0..workers {
-                let ctx = HandlerCtx {
-                    job,
-                    cfg: &self.cfg,
-                    sched: &sched,
-                    broker: &broker,
-                    job_dir: &job_dir,
-                    socket: &socket,
-                    fault: job.fault_plan.as_deref(),
-                    next_id: &next_id,
-                    shuffle_nanos: &shuffle_nanos,
-                };
-                handlers.push(scope.spawn(move || worker_slot(&ctx)));
-            }
-            for h in handlers {
-                let _ = h.join();
-            }
-            stop_broker.store(true, Ordering::Relaxed);
+        let mut child = Command::new(process[0])
+            .args(&process[1..])
+            .spawn()
+            .unwrap();
+        let (coordinator, worker) = UnixStream::pair().unwrap();
+        let fake = std::thread::spawn(move || {
+            let (tag, _) = read_frame(&mut &worker).unwrap().unwrap();
+            assert_eq!(tag, TAG_MAP_TASK);
+            write_frame(&mut &worker, TAG_MAP_DONE, &reply.encode().unwrap()).unwrap();
+            read_frame(&mut &worker).ok().flatten().map(|(tag, _)| tag)
         });
-
-        let st = sched.state.into_inner().expect("scheduler lock poisoned");
-        if let Some(e) = st.error {
-            return Err(e);
+        let reader = BufReader::new(coordinator.try_clone().unwrap());
+        let respawn = serve(&ctx, 0, &mut child, reader, BufWriter::new(coordinator));
+        let verdict = fake.join().unwrap();
+        let status = child.try_wait().unwrap().expect("the worker was reaped");
+        let st = sched.state.into_inner().unwrap();
+        Served {
+            respawn,
+            error: st.error,
+            committed: st.committed_maps,
+            status,
+            verdict,
         }
+    }
 
-        // ---- assemble output (coordinator-side, like the local
-        // runner's output stage) --------------------------------------
-        let mut output: Vec<(Value, Value)> = Vec::new();
-        let mut output_files: Vec<PathBuf> = Vec::new();
-        let read_partition = |p: usize| -> Result<Vec<(Value, Value)>> {
-            let path = st.out_paths[p]
-                .as_ref()
-                .expect("every partition commits before Done");
-            let mut pairs = Vec::new();
-            for item in mr_storage::RunFileReader::open(path)? {
-                pairs.push(item?);
-            }
-            Ok(pairs)
+    fn map_done(task: usize, attempt: usize) -> MapDone {
+        MapDone {
+            task,
+            attempt,
+            runs: Vec::new(),
+            counters: Default::default(),
+            shuffle_nanos: 0,
+        }
+    }
+
+    /// A done frame for another task (in range or not), another
+    /// attempt, or a partition the job does not have aborts the job
+    /// typed and reaps the worker — it never indexes, decrements or
+    /// commits what it names.
+    #[test]
+    fn result_frames_must_answer_their_assignment() {
+        let mut stray_run = map_done(0, 0);
+        let run = crate::spill::SpillRun {
+            seq: 0,
+            path: "/nonexistent/run".into(),
+            pairs: 1,
+            raw_bytes: 1,
+            bytes: 1,
         };
-        match &job.output {
-            OutputSpec::InMemory => {
-                for p in 0..num_reducers {
-                    output.extend(read_partition(p)?);
-                }
-                if job.sort_output {
-                    output.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-                }
+        stray_run.runs.push((9, run));
+        let replies = [map_done(1, 0), map_done(0, 3), map_done(7, 0), stray_run];
+        for (i, reply) in replies.into_iter().enumerate() {
+            // A live worker: only a kill ends it before the test does.
+            let served = serve_one_reply(2, reply, &["sleep", "30"]);
+            assert!(!served.respawn, "reply {i}: the slot stops");
+            match served.error {
+                Some(EngineError::Remote(msg)) => assert!(
+                    msg.contains("does not answer map task 0 attempt 0"),
+                    "reply {i}: {msg}"
+                ),
+                other => panic!("reply {i}: expected Remote, got {other:?}"),
             }
-            OutputSpec::TextDir(dir) => {
-                std::fs::create_dir_all(dir)?;
-                for p in 0..num_reducers {
-                    let mut pairs = read_partition(p)?;
-                    if job.sort_output {
-                        pairs.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-                    }
-                    let path = dir.join(format!("part-{p:05}"));
-                    let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-                    for (k, v) in pairs {
-                        writeln!(f, "{k}\t{v}")?;
-                    }
-                    f.flush()?;
-                    output_files.push(path);
-                }
-            }
+            assert_eq!(served.committed, 0, "reply {i}: nothing committed");
+            assert_eq!(served.verdict, None, "reply {i}: no verdict sent");
+            assert!(!served.status.success(), "reply {i}: worker killed");
         }
-        drop(spill_dir); // runs, outs, attempt dirs, socket — all gone
+    }
 
-        let (alloc_count1, alloc_bytes1) = allocstats::totals();
-        Counters::add(
-            &counters.alloc_count,
-            alloc_count1.saturating_sub(alloc_count0),
-        );
-        Counters::add(
-            &counters.alloc_bytes,
-            alloc_bytes1.saturating_sub(alloc_bytes0),
-        );
-
-        let map_done = st.map_done_at.unwrap_or_else(Instant::now);
-        let reduce_done = st.reduce_done_at.unwrap_or_else(Instant::now);
-        Ok(JobResult {
-            counters: counters.snapshot(),
-            output,
-            output_files,
-            elapsed: start.elapsed(),
-            phases: PhaseTimings {
-                map: map_done.duration_since(start),
-                shuffle: Duration::from_nanos(shuffle_nanos.load(Ordering::Relaxed)),
-                reduce: reduce_done.duration_since(map_done),
-            },
-        })
+    /// The matching answer commits and is acknowledged (the fake worker
+    /// then hangs up, so the slot asks for a respawn).
+    #[test]
+    fn the_matching_result_frame_commits() {
+        let served = serve_one_reply(1, map_done(0, 0), &["true"]);
+        assert!(served.error.is_none(), "{:?}", served.error);
+        assert_eq!(served.committed, 1);
+        assert_eq!(served.verdict, Some(TAG_COMMIT_ACK));
+        assert!(served.respawn);
     }
 }

@@ -38,6 +38,7 @@ use crate::job::{InputBinding, JobConfig};
 use crate::join::{BroadcastSpec, JoinSide};
 use crate::mapper::IrMapperFactory;
 use crate::reducer::{Builtin, IrReducerFactory, ReducerFactory};
+use crate::spill::SpillRun;
 
 fn bad(detail: impl Into<String>) -> EngineError {
     EngineError::Storage(StorageError::corrupt("task-protocol payload", detail))
@@ -132,57 +133,16 @@ fn parse_payload(payload: &[u8]) -> Result<Json> {
 
 // ---- counters ----------------------------------------------------------
 
-macro_rules! counter_fields {
-    ($m:ident) => {
-        $m!(
-            map_input_records,
-            map_invocations,
-            map_output_records,
-            input_bytes,
-            shuffle_bytes,
-            spill_count,
-            spilled_records,
-            spill_bytes_raw,
-            spill_bytes_written,
-            dict_trained,
-            dict_reused,
-            combine_in,
-            combine_out,
-            combine_bypassed,
-            reduce_input_groups,
-            reduce_output_records,
-            instructions_executed,
-            side_effects,
-            map_task_failures,
-            reduce_task_failures,
-            task_retries,
-            speculative_tasks,
-            workers_killed,
-            alloc_count,
-            alloc_bytes
-        )
-    };
-}
-
 fn snapshot_json(s: &CounterSnapshot) -> Json {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    macro_rules! put {
-        ($($f:ident),*) => {
-            $( fields.push((stringify!($f).into(), u64_json(s.$f))); )*
-        };
-    }
-    counter_fields!(put);
-    Json::Obj(fields)
+    let fields = s.fields().into_iter();
+    Json::Obj(fields.map(|(name, v)| (name.into(), u64_json(v))).collect())
 }
 
 fn snapshot_from_json(j: &Json) -> Result<CounterSnapshot> {
     let mut s = CounterSnapshot::default();
-    macro_rules! get {
-        ($($f:ident),*) => {
-            $( s.$f = u64_field(j, stringify!($f))?; )*
-        };
+    for (name, slot) in s.fields_mut() {
+        *slot = u64_field(j, name)?;
     }
-    counter_fields!(get);
     Ok(s)
 }
 
@@ -586,29 +546,17 @@ impl ReduceAssign {
     }
 }
 
-/// One uncommitted spill run a map attempt produced (still inside the
-/// attempt directory; the coordinator renames it on commit).
-pub(crate) struct WireRun {
-    /// Reduce partition the run belongs to.
-    pub partition: usize,
-    /// Path inside the attempt directory.
-    pub path: PathBuf,
-    /// Pairs in the run.
-    pub pairs: u64,
-    /// Record-layer bytes before the codec.
-    pub raw_bytes: u64,
-    /// File size in bytes.
-    pub bytes: u64,
-}
-
 /// Worker → coordinator: a map attempt finished.
 pub(crate) struct MapDone {
     /// Task id (echoed).
     pub task: usize,
     /// Attempt number (echoed).
     pub attempt: usize,
-    /// Runs awaiting commit, one entry per (partition, spill).
-    pub runs: Vec<WireRun>,
+    /// `(partition, run)` per spill, in submission order, still inside
+    /// the attempt directory awaiting commit (the coordinator renames
+    /// them; a run's `seq` does not travel — decoding numbers runs by
+    /// position).
+    pub runs: Vec<(usize, SpillRun)>,
     /// The attempt's counters, absorbed on commit only.
     pub counters: CounterSnapshot,
     /// Time this attempt spent sorting/writing shuffle runs.
@@ -618,9 +566,9 @@ pub(crate) struct MapDone {
 impl MapDone {
     pub(crate) fn encode(&self) -> Result<Vec<u8>> {
         let mut runs = Vec::with_capacity(self.runs.len());
-        for r in &self.runs {
+        for (partition, r) in &self.runs {
             runs.push(Json::obj([
-                ("partition", usize_json(r.partition)),
+                ("partition", usize_json(*partition)),
                 ("path", path_json(&r.path)?),
                 ("pairs", u64_json(r.pairs)),
                 ("raw_bytes", u64_json(r.raw_bytes)),
@@ -646,13 +594,14 @@ impl MapDone {
             .and_then(Json::as_arr)
             .ok_or_else(|| bad("missing runs"))?
         {
-            runs.push(WireRun {
-                partition: usize_field(r, "partition")?,
+            let run = SpillRun {
+                seq: runs.len(),
                 path: path_field(r, "path")?,
                 pairs: u64_field(r, "pairs")?,
                 raw_bytes: u64_field(r, "raw_bytes")?,
                 bytes: u64_field(r, "bytes")?,
-            });
+            };
+            runs.push((usize_field(r, "partition")?, run));
         }
         Ok(MapDone {
             task: usize_field(&j, "task")?,
@@ -675,14 +624,8 @@ pub(crate) struct ReduceDone {
     pub attempt: usize,
     /// Output run file inside the attempt directory.
     pub out: PathBuf,
-    /// Key groups reduced.
-    pub groups: u64,
-    /// Output pairs written.
-    pub written: u64,
-    /// The attempt's counters.
+    /// The attempt's counters (its reduce groups and output pairs).
     pub counters: CounterSnapshot,
-    /// Time spent in shuffle-attributed work (merge reads).
-    pub shuffle_nanos: u64,
 }
 
 impl ReduceDone {
@@ -691,10 +634,7 @@ impl ReduceDone {
             ("partition", usize_json(self.partition)),
             ("attempt", usize_json(self.attempt)),
             ("out", path_json(&self.out)?),
-            ("groups", u64_json(self.groups)),
-            ("written", u64_json(self.written)),
             ("counters", snapshot_json(&self.counters)),
-            ("shuffle_nanos", u64_json(self.shuffle_nanos)),
         ])
         .to_string_compact()
         .into_bytes())
@@ -706,12 +646,9 @@ impl ReduceDone {
             partition: usize_field(&j, "partition")?,
             attempt: usize_field(&j, "attempt")?,
             out: path_field(&j, "out")?,
-            groups: u64_field(&j, "groups")?,
-            written: u64_field(&j, "written")?,
             counters: snapshot_from_json(
                 j.get("counters").ok_or_else(|| bad("missing counters"))?,
             )?,
-            shuffle_nanos: u64_field(&j, "shuffle_nanos")?,
         })
     }
 }
@@ -952,13 +889,16 @@ mod tests {
         let done = MapDone {
             task: 4,
             attempt: 1,
-            runs: vec![WireRun {
-                partition: 2,
-                path: "/tmp/j/attempt-map-00004-001/run-00002-000000".into(),
-                pairs: 100,
-                raw_bytes: 2048,
-                bytes: 512,
-            }],
+            runs: vec![(
+                2,
+                SpillRun {
+                    seq: 0,
+                    path: "/tmp/j/attempt-map-00004-001/run-00002-000000".into(),
+                    pairs: 100,
+                    raw_bytes: 2048,
+                    bytes: 512,
+                },
+            )],
             counters: CounterSnapshot {
                 map_input_records: u64::MAX,
                 spill_count: 1,
@@ -969,7 +909,8 @@ mod tests {
         };
         let d = MapDone::decode(&done.encode().unwrap()).unwrap();
         assert_eq!(d.task, 4);
-        assert_eq!(d.runs[0].partition, 2);
+        assert_eq!(d.runs[0].0, 2);
+        assert_eq!(d.runs[0].1.bytes, 512);
         assert_eq!(d.counters.map_input_records, u64::MAX, "u64 exactness");
         assert_eq!(d.counters.spill_count, 1);
         assert_eq!(d.counters.combine_bypassed, 9);

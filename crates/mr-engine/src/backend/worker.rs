@@ -11,46 +11,46 @@
 //! SIGKILLed mid-attempt cannot run this cleanup — the coordinator
 //! removes the dead attempt's directory itself.
 //!
-//! Deliberate deviations from the in-process runner, chosen so output
-//! stays byte-identical while the plumbing is simpler:
+//! Attempts run through the same attempt module as the in-process
+//! runner (`attempt.rs`: one record loop, one staging and spill path,
+//! one merge-and-reduce). Its deviations are the policy values it
+//! passes, chosen so output stays byte-identical while the plumbing is
+//! simpler:
 //!
-//! * **All map output spills.** There is no cross-process resident
-//!   tail, so at the end of the split every staged partition is written
-//!   as a sorted run (the spill counters therefore report total shuffle
-//!   disk traffic, which is higher than the local backend's for the
-//!   same job).
-//! * **No io-site faults.** `io:` fault sites are operation-counted
-//!   per process and would fire nondeterministically across workers;
+//! * **Spill everything at the end of the split.** There is no
+//!   cross-process resident tail, so whatever is staged when the split
+//!   ends is written as sorted runs too (the spill counters therefore
+//!   report total shuffle disk traffic, which is higher than the local
+//!   backend's for the same job).
+//! * **0 writer threads.** `spill_writer_threads` shapes the local
+//!   backend's background writer only; workers write each run inline,
+//!   in submission order.
+//! * **No io faults.** `io:` fault sites are operation-counted per
+//!   process and would fire nondeterministically across workers;
 //!   record-level `map:`/`reduce:` faults keep their exact semantics.
-//! * **Synchronous spill writes.** `spill_writer_threads` shapes the
-//!   local backend's background writer only; workers write runs inline.
-//! * **Reduce reads runs read-only.** Committed runs are shared by
-//!   speculative attempts, so the destructive merge compaction does not
-//!   run; every reduce attempt streams the runs as-is.
+//! * **No reduce compaction.** Committed runs are shared by speculative
+//!   attempts, so the destructive merge compaction does not run; every
+//!   reduce attempt streams the runs as-is.
 
 use std::io::{BufReader, BufWriter};
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
-
-use mr_ir::value::Value;
 
 use mr_storage::blockcodec::ShuffleCompression;
+use mr_storage::{RunFileReader, RunFileWriter};
 
-use crate::combine::CombineStrategy;
-use crate::counters::Counters;
+use crate::attempt::{merge_reduce, run_map, MapAttempt, SplitEnd};
+use crate::counters::CounterSnapshot;
 use crate::dictctx::DictContext;
 use crate::error::{EngineError, Result};
-use crate::merge::{LoserTree, RunStream};
+use crate::merge::RunStream;
 use crate::pool::BufferPool;
-use crate::runner::{reduce_groups, FaultGate, StreamPairs};
-use crate::spill::{write_sorted_run, AttemptDir, SpillRun};
-use crate::staging::Staging;
+use crate::spill::{AttemptDir, ShuffleEnv};
 
 use super::protocol::*;
 use super::wire::{
     decode_job, encode_hello, MapAssign, MapDone, ReduceAssign, ReduceDone, TaskErr, WireJob,
-    WireRun,
 };
 
 /// Run the worker loop: connect to `socket`, identify as `worker_id`,
@@ -80,60 +80,69 @@ pub fn worker_main(socket: &str, worker_id: usize) -> Result<()> {
     for (binding, mapper) in job.inputs.iter_mut().zip(effective) {
         binding.mapper = mapper;
     }
-    let combine = CombineStrategy::new(job.combiner.clone());
-    let pool = BufferPool::new();
-    // The dict-trained codec's dictionary authority. Committing into
-    // the *shared* job directory (hard-link, first trainer wins) keeps
-    // concurrent workers and speculative attempts on one dictionary.
+    // The worker's shuffle-write settings, for every attempt it runs:
+    // no io faults (see the module docs). The dict-trained codec's
+    // dictionary authority commits into the *shared* job directory
+    // (hard-link, first trainer wins), which keeps concurrent workers
+    // and speculative attempts on one dictionary.
     let dict = (job.compression == ShuffleCompression::DictTrained)
-        .then(|| DictContext::new(&job.job_dir, job.dict_store.clone()));
+        .then(|| Arc::new(DictContext::new(&job.job_dir, job.dict_store.clone())));
+    let env = ShuffleEnv::new(
+        job.combiner.clone(),
+        job.compression,
+        dict,
+        None,
+        BufferPool::new(),
+    );
 
     loop {
         let (tag, payload) = match read_frame(&mut reader)? {
             Some(frame) => frame,
             None => return Ok(()), // coordinator hung up: nothing left to do
         };
-        match tag {
-            TAG_SHUTDOWN => return Ok(()),
+        if tag == TAG_SHUTDOWN {
+            return Ok(());
+        }
+        // Injected straggling: sleep before every task when the fault
+        // plan marked this worker slow (the coordinator folds the
+        // per-worker delay into the job frame, so the worker need not
+        // know its own id here).
+        if job.slow_ms > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(job.slow_ms));
+        }
+        let (kind, task, attempt, result) = match tag {
             TAG_MAP_TASK => {
-                let assign = MapAssign::decode(&payload)?;
-                straggle(&job);
-                match run_map_attempt(&job, &combine, &pool, dict.as_ref(), &assign) {
-                    Ok((done, dir)) => {
-                        write_frame(&mut writer, TAG_MAP_DONE, &done.encode()?)?;
-                        await_verdict(&mut reader, dir)?;
-                    }
-                    Err(e) => report_failure(&mut writer, "map", assign.task, assign.attempt, e)?,
-                }
+                let a = MapAssign::decode(&payload)?;
+                ("map", a.task, a.attempt, run_map_attempt(&job, &env, &a))
             }
             TAG_REDUCE_TASK => {
-                let assign = ReduceAssign::decode(&payload)?;
-                straggle(&job);
-                match run_reduce_attempt(&job, &combine, &assign) {
-                    Ok((done, dir)) => {
-                        write_frame(&mut writer, TAG_REDUCE_DONE, &done.encode()?)?;
-                        await_verdict(&mut reader, dir)?;
-                    }
-                    Err(e) => {
-                        report_failure(&mut writer, "reduce", assign.partition, assign.attempt, e)?
-                    }
-                }
+                let a = ReduceAssign::decode(&payload)?;
+                let (p, n) = (a.partition, a.attempt);
+                ("reduce", p, n, run_reduce_attempt(&job, &env, &a))
             }
             other => {
                 return Err(EngineError::Config(format!(
                     "worker got unexpected frame tag {other}"
                 )))
             }
+        };
+        match result {
+            Ok((tag, done, dir)) => {
+                write_frame(&mut writer, tag, &done)?;
+                await_verdict(&mut reader, dir)?;
+            }
+            // The failed attempt's directory (if any) is already gone.
+            Err(e) => {
+                let err = TaskErr {
+                    kind: kind.into(),
+                    task,
+                    attempt,
+                    injected: matches!(e, EngineError::Injected(_)),
+                    msg: e.to_string(),
+                };
+                write_frame(&mut writer, TAG_TASK_ERR, &err.encode())?;
+            }
         }
-    }
-}
-
-/// Injected straggling: sleep before every task when the fault plan
-/// marked this worker slow (the coordinator folds the per-worker delay
-/// into the job frame, so the worker need not know its own id here).
-fn straggle(job: &WireJob) {
-    if job.slow_ms > 0 {
-        std::thread::sleep(std::time::Duration::from_millis(job.slow_ms));
     }
 }
 
@@ -142,8 +151,9 @@ fn straggle(job: &WireJob) {
 /// (or a shutdown/hangup racing the verdict) they are still inside the
 /// attempt dir. Either way dropping the [`AttemptDir`] removes exactly
 /// what is left — this RAII drop is the loser-cleanup half of the
-/// speculative-execution protocol.
-fn await_verdict(reader: &mut impl std::io::Read, dir: AttemptDir) -> Result<()> {
+/// speculative-execution protocol. A map attempt that never spilled
+/// has no directory.
+fn await_verdict(reader: &mut impl std::io::Read, dir: Option<AttemptDir>) -> Result<()> {
     let verdict = read_frame(reader)?;
     drop(dir);
     match verdict {
@@ -156,292 +166,85 @@ fn await_verdict(reader: &mut impl std::io::Read, dir: AttemptDir) -> Result<()>
     }
 }
 
-/// Send a task failure upstream; the attempt dir (if any) has already
-/// been dropped by the failing attempt's scope.
-fn report_failure(
-    writer: &mut impl std::io::Write,
-    kind: &str,
-    task: usize,
-    attempt: usize,
-    e: EngineError,
-) -> Result<()> {
-    let err = TaskErr {
-        kind: kind.into(),
-        task,
-        attempt,
-        injected: matches!(e, EngineError::Injected(_)),
-        msg: e.to_string(),
-    };
-    write_frame(writer, TAG_TASK_ERR, &err.encode())
-}
+/// A finished attempt: its result frame (tag and payload) and the
+/// directory holding its side effects until the coordinator's verdict.
+type Finished = (u8, Vec<u8>, Option<AttemptDir>);
 
-/// One map attempt: read the split, map, stage (through the same
-/// [`Staging`] as the local runner, so combine site 1 and its bail-out
-/// behave identically), and spill *everything* as sorted runs into a
-/// fresh attempt directory. Side effects stay in the returned
-/// [`AttemptDir`]; counters stay in the returned snapshot until the
-/// coordinator commits them.
-fn run_map_attempt(
-    job: &WireJob,
-    combine: &CombineStrategy,
-    pool: &Arc<BufferPool>,
-    dict: Option<&DictContext>,
-    assign: &MapAssign,
-) -> Result<(MapDone, AttemptDir)> {
-    let acc = Counters::new();
-    let dir = AttemptDir::create(&job.job_dir, "map", assign.task, assign.attempt)?;
-    let mut staging = Staging::new(job.num_reducers, combine, pool);
-    let mut seqs = vec![0usize; job.num_reducers];
-    let mut runs: Vec<(usize, SpillRun)> = Vec::new();
-    let mut shuffle_nanos = 0u64;
-
-    let body = map_attempt_loop(
-        job,
-        combine,
-        pool,
-        dict,
-        assign,
-        &acc,
-        &dir,
-        &mut staging,
-        &mut seqs,
-        &mut runs,
-        &mut shuffle_nanos,
-    );
-    staging.recycle(pool);
-    body?;
-
-    let wire_runs = runs
-        .into_iter()
-        .map(|(p, r)| WireRun {
-            partition: p,
-            path: r.path,
-            pairs: r.pairs,
-            raw_bytes: r.raw_bytes,
-            bytes: r.bytes,
-        })
-        .collect();
-    Ok((
-        MapDone {
-            task: assign.task,
-            attempt: assign.attempt,
-            runs: wire_runs,
-            counters: acc.snapshot(),
-            shuffle_nanos,
-        },
-        dir,
-    ))
-}
-
-/// The fallible body of a map attempt, separated so the caller's
-/// buffer recycling cannot be skipped by a `?`.
-#[allow(clippy::too_many_arguments)]
-fn map_attempt_loop(
-    job: &WireJob,
-    combine: &CombineStrategy,
-    pool: &Arc<BufferPool>,
-    dict: Option<&DictContext>,
-    assign: &MapAssign,
-    acc: &Arc<Counters>,
-    dir: &AttemptDir,
-    staging: &mut Staging,
-    seqs: &mut [usize],
-    runs: &mut Vec<(usize, SpillRun)>,
-    shuffle_nanos: &mut u64,
-) -> Result<()> {
+/// One map attempt with the worker's policy: re-open the assigned
+/// split, map and stage it through the shared attempt loop, and spill
+/// everything as sorted runs into a lazily created attempt directory.
+/// Side effects stay in the returned [`AttemptDir`]; counters stay in
+/// the result frame until the coordinator commits them.
+fn run_map_attempt(job: &WireJob, env: &ShuffleEnv, assign: &MapAssign) -> Result<Finished> {
     let binding = job
         .inputs
         .get(assign.binding)
         .ok_or_else(|| EngineError::Config(format!("no input binding {}", assign.binding)))?;
-    let mut reader = binding
+    let reader = binding
         .input
         .open(job.map_parallelism)?
         .into_iter()
         .nth(assign.split)
         .ok_or_else(|| EngineError::Config(format!("no split {} in binding", assign.split)))?;
-    let mut mapper = binding.mapper.create();
-    let fire_at = job
-        .fault
-        .as_ref()
-        .and_then(|f| f.map_fault(assign.task, assign.attempt));
-    // Same budget split as the local runner: half the budget to map-side
-    // staging, divided across the map slots.
-    let local_cap = job
-        .shuffle_buffer_bytes
-        .map(|b| (b / 2 / job.map_parallelism).max(1));
-
-    let mut emit_buf: Vec<(Value, Value)> = Vec::new();
-    let mut records = 0u64;
-    let mut outputs = 0u64;
-    let mut instructions = 0u64;
-    let mut effects = 0u64;
-    let mut shuffle_bytes = 0u64;
-
-    loop {
-        if fire_at == Some(records) {
-            return Err(EngineError::Injected(format!(
-                "map task {} attempt {} at record {records}",
-                assign.task, assign.attempt
-            )));
-        }
-        let Some(item) = reader.next() else { break };
-        let (k, v) = item?;
-        records += 1;
-        emit_buf.clear();
-        let stats = mapper.map(&k, &v, &mut emit_buf)?;
-        instructions += stats.instructions;
-        effects += stats.side_effects;
-        outputs += emit_buf.len() as u64;
-        for (ok, ov) in emit_buf.drain(..) {
-            shuffle_bytes += staging.emit(ok, ov)? as u64;
-        }
-        if local_cap.is_some_and(|cap| staging.total_bytes >= cap) {
-            staging.check_reduction();
-            spill_all(
-                job,
-                combine,
-                pool,
-                dict,
-                acc,
-                dir,
-                staging,
-                seqs,
-                runs,
-                shuffle_nanos,
-            )?;
-        }
-    }
-    // Spill-everything: with no resident tail to hand back, whatever is
-    // staged becomes the attempt's last runs.
-    spill_all(
-        job,
-        combine,
-        pool,
-        dict,
-        acc,
-        dir,
-        staging,
-        seqs,
-        runs,
-        shuffle_nanos,
-    )?;
-    staging.finish(acc);
-
-    Counters::add(&acc.map_input_records, records);
-    Counters::add(&acc.map_invocations, records);
-    Counters::add(&acc.map_output_records, outputs);
-    Counters::add(&acc.instructions_executed, instructions);
-    Counters::add(&acc.side_effects, effects);
-    Counters::add(&acc.shuffle_bytes, shuffle_bytes);
-    Counters::add(&acc.input_bytes, reader.bytes_read());
-    Ok(())
-}
-
-/// Spill every nonempty staged partition as one sorted run in the
-/// attempt directory, with attempt-local sequence numbers (the
-/// coordinator renumbers on commit).
-#[allow(clippy::too_many_arguments)]
-fn spill_all(
-    job: &WireJob,
-    combine: &CombineStrategy,
-    pool: &Arc<BufferPool>,
-    dict: Option<&DictContext>,
-    acc: &Arc<Counters>,
-    dir: &AttemptDir,
-    staging: &mut Staging,
-    seqs: &mut [usize],
-    runs: &mut Vec<(usize, SpillRun)>,
-    shuffle_nanos: &mut u64,
-) -> Result<()> {
-    for (p, seq) in seqs.iter_mut().enumerate().take(job.num_reducers) {
-        if staging.is_empty(p) {
-            continue;
-        }
-        let mut pairs = staging.take(p, pool);
-        let t = Instant::now();
-        let run = write_sorted_run(
-            dir.path(),
-            p,
-            *seq,
-            &mut pairs,
-            combine,
-            job.compression,
-            dict,
-            acc,
-            None,
-            pool,
-        )?;
-        *shuffle_nanos += t.elapsed().as_nanos() as u64;
-        *seq += 1;
-        Counters::add(&acc.spill_count, 1);
-        Counters::add(&acc.spilled_records, run.pairs);
-        Counters::add(&acc.spill_bytes_raw, run.raw_bytes);
-        Counters::add(&acc.spill_bytes_written, run.bytes);
-        runs.push((p, run));
-        pool.put_pairs(pairs);
-    }
-    Ok(())
+    let spec = MapAttempt {
+        task: assign.task,
+        attempt: assign.attempt,
+        num_reducers: job.num_reducers,
+        // Same budget split as the local runner: half the budget to
+        // map-side staging, divided across the map slots.
+        cap: job
+            .shuffle_buffer_bytes
+            .map(|b| ((b / 2 / job.map_parallelism).max(1), job.job_dir.as_path())),
+        end: SplitEnd::SpillAll(&job.job_dir),
+        writer_threads: 0,
+        fault: job.fault.as_ref(),
+    };
+    // One attempt at a time per worker: the shuffle clock is this
+    // attempt's alone.
+    env.shuffle_nanos.store(0, Ordering::Relaxed);
+    let out = run_map(env, &spec, reader, binding.mapper.as_ref())?;
+    let done = MapDone {
+        task: assign.task,
+        attempt: assign.attempt,
+        runs: out.runs,
+        counters: out.counters.snapshot(),
+        shuffle_nanos: env.shuffle_nanos.load(Ordering::Relaxed),
+    };
+    Ok((TAG_MAP_DONE, done.encode()?, out.dir))
 }
 
 /// One reduce attempt: stream the committed runs (read-only — they are
-/// shared with any speculative sibling) through the merge and grouping
-/// loop, writing the output pairs to a run file inside the attempt
-/// directory for the coordinator to commit by rename.
-fn run_reduce_attempt(
-    job: &WireJob,
-    combine: &CombineStrategy,
-    assign: &ReduceAssign,
-) -> Result<(ReduceDone, AttemptDir)> {
-    let acc = Counters::new();
-    let dir = AttemptDir::create(&job.job_dir, "reduce", assign.partition, assign.attempt)?;
-    let fire_at = job
-        .fault
-        .as_ref()
-        .and_then(|f| f.reduce_fault(assign.partition, assign.attempt));
-
-    let mut streams: Vec<RunStream> = Vec::new();
+/// shared with any speculative sibling) through the shared merge and
+/// grouping loop, writing the output pairs to a run file inside the
+/// attempt directory for the coordinator to commit by rename.
+fn run_reduce_attempt(job: &WireJob, env: &ShuffleEnv, assign: &ReduceAssign) -> Result<Finished> {
+    let (p, attempt) = (assign.partition, assign.attempt);
+    let dir = AttemptDir::create(&job.job_dir, "reduce", p, attempt)?;
+    let fire_at = job.fault.as_ref().and_then(|f| f.reduce_fault(p, attempt));
+    let mut streams = Vec::with_capacity(assign.runs.len());
     for path in &assign.runs {
-        streams.push(RunStream::File(mr_storage::RunFileReader::open(path)?));
+        streams.push(RunStream::File(RunFileReader::open(path)?));
     }
-    let mut reducer = combine.make_reducer(&job.reducer);
-    let mut out: Vec<(Value, Value)> = Vec::new();
-    let groups = if streams.len() <= 1 {
-        let gate = FaultGate::new(
-            StreamPairs(streams.pop()),
-            fire_at,
-            assign.partition,
-            assign.attempt,
-        );
-        reduce_groups(gate, reducer.as_mut(), &mut out)?
-    } else {
-        let gate = FaultGate::new(
-            LoserTree::new(streams)?,
-            fire_at,
-            assign.partition,
-            assign.attempt,
-        );
-        reduce_groups(gate, reducer.as_mut(), &mut out)?
-    };
+    let mut reducer = env.combine.make_reducer(&job.reducer);
+    let mut out = Vec::new();
+    let groups = merge_reduce(streams, fire_at, p, attempt, reducer.as_mut(), &mut out)?;
 
     let out_path = dir.path().join("out");
-    let mut w = mr_storage::RunFileWriter::create(&out_path)?;
+    let mut w = RunFileWriter::create(&out_path)?;
     for (k, v) in &out {
         w.append(k, v)?;
     }
     w.finish()?;
 
-    Counters::add(&acc.reduce_input_groups, groups);
-    Counters::add(&acc.reduce_output_records, out.len() as u64);
-    Ok((
-        ReduceDone {
-            partition: assign.partition,
-            attempt: assign.attempt,
-            out: out_path,
-            groups,
-            written: out.len() as u64,
-            counters: acc.snapshot(),
-            shuffle_nanos: 0,
+    let done = ReduceDone {
+        partition: p,
+        attempt,
+        out: out_path,
+        counters: CounterSnapshot {
+            reduce_input_groups: groups,
+            reduce_output_records: out.len() as u64,
+            ..Default::default()
         },
-        dir,
-    ))
+    };
+    Ok((TAG_REDUCE_DONE, done.encode()?, Some(dir)))
 }

@@ -5,94 +5,146 @@
 //! index sizes (Table 4). These counters surface the same quantities
 //! for every job run, so the benchmark harness can print both time and
 //! bytes.
+//!
+//! Every counter is named once, in the `counters!` list below: it
+//! generates the shared [`Counters`], the [`CounterSnapshot`] copy,
+//! `snapshot`, `absorb` and the name → value walk the task protocol
+//! serializes through, so a new counter is one entry here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Shared, thread-safe job counters.
-#[derive(Debug, Default)]
-pub struct Counters {
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Shared, thread-safe job counters.
+        #[derive(Debug, Default)]
+        pub struct Counters {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of [`Counters`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct CounterSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl Counters {
+            /// Snapshot for reporting.
+            pub fn snapshot(&self) -> CounterSnapshot {
+                CounterSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+
+            /// Fold a snapshot of attempt-local counters into these
+            /// shared job counters — the commit half of the task-attempt
+            /// protocol: a task attempt accumulates into its own private
+            /// [`Counters`] and only a *successful* attempt is absorbed,
+            /// so the work of failed, retried attempts never
+            /// double-counts.
+            pub fn absorb(&self, s: &CounterSnapshot) {
+                $(Counters::add(&self.$name, s.$name);)*
+            }
+        }
+
+        impl CounterSnapshot {
+            /// Every counter as `(field name, value)`, in declaration
+            /// order.
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
+
+            /// Every counter as `(field name, slot)`, in declaration
+            /// order — how a decoder fills a snapshot by name.
+            pub fn fields_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
+                vec![$((stringify!($name), &mut self.$name),)*]
+            }
+        }
+    };
+}
+
+counters! {
     /// Records handed to map tasks.
-    pub map_input_records: AtomicU64,
+    map_input_records,
     /// `map()` invocations actually executed (equals input records; kept
     /// separate so index-skipped work is visible by comparison with the
     /// baseline).
-    pub map_invocations: AtomicU64,
+    map_invocations,
     /// `(key, value)` pairs emitted by map.
-    pub map_output_records: AtomicU64,
+    map_output_records,
     /// Bytes read from input files (post-split accounting).
-    pub input_bytes: AtomicU64,
+    input_bytes,
     /// Approximate bytes of shuffled intermediate data.
-    pub shuffle_bytes: AtomicU64,
+    shuffle_bytes,
     /// Sorted runs spilled to disk by the shuffle (0 when the whole
     /// shuffle fit in [`JobConfig::shuffle_buffer_bytes`](crate::job::JobConfig::shuffle_buffer_bytes)).
-    pub spill_count: AtomicU64,
+    spill_count,
     /// Pairs written to spill runs by map-side spills (a pair spilled
     /// once counts once; merge-compaction rewrites are not re-counted).
-    pub spilled_records: AtomicU64,
+    spilled_records,
     /// Bytes the record layer handed to spill run files *before* the
     /// shuffle codec (header + varint pair frames) — what
     /// `spill_bytes_written` would be with compression off. Map-side
     /// spills plus merge-compaction rewrites.
-    pub spill_bytes_raw: AtomicU64,
+    spill_bytes_raw,
     /// Physical bytes written to spill run files, after the shuffle
     /// codec ([`JobConfig::shuffle_compression`](crate::job::JobConfig::shuffle_compression))
     /// — map-side spills *plus* merge-compaction rewrites, i.e. total
     /// spill-disk write traffic. Equals `spill_bytes_raw` without a
     /// codec; the gap is exactly the I/O compression saved.
-    pub spill_bytes_written: AtomicU64,
+    spill_bytes_written,
     /// Shared shuffle dictionaries trained by this job (dict-trained
     /// codec only). One map task trains per job; everything else
     /// reuses, so a healthy job reports at most 1.
-    pub dict_trained: AtomicU64,
+    dict_trained,
     /// Times a committed (or store-cached) trained dictionary was
     /// reused instead of retrained — retries, sibling map tasks,
     /// compaction, and repeat jobs over the same data all count here.
-    pub dict_reused: AtomicU64,
+    dict_reused,
     /// Pairs that entered a shuffle-side combine site, once per site:
     /// emits aggregated by a staging table, pairs in a buffer about to
     /// be spill-written, pairs read by a compaction rewrite (the
     /// reduce-side fold is not counted). Zero when no combiner is
     /// plugged in.
-    pub combine_in: AtomicU64,
+    combine_in,
     /// Pairs those combine sites emitted; `combine_in - combine_out` is
     /// exactly the shuffle traffic the combiner removed.
-    pub combine_out: AtomicU64,
+    combine_out,
     /// Emits staged without aggregation after a map attempt saw its
     /// table was not reducing and bailed out (`staging.rs`); counted in
     /// neither `combine_in` nor `combine_out` at that site.
-    pub combine_bypassed: AtomicU64,
+    combine_bypassed,
     /// Distinct keys seen by reduce.
-    pub reduce_input_groups: AtomicU64,
+    reduce_input_groups,
     /// Records produced by reduce.
-    pub reduce_output_records: AtomicU64,
+    reduce_output_records,
     /// IR instructions executed across all map tasks.
-    pub instructions_executed: AtomicU64,
+    instructions_executed,
     /// Side effects recorded by map tasks.
-    pub side_effects: AtomicU64,
+    side_effects,
     /// Map task attempts that failed (each failed attempt counts once,
     /// including the final one of a task that exhausts
     /// [`JobConfig::max_task_attempts`](crate::job::JobConfig::max_task_attempts)).
-    pub map_task_failures: AtomicU64,
+    map_task_failures,
     /// Reduce task attempts that failed.
-    pub reduce_task_failures: AtomicU64,
+    reduce_task_failures,
     /// Task attempts started after a failure (map + reduce). A job with
     /// no faults reports 0.
-    pub task_retries: AtomicU64,
+    task_retries,
     /// Speculative (duplicate) attempts launched against straggling
     /// tasks — process backend only. Not counted as retries: the
     /// original attempt has not failed, it is merely being raced.
-    pub speculative_tasks: AtomicU64,
+    speculative_tasks,
     /// Worker processes killed by the fault plan's `kill:` sites —
     /// process backend only.
-    pub workers_killed: AtomicU64,
+    workers_killed,
     /// Heap allocations performed while the job ran. Populated only
     /// when the `bench-alloc` feature instruments the global allocator
     /// (see [`crate::allocstats`]); 0 otherwise. Process-wide, so only
     /// meaningful for serially-run jobs (the bench harness).
-    pub alloc_count: AtomicU64,
+    alloc_count,
     /// Heap bytes requested while the job ran (`bench-alloc` only).
-    pub alloc_bytes: AtomicU64,
+    alloc_bytes,
 }
 
 impl Counters {
@@ -104,70 +156,6 @@ impl Counters {
     /// Add to a counter.
     pub fn add(counter: &AtomicU64, v: u64) {
         counter.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Snapshot for reporting.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            map_input_records: self.map_input_records.load(Ordering::Relaxed),
-            map_invocations: self.map_invocations.load(Ordering::Relaxed),
-            map_output_records: self.map_output_records.load(Ordering::Relaxed),
-            input_bytes: self.input_bytes.load(Ordering::Relaxed),
-            shuffle_bytes: self.shuffle_bytes.load(Ordering::Relaxed),
-            spill_count: self.spill_count.load(Ordering::Relaxed),
-            spilled_records: self.spilled_records.load(Ordering::Relaxed),
-            spill_bytes_raw: self.spill_bytes_raw.load(Ordering::Relaxed),
-            spill_bytes_written: self.spill_bytes_written.load(Ordering::Relaxed),
-            dict_trained: self.dict_trained.load(Ordering::Relaxed),
-            dict_reused: self.dict_reused.load(Ordering::Relaxed),
-            combine_in: self.combine_in.load(Ordering::Relaxed),
-            combine_out: self.combine_out.load(Ordering::Relaxed),
-            combine_bypassed: self.combine_bypassed.load(Ordering::Relaxed),
-            reduce_input_groups: self.reduce_input_groups.load(Ordering::Relaxed),
-            reduce_output_records: self.reduce_output_records.load(Ordering::Relaxed),
-            instructions_executed: self.instructions_executed.load(Ordering::Relaxed),
-            side_effects: self.side_effects.load(Ordering::Relaxed),
-            map_task_failures: self.map_task_failures.load(Ordering::Relaxed),
-            reduce_task_failures: self.reduce_task_failures.load(Ordering::Relaxed),
-            task_retries: self.task_retries.load(Ordering::Relaxed),
-            speculative_tasks: self.speculative_tasks.load(Ordering::Relaxed),
-            workers_killed: self.workers_killed.load(Ordering::Relaxed),
-            alloc_count: self.alloc_count.load(Ordering::Relaxed),
-            alloc_bytes: self.alloc_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Fold a snapshot of attempt-local counters into these shared job
-    /// counters — the commit half of the task-attempt protocol: a task
-    /// attempt accumulates into its own private [`Counters`] and only a
-    /// *successful* attempt is absorbed, so the work of failed,
-    /// retried attempts never double-counts.
-    pub fn absorb(&self, s: &CounterSnapshot) {
-        Counters::add(&self.map_input_records, s.map_input_records);
-        Counters::add(&self.map_invocations, s.map_invocations);
-        Counters::add(&self.map_output_records, s.map_output_records);
-        Counters::add(&self.input_bytes, s.input_bytes);
-        Counters::add(&self.shuffle_bytes, s.shuffle_bytes);
-        Counters::add(&self.spill_count, s.spill_count);
-        Counters::add(&self.spilled_records, s.spilled_records);
-        Counters::add(&self.spill_bytes_raw, s.spill_bytes_raw);
-        Counters::add(&self.spill_bytes_written, s.spill_bytes_written);
-        Counters::add(&self.dict_trained, s.dict_trained);
-        Counters::add(&self.dict_reused, s.dict_reused);
-        Counters::add(&self.combine_in, s.combine_in);
-        Counters::add(&self.combine_out, s.combine_out);
-        Counters::add(&self.combine_bypassed, s.combine_bypassed);
-        Counters::add(&self.reduce_input_groups, s.reduce_input_groups);
-        Counters::add(&self.reduce_output_records, s.reduce_output_records);
-        Counters::add(&self.instructions_executed, s.instructions_executed);
-        Counters::add(&self.side_effects, s.side_effects);
-        Counters::add(&self.map_task_failures, s.map_task_failures);
-        Counters::add(&self.reduce_task_failures, s.reduce_task_failures);
-        Counters::add(&self.task_retries, s.task_retries);
-        Counters::add(&self.speculative_tasks, s.speculative_tasks);
-        Counters::add(&self.workers_killed, s.workers_killed);
-        Counters::add(&self.alloc_count, s.alloc_count);
-        Counters::add(&self.alloc_bytes, s.alloc_bytes);
     }
 }
 
@@ -182,63 +170,6 @@ impl CounterSnapshot {
             Some(self.spill_bytes_written as f64 / self.spill_bytes_raw as f64)
         }
     }
-}
-
-/// A point-in-time copy of [`Counters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// Records handed to map tasks.
-    pub map_input_records: u64,
-    /// `map()` invocations executed.
-    pub map_invocations: u64,
-    /// Pairs emitted by map.
-    pub map_output_records: u64,
-    /// Bytes read from inputs.
-    pub input_bytes: u64,
-    /// Approximate shuffled bytes.
-    pub shuffle_bytes: u64,
-    /// Sorted runs spilled to disk.
-    pub spill_count: u64,
-    /// Pairs written to spill runs (map-side spills).
-    pub spilled_records: u64,
-    /// Record-layer bytes sent to spill runs before the codec.
-    pub spill_bytes_raw: u64,
-    /// Physical bytes written to spill runs (incl. compaction
-    /// rewrites), after the codec.
-    pub spill_bytes_written: u64,
-    /// Shared shuffle dictionaries trained (dict-trained codec only).
-    pub dict_trained: u64,
-    /// Committed trained dictionaries reused instead of retrained.
-    pub dict_reused: u64,
-    /// Pairs entering combine sites (0 without a combiner).
-    pub combine_in: u64,
-    /// Pairs leaving combine sites.
-    pub combine_out: u64,
-    /// Emits staged unaggregated after the map-side bail-out.
-    pub combine_bypassed: u64,
-    /// Distinct reduce keys.
-    pub reduce_input_groups: u64,
-    /// Reduce output records.
-    pub reduce_output_records: u64,
-    /// IR instructions executed.
-    pub instructions_executed: u64,
-    /// Side effects recorded.
-    pub side_effects: u64,
-    /// Failed map task attempts.
-    pub map_task_failures: u64,
-    /// Failed reduce task attempts.
-    pub reduce_task_failures: u64,
-    /// Attempts started after a failure.
-    pub task_retries: u64,
-    /// Speculative duplicate attempts launched (process backend only).
-    pub speculative_tasks: u64,
-    /// Worker processes killed by `kill:` fault sites (process backend
-    /// only).
-    pub workers_killed: u64,
-    /// Heap allocations during the job (`bench-alloc` feature only).
-    pub alloc_count: u64,
-    /// Heap bytes requested during the job (`bench-alloc` only).
-    pub alloc_bytes: u64,
 }
 
 impl std::fmt::Display for CounterSnapshot {
@@ -304,22 +235,24 @@ mod tests {
         assert_eq!(s.reduce_output_records, 0);
     }
 
+    /// Every field goes through the walk, so a counter left out of
+    /// `absorb` (or of `snapshot`) cannot pass.
     #[test]
     fn absorb_adds_every_field() {
-        let attempt = Counters::new();
-        Counters::add(&attempt.map_input_records, 7);
-        Counters::add(&attempt.spilled_records, 3);
-        Counters::add(&attempt.combine_in, 2);
-        Counters::add(&attempt.combine_bypassed, 4);
+        let mut attempt = CounterSnapshot::default();
+        for (i, (_, v)) in attempt.fields_mut().into_iter().enumerate() {
+            *v = 100 + i as u64;
+        }
         let job = Counters::new();
         Counters::add(&job.map_input_records, 1);
-        job.absorb(&attempt.snapshot());
-        let s = job.snapshot();
-        assert_eq!(s.map_input_records, 8);
-        assert_eq!(s.spilled_records, 3);
-        assert_eq!(s.combine_in, 2);
-        assert_eq!(s.combine_bypassed, 4);
-        assert_eq!(s.task_retries, 0);
+        job.absorb(&attempt);
+        job.absorb(&attempt);
+        let fields = job.snapshot().fields();
+        assert_eq!(fields.len(), 25);
+        for (i, (name, v)) in fields.into_iter().enumerate() {
+            let expect = 2 * (100 + i as u64) + u64::from(name == "map_input_records");
+            assert_eq!(v, expect, "{name}");
+        }
     }
 
     #[test]

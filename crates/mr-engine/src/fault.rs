@@ -19,9 +19,9 @@
 //! * **process faults** — kill whole worker *processes* (SIGKILL, no
 //!   cleanup) or slow them down to provoke speculative execution.
 //!   These sites only exist under the process backend
-//!   ([`crate::backend::ProcessBackend`]); the in-process
-//!   [`crate::backend::LocalBackend`] has no workers to kill and
-//!   ignores them.
+//!   ([`BackendSpec::Process`](crate::job::BackendSpec::Process)); the
+//!   in-process [`BackendSpec::Local`](crate::job::BackendSpec::Local)
+//!   has no workers to kill and ignores them.
 //!
 //! Plans are built programmatically ([`fail_map`](FaultPlan::fail_map)
 //! and friends), from a seed ([`FaultPlan::scattered`]), or parsed from

@@ -38,17 +38,18 @@
 //! success — see [`runner`]), and the whole machinery is driven
 //! deterministically in tests by a seedable [`fault::FaultPlan`].
 //!
-//! Execution is pluggable behind [`backend::ExecBackend`]: the
-//! scoped-thread runner above is the reference [`LocalBackend`], and
-//! [`ProcessBackend`] drives the same job over forked worker processes
-//! and a Unix-socket task protocol — surviving whole-worker `SIGKILL`
-//! and racing speculative attempts, with byte-identical output
-//! (selected per job via [`job::BackendSpec`]).
+//! Two execution [`backend`]s run the same task attempts (one attempt
+//! module serves both): the scoped-thread runner above, which is the
+//! reference, and a coordinator that drives the same job over forked
+//! worker processes and a Unix-socket task protocol — surviving
+//! whole-worker `SIGKILL` and racing speculative attempts, with
+//! byte-identical output (selected per job via [`job::BackendSpec`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod allocstats;
+mod attempt;
 pub mod backend;
 pub mod combine;
 pub mod counters;
@@ -68,7 +69,7 @@ pub mod spill;
 pub mod spillwriter;
 pub(crate) mod staging;
 
-pub use backend::{maybe_worker_entry, worker_main, ExecBackend, LocalBackend, ProcessBackend};
+pub use backend::{maybe_worker_entry, worker_main};
 pub use combine::{CombineStrategy, Combiner};
 pub use counters::{CounterSnapshot, Counters};
 pub use dictctx::DictContext;
@@ -86,4 +87,4 @@ pub use reducer::{
 };
 pub use runner::{run_job, JobResult, PhaseTimings};
 pub use spill::{AttemptDir, ShuffleBucket, SpillDir, SpillRun};
-pub use spillwriter::{SpillWriter, SpillWriterCfg};
+pub use spillwriter::SpillWriter;

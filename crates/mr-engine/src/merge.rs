@@ -24,17 +24,12 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use mr_ir::value::Value;
-use mr_storage::blockcodec::ShuffleCompression;
-use mr_storage::fault::IoFaults;
-use mr_storage::runfile::{RunFileReader, RunFileStats, RunFileWriter, RunScratch};
+use mr_storage::runfile::{RunFileReader, RunFileWriter};
 use mr_storage::trained::TrainedDict;
 
-use crate::combine::CombineStrategy;
 use crate::counters::Counters;
-use crate::dictctx::DictContext;
 use crate::error::{EngineError, Result};
-use crate::pool::BufferPool;
-use crate::spill::SpillRun;
+use crate::spill::{ShuffleEnv, SpillRun};
 
 /// The most runs one merge pass opens at once — Hadoop's
 /// `io.sort.factor`. A tiny budget over a large input can spill
@@ -52,9 +47,10 @@ pub const MERGE_FACTOR: usize = 64;
 /// stream — is identical to a flat merge of the original runs.
 /// Rewritten bytes are charged to the `spill_bytes_raw` /
 /// `spill_bytes_written` counters (they are real spill-disk traffic,
-/// compressed through the same `compression` codec as map-side
-/// spills); `spill_count`/`spilled_records` stay map-side only. An active `combine` strategy folds duplicate keys
-/// while rewriting, so compacted runs shrink like spill-time runs do.
+/// compressed through the env's codec like map-side spills);
+/// `spill_count`/`spilled_records` stay map-side only. An active
+/// combiner folds duplicate keys while rewriting, so compacted runs
+/// shrink like spill-time runs do.
 ///
 /// Compaction is **resumable**: on error, `runs` is left describing
 /// exactly the still-valid run files — batches already merged plus the
@@ -62,31 +58,19 @@ pub const MERGE_FACTOR: usize = 64;
 /// succeeds) — so a retried reduce attempt picks up where the failed
 /// one stopped instead of re-reading deleted files. Intermediate file
 /// names are process-unique, never reusing the name of a live run.
-#[allow(clippy::too_many_arguments)]
 pub fn compact_runs(
+    env: &ShuffleEnv,
     runs: &mut Vec<SpillRun>,
     dir: &Path,
     partition: usize,
     counters: &Counters,
-    combine: &CombineStrategy,
-    compression: ShuffleCompression,
-    dict: Option<&DictContext>,
-    io: Option<&Arc<IoFaults>>,
-    pool: &BufferPool,
 ) -> Result<()> {
     // Resolve the shared dictionary once per compaction, not per
     // batch: by compaction time the map side has committed it, so this
     // is a cache or file load — never a retrain.
-    let trained = match (compression, dict, runs.len() > MERGE_FACTOR) {
-        (ShuffleCompression::DictTrained, Some(ctx), true) => {
-            Some(ctx.resolve_or_train(&[], counters)?)
-        }
-        (ShuffleCompression::DictTrained, None, true) => {
-            return Err(EngineError::Config(
-                "dict-trained shuffle codec needs a dictionary context".into(),
-            ));
-        }
-        _ => None,
+    let trained = match runs.len() > MERGE_FACTOR {
+        true => env.trained(&[], counters)?,
+        false => None,
     };
     while runs.len() > MERGE_FACTOR {
         let source = std::mem::take(runs);
@@ -99,17 +83,8 @@ pub fn compact_runs(
                 idx = end;
                 continue;
             }
-            match merge_batch(
-                &source[idx..end],
-                dir,
-                partition,
-                counters,
-                combine,
-                compression,
-                trained.clone(),
-                io,
-                pool,
-            ) {
+            let batch = &source[idx..end];
+            match merge_batch(env, batch, trained.clone(), dir, partition, counters) {
                 Ok(run) => {
                     next.push(run);
                     idx = end;
@@ -133,17 +108,13 @@ pub fn compact_runs(
 /// surviving runs is preserved. With an active combiner the merged
 /// stream is folded on the fly — one pair per key survives the
 /// rewrite.
-#[allow(clippy::too_many_arguments)]
 fn merge_batch(
+    env: &ShuffleEnv,
     batch: &[SpillRun],
+    trained: Option<Arc<TrainedDict>>,
     dir: &Path,
     partition: usize,
     counters: &Counters,
-    combine: &CombineStrategy,
-    compression: ShuffleCompression,
-    trained: Option<Arc<TrainedDict>>,
-    io: Option<&Arc<IoFaults>>,
-    pool: &BufferPool,
 ) -> Result<SpillRun> {
     // Process-unique intermediate names: a retried compaction must
     // never truncate a merged run an earlier pass already produced.
@@ -155,24 +126,11 @@ fn merge_batch(
     for r in batch {
         streams.push(RunStream::File(RunFileReader::open_with_faults(
             &r.path,
-            io.cloned(),
+            env.io.clone(),
         )?));
     }
     let path = dir.join(format!("merge-{partition:05}-{unique:08}"));
-    let scratch = pool.get_scratch();
-    let (stats, seen, kept) =
-        match write_merged(&path, streams, combine, compression, trained, io, scratch) {
-            Ok((stats, scratch, seen, kept)) => {
-                pool.put_scratch(scratch);
-                (stats, seen, kept)
-            }
-            Err(e) => {
-                // The dead writer kept the loaned buffers; balance the
-                // loan so pool accounting stays exact on fault paths.
-                pool.put_scratch(RunScratch::new());
-                return Err(e);
-            }
-        };
+    let (stats, (seen, kept)) = env.write_run(&path, trained, |w| merge_into(w, streams, env))?;
     // Charge counters only after the batch is durable, so a failed
     // batch that is retried cannot double-count.
     if seen > 0 || kept > 0 {
@@ -194,25 +152,16 @@ fn merge_batch(
 }
 
 /// The fallible core of [`merge_batch`]: merge `streams` through the
-/// loser tree into a new run at `path`, folding on the fly with an
-/// active combiner. Returns the run stats, the reclaimed scratch and
-/// the `(combine_in, combine_out)` pair counts.
-fn write_merged(
-    path: &Path,
+/// loser tree into `w`, folding on the fly with an active combiner.
+/// Returns the `(combine_in, combine_out)` pair counts.
+fn merge_into(
+    w: &mut RunFileWriter,
     streams: Vec<RunStream>,
-    combine: &CombineStrategy,
-    compression: ShuffleCompression,
-    trained: Option<Arc<TrainedDict>>,
-    io: Option<&Arc<IoFaults>>,
-    scratch: RunScratch,
-) -> Result<(RunFileStats, RunScratch, u64, u64)> {
-    let mut w = match trained {
-        Some(dict) => RunFileWriter::create_trained_pooled(path, dict, io.cloned(), scratch)?,
-        None => RunFileWriter::create_pooled(path, compression, io.cloned(), scratch)?,
-    };
+    env: &ShuffleEnv,
+) -> Result<(u64, u64)> {
     let mut seen = 0u64;
     let mut kept = 0u64;
-    match combine.active() {
+    match env.combine.active() {
         None => {
             for item in LoserTree::new(streams)? {
                 let (k, v) = item?;
@@ -240,8 +189,7 @@ fn write_merged(
             }
         }
     }
-    let (stats, scratch) = w.finish_reclaim()?;
-    Ok((stats, scratch, seen, kept))
+    Ok((seen, kept))
 }
 
 /// One sorted input to the merge.
@@ -506,19 +454,8 @@ mod tests {
     }
 
     fn write_run(dir: &std::path::Path, seq: usize, mut pairs: Vec<(Value, Value)>) -> SpillRun {
-        crate::spill::write_sorted_run(
-            dir,
-            0,
-            seq,
-            &mut pairs,
-            &CombineStrategy::passthrough(),
-            ShuffleCompression::None,
-            None,
-            &Counters::new(),
-            None,
-            &BufferPool::new(),
-        )
-        .unwrap()
+        let env = ShuffleEnv::plain();
+        crate::spill::write_sorted_run(&env, dir, 0, seq, &mut pairs, &Counters::new()).unwrap()
     }
 
     /// Build `n` sorted runs with overlapping keys plus the flat-merge
@@ -563,15 +500,11 @@ mod tests {
         let paths: Vec<_> = compacted.iter().map(|r| r.path.clone()).collect();
         let counters = Counters::new();
         compact_runs(
+            &ShuffleEnv::plain(),
             &mut compacted,
             dir.path(),
             0,
             &counters,
-            &CombineStrategy::passthrough(),
-            ShuffleCompression::None,
-            None,
-            None,
-            &BufferPool::new(),
         )
         .unwrap();
         assert_eq!(compacted.len(), MERGE_FACTOR, "no compaction round");
@@ -594,15 +527,11 @@ mod tests {
         let (mut compacted, expect) = overlapping_runs(dir.path(), MERGE_FACTOR + 1);
         let counters = Counters::new();
         compact_runs(
+            &ShuffleEnv::plain(),
             &mut compacted,
             dir.path(),
             0,
             &counters,
-            &CombineStrategy::passthrough(),
-            ShuffleCompression::None,
-            None,
-            None,
-            &BufferPool::new(),
         )
         .unwrap();
         // 65 runs → one merged batch of 64 plus the leftover run.
@@ -632,37 +561,20 @@ mod tests {
         let (mut runs, expect) = overlapping_runs(dir.path(), MERGE_FACTOR + 2);
         let counters = Counters::new();
         // Fail the very first run-file read of the first batch.
-        let io = Arc::new(IoFaults::new().with_fault(mr_storage::fault::IoSite::RunRead, 0));
-        let err = compact_runs(
-            &mut runs,
-            dir.path(),
-            0,
-            &counters,
-            &CombineStrategy::passthrough(),
-            ShuffleCompression::None,
-            None,
-            Some(&io),
-            &BufferPool::new(),
-        )
-        .unwrap_err();
+        let io =
+            mr_storage::fault::IoFaults::new().with_fault(mr_storage::fault::IoSite::RunRead, 0);
+        let faulty = ShuffleEnv {
+            io: Some(Arc::new(io)),
+            ..ShuffleEnv::plain()
+        };
+        let err = compact_runs(&faulty, &mut runs, dir.path(), 0, &counters).unwrap_err();
         assert!(matches!(err, EngineError::Storage(_)), "{err}");
         assert_eq!(runs.len(), MERGE_FACTOR + 2, "nothing merged yet");
         for r in &runs {
             assert!(r.path.exists(), "sources intact after failed batch");
         }
         // Retry with the (now disarmed) injector: completes normally.
-        compact_runs(
-            &mut runs,
-            dir.path(),
-            0,
-            &counters,
-            &CombineStrategy::passthrough(),
-            ShuffleCompression::None,
-            None,
-            Some(&io),
-            &BufferPool::new(),
-        )
-        .unwrap();
+        compact_runs(&faulty, &mut runs, dir.path(), 0, &counters).unwrap();
         assert!(runs.len() <= MERGE_FACTOR);
         assert_eq!(merge_all(&runs), expect);
     }
@@ -758,15 +670,11 @@ mod tests {
         let counters = Counters::new();
         let mut compacted = runs;
         compact_runs(
+            &ShuffleEnv::plain(),
             &mut compacted,
             dir.path(),
             0,
             &counters,
-            &CombineStrategy::passthrough(),
-            ShuffleCompression::None,
-            None,
-            None,
-            &BufferPool::new(),
         )
         .unwrap();
         assert!(

@@ -17,19 +17,141 @@
 //! [`JobConfig::shuffle_buffer_bytes`]: crate::job::JobConfig::shuffle_buffer_bytes
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use mr_ir::value::Value;
 use mr_storage::blockcodec::ShuffleCompression;
 use mr_storage::fault::IoFaults;
-use mr_storage::runfile::{RunFileWriter, RunScratch};
+use mr_storage::runfile::{RunFileStats, RunFileWriter, RunScratch};
 use mr_storage::trained::TrainedDict;
 
-use crate::combine::CombineStrategy;
+use crate::combine::{CombineStrategy, Combiner};
 use crate::counters::Counters;
 use crate::dictctx::DictContext;
 use crate::error::{EngineError, Result};
 use crate::pool::BufferPool;
+
+/// A job's shuffle-write settings: everything a run write needs besides
+/// the pairs, where they go and which counters they charge. Built once
+/// per job (local backend) or once per worker process, and shared by
+/// every spill, compaction rewrite and merge of that job; cloning it
+/// clones handles, not state.
+#[derive(Clone)]
+pub struct ShuffleEnv {
+    /// Spill-time and compaction-time combine sites.
+    pub combine: CombineStrategy,
+    /// Block codec of every run file written.
+    pub compression: ShuffleCompression,
+    /// Shared-dictionary authority, required when `compression` is the
+    /// dict-trained codec (the first written spill trains it).
+    pub dict: Option<Arc<DictContext>>,
+    /// Fault injection for run-file reads and writes.
+    pub io: Option<Arc<IoFaults>>,
+    /// Pool the pair buffers and writer scratch recycle through.
+    pub pool: Arc<BufferPool>,
+    /// Cross-thread shuffle time (sorting, writing, compacting), in
+    /// nanoseconds.
+    pub shuffle_nanos: Arc<AtomicU64>,
+}
+
+impl ShuffleEnv {
+    /// Settings for one job (or worker process), with the shuffle clock
+    /// at zero.
+    pub fn new(
+        combiner: Option<Arc<dyn Combiner>>,
+        compression: ShuffleCompression,
+        dict: Option<Arc<DictContext>>,
+        io: Option<Arc<IoFaults>>,
+        pool: Arc<BufferPool>,
+    ) -> ShuffleEnv {
+        ShuffleEnv {
+            combine: CombineStrategy::new(combiner),
+            compression,
+            dict,
+            io,
+            pool,
+            shuffle_nanos: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// Charge the time since `t` to the shuffle clock.
+    pub fn charge(&self, t: Instant) {
+        self.shuffle_nanos
+            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    /// The shared dictionary a run about to be written is compressed
+    /// with: under the dict-trained codec, resolved — or trained on
+    /// `pairs`, by the job's first spill — through the dictionary
+    /// authority; `None` under every other codec.
+    pub(crate) fn trained(
+        &self,
+        pairs: &[(Value, Value)],
+        counters: &Counters,
+    ) -> Result<Option<Arc<TrainedDict>>> {
+        match (self.compression, &self.dict) {
+            (ShuffleCompression::DictTrained, Some(ctx)) => {
+                Ok(Some(ctx.resolve_or_train(pairs, counters)?))
+            }
+            (ShuffleCompression::DictTrained, None) => Err(EngineError::Config(
+                "dict-trained shuffle codec needs a dictionary context".into(),
+            )),
+            _ => Ok(None),
+        }
+    }
+
+    /// Write one run file at `path` in the env's codec (with the
+    /// [`trained`](Self::trained) dictionary under the dict-trained
+    /// codec); `fill` appends the pairs. Writer
+    /// scratch ([`RunScratch`]) is loaned from the pool for the write
+    /// and comes back with its capacity, so in steady state a write
+    /// touches the allocator only when a pair outgrows every recycled
+    /// buffer. A failed writer keeps its scratch: the loan is balanced
+    /// with fresh scratch so pool accounting stays exact on fault paths
+    /// (capacity is lost, correctness not).
+    pub(crate) fn write_run<T>(
+        &self,
+        path: &Path,
+        trained: Option<Arc<TrainedDict>>,
+        fill: impl FnOnce(&mut RunFileWriter) -> Result<T>,
+    ) -> Result<(RunFileStats, T)> {
+        let scratch = self.pool.get_scratch();
+        let written = (|| {
+            let io = self.io.clone();
+            let mut w = match trained {
+                Some(dict) => RunFileWriter::create_trained_pooled(path, dict, io, scratch)?,
+                None => RunFileWriter::create_pooled(path, self.compression, io, scratch)?,
+            };
+            let filled = fill(&mut w)?;
+            let (stats, scratch) = w.finish_reclaim()?;
+            Ok((stats, scratch, filled))
+        })();
+        match written {
+            Ok((stats, scratch, filled)) => {
+                self.pool.put_scratch(scratch);
+                Ok((stats, filled))
+            }
+            Err(e) => {
+                self.pool.put_scratch(RunScratch::new());
+                Err(e)
+            }
+        }
+    }
+
+    /// No combiner, no codec, no faults, a fresh pool.
+    #[cfg(test)]
+    pub(crate) fn plain() -> ShuffleEnv {
+        ShuffleEnv::new(
+            None,
+            ShuffleCompression::None,
+            None,
+            None,
+            BufferPool::new(),
+        )
+    }
+}
 
 /// One spilled sorted run.
 #[derive(Debug, Clone)]
@@ -208,85 +330,49 @@ impl ShuffleBucket {
 }
 
 /// Stably sort `pairs` by key (emission order survives within equal
-/// keys), fold duplicate keys when `combine` carries a combiner — the
+/// keys), fold duplicate keys when the env carries a combiner — the
 /// spill-time combine site, shrinking the run before it hits disk —
 /// and write the result as run `seq` of `partition` under `dir`,
-/// compressed through `compression`'s block codec.
+/// compressed through the env's block codec. The write is charged to
+/// the shuffle clock and to `counters` as one spill.
 ///
 /// The pair buffer is borrowed, not consumed: on return it holds the
 /// sorted (and possibly combined) pairs and the caller recycles it
-/// through the pool. Writer scratch ([`RunScratch`]) is loaned from
-/// `pool` for the duration of the write, so in steady state this
-/// function touches the allocator only when a pair outgrows every
-/// recycled buffer.
-#[allow(clippy::too_many_arguments)]
+/// through the pool.
 pub fn write_sorted_run(
+    env: &ShuffleEnv,
     dir: &Path,
     partition: usize,
     seq: usize,
     pairs: &mut Vec<(Value, Value)>,
-    combine: &CombineStrategy,
-    compression: ShuffleCompression,
-    dict: Option<&DictContext>,
     counters: &Counters,
-    io: Option<&Arc<IoFaults>>,
-    pool: &BufferPool,
 ) -> Result<SpillRun> {
+    let t = Instant::now();
     pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    combine.combine_sorted(pairs, counters)?;
+    env.combine.combine_sorted(pairs, counters)?;
     // The dict-trained codec resolves its shared dictionary here —
     // after sort + combine, so the first spill trains on exactly the
     // pair stream it is about to write.
-    let trained = match (compression, dict) {
-        (ShuffleCompression::DictTrained, Some(ctx)) => {
-            Some(ctx.resolve_or_train(pairs, counters)?)
-        }
-        (ShuffleCompression::DictTrained, None) => {
-            return Err(EngineError::Config(
-                "dict-trained shuffle codec needs a dictionary context".into(),
-            ));
-        }
-        _ => None,
-    };
+    let trained = env.trained(pairs, counters)?;
     let path = dir.join(format!("run-{partition:05}-{seq:06}"));
-    let scratch = pool.get_scratch();
-    match write_run_file(&path, pairs, compression, trained, io, scratch) {
-        Ok((stats, scratch)) => {
-            pool.put_scratch(scratch);
-            Ok(SpillRun {
-                seq,
-                path,
-                pairs: stats.pairs,
-                raw_bytes: stats.raw_bytes,
-                bytes: stats.file_bytes,
-            })
+    let (stats, ()) = env.write_run(&path, trained, |w| {
+        for (k, v) in pairs.iter() {
+            w.append(k, v)?;
         }
-        Err(e) => {
-            // The failed writer still owns the loaned buffers; balance
-            // the loan with fresh scratch so pool accounting stays
-            // exact on fault paths (capacity is lost, correctness not).
-            pool.put_scratch(RunScratch::new());
-            Err(e)
-        }
-    }
-}
-
-fn write_run_file(
-    path: &Path,
-    pairs: &[(Value, Value)],
-    compression: ShuffleCompression,
-    trained: Option<Arc<TrainedDict>>,
-    io: Option<&Arc<IoFaults>>,
-    scratch: RunScratch,
-) -> Result<(mr_storage::runfile::RunFileStats, RunScratch)> {
-    let mut w = match trained {
-        Some(dict) => RunFileWriter::create_trained_pooled(path, dict, io.cloned(), scratch)?,
-        None => RunFileWriter::create_pooled(path, compression, io.cloned(), scratch)?,
-    };
-    for (k, v) in pairs {
-        w.append(k, v)?;
-    }
-    Ok(w.finish_reclaim()?)
+        Ok(())
+    })?;
+    env.charge(t);
+    Counters::add(&counters.spill_count, 1);
+    Counters::add(&counters.spilled_records, stats.pairs);
+    Counters::add(&counters.spill_bytes_raw, stats.raw_bytes);
+    Counters::add(&counters.spill_bytes_written, stats.file_bytes);
+    Ok(SpillRun {
+        seq,
+        path,
+        pairs: stats.pairs,
+        raw_bytes: stats.raw_bytes,
+        bytes: stats.file_bytes,
+    })
 }
 
 #[cfg(test)]
@@ -301,19 +387,8 @@ mod tests {
         seq: usize,
         mut pairs: Vec<(Value, Value)>,
     ) -> Result<SpillRun> {
-        let pool = BufferPool::new();
-        write_sorted_run(
-            dir,
-            partition,
-            seq,
-            &mut pairs,
-            &CombineStrategy::passthrough(),
-            ShuffleCompression::None,
-            None,
-            &Counters::new(),
-            None,
-            &pool,
-        )
+        let env = ShuffleEnv::plain();
+        write_sorted_run(&env, dir, partition, seq, &mut pairs, &Counters::new())
     }
 
     #[test]
@@ -388,7 +463,10 @@ mod tests {
     fn combining_spill_folds_duplicate_keys() {
         let dir = SpillDir::create(None, "combine-spill").unwrap();
         let counters = Counters::new();
-        let combine = CombineStrategy::new(Builtin::Sum.combiner());
+        let env = ShuffleEnv {
+            combine: CombineStrategy::new(Builtin::Sum.combiner()),
+            ..ShuffleEnv::plain()
+        };
         // Partials, as pass-through staging hands them over.
         let mut pairs = vec![
             (Value::Int(2), Value::Int(10)),
@@ -396,21 +474,8 @@ mod tests {
             (Value::Int(2), Value::Int(5)),
             (Value::Int(1), Value::Int(2)),
         ];
-        let pool = BufferPool::new();
-        let run = write_sorted_run(
-            dir.path(),
-            0,
-            0,
-            &mut pairs,
-            &combine,
-            ShuffleCompression::None,
-            None,
-            &counters,
-            None,
-            &pool,
-        )
-        .unwrap();
-        assert_eq!(pool.outstanding(), 0, "scratch loan returned");
+        let run = write_sorted_run(&env, dir.path(), 0, 0, &mut pairs, &counters).unwrap();
+        assert_eq!(env.pool.outstanding(), 0, "scratch loan returned");
         assert_eq!(run.pairs, 2, "four pairs fold to one per key");
         let back: Vec<(Value, Value)> = RunFileReader::open(&run.path)
             .unwrap()
@@ -425,6 +490,7 @@ mod tests {
         );
         let snap = counters.snapshot();
         assert_eq!((snap.combine_in, snap.combine_out), (4, 2));
+        assert_eq!((snap.spill_count, snap.spilled_records), (1, 2));
     }
 
     #[test]

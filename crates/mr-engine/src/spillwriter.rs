@@ -5,7 +5,7 @@
 //! flushed to disk. A [`SpillWriter`] decouples the two: the mapper
 //! detaches the full buffer, [`submit`](SpillWriter::submit)s it, and
 //! keeps mapping into a recycled buffer from the
-//! [`BufferPool`] while writer threads drain
+//! [`BufferPool`](crate::pool::BufferPool) while writer threads drain
 //! the queue through [`crate::spill::write_sorted_run`]. The channel is
 //! bounded at the thread count, so with the default single thread the
 //! pipeline is exactly double-buffered: one buffer filling, one
@@ -24,50 +24,21 @@
 //!
 //! `spill_writer_threads = 0` degrades to fully synchronous writes in
 //! [`submit`](SpillWriter::submit) (the pre-pipeline behaviour), which
-//! the differential tests use as the byte-identity reference.
+//! the differential tests use as the byte-identity reference and
+//! process-backend workers always use.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use mr_ir::value::Value;
-use mr_storage::blockcodec::ShuffleCompression;
-use mr_storage::fault::IoFaults;
 use parking_lot::Mutex as PlMutex;
 
-use crate::combine::CombineStrategy;
 use crate::counters::Counters;
-use crate::dictctx::DictContext;
 use crate::error::{EngineError, Result};
-use crate::pool::BufferPool;
-use crate::spill::{write_sorted_run, SpillRun};
-
-/// Everything a spill write needs besides the pairs themselves. Cloned
-/// into each writer thread.
-#[derive(Clone)]
-pub struct SpillWriterCfg {
-    /// Attempt directory the runs are written into.
-    pub dir: PathBuf,
-    /// Spill-time combine site.
-    pub combine: CombineStrategy,
-    /// Shuffle codec for the run files.
-    pub compression: ShuffleCompression,
-    /// Shared-dictionary authority, required when `compression` is the
-    /// dict-trained codec (the first written spill trains it).
-    pub dict: Option<Arc<DictContext>>,
-    /// Attempt-local counters (spill traffic is only published if the
-    /// attempt commits).
-    pub counters: Arc<Counters>,
-    /// Fault injection for the run I/O.
-    pub io: Option<Arc<IoFaults>>,
-    /// Pool the submitted buffers and writer scratch recycle through.
-    pub pool: Arc<BufferPool>,
-    /// Cross-thread shuffle-time attribution (sorting + writing).
-    pub shuffle_nanos: Arc<AtomicU64>,
-}
+use crate::spill::{write_sorted_run, ShuffleEnv, SpillRun};
 
 struct SpillJob {
     partition: usize,
@@ -82,50 +53,38 @@ struct WriterShared {
     failed: AtomicBool,
 }
 
-/// Sort, combine and write one submitted buffer, returning it to the
-/// pool whatever happens. Shared by the inline path and the writer
-/// threads.
-fn write_one(cfg: &SpillWriterCfg, job: SpillJob, shared: &WriterShared) {
+/// Sort, combine and write one submitted buffer into `dir`, charging
+/// `counters`, and return the buffer to the pool whatever happens.
+/// Shared by the inline path and the writer threads.
+fn write_one(
+    env: &ShuffleEnv,
+    dir: &Path,
+    counters: &Counters,
+    job: SpillJob,
+    shared: &WriterShared,
+) {
     let SpillJob {
         partition,
         seq,
         mut pairs,
     } = job;
     if !shared.failed.load(Ordering::Relaxed) {
-        let t = Instant::now();
-        match write_sorted_run(
-            &cfg.dir,
-            partition,
-            seq,
-            &mut pairs,
-            &cfg.combine,
-            cfg.compression,
-            cfg.dict.as_deref(),
-            &cfg.counters,
-            cfg.io.as_ref(),
-            &cfg.pool,
-        ) {
-            Ok(run) => {
-                cfg.shuffle_nanos
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                Counters::add(&cfg.counters.spill_count, 1);
-                Counters::add(&cfg.counters.spilled_records, run.pairs);
-                Counters::add(&cfg.counters.spill_bytes_raw, run.raw_bytes);
-                Counters::add(&cfg.counters.spill_bytes_written, run.bytes);
-                shared.runs.lock().push((partition, run));
-            }
+        match write_sorted_run(env, dir, partition, seq, &mut pairs, counters) {
+            Ok(run) => shared.runs.lock().push((partition, run)),
             Err(e) => {
                 *shared.error.lock() = Some(e);
                 shared.failed.store(true, Ordering::Relaxed);
             }
         }
     }
-    cfg.pool.put_pairs(pairs);
+    env.pool.put_pairs(pairs);
 }
 
 /// A per-attempt spill pipeline: buffers go in, sorted runs come out.
 pub struct SpillWriter {
-    cfg: SpillWriterCfg,
+    env: ShuffleEnv,
+    dir: PathBuf,
+    counters: Arc<Counters>,
     tx: Option<SyncSender<SpillJob>>,
     handles: Vec<JoinHandle<()>>,
     shared: Arc<WriterShared>,
@@ -133,16 +92,24 @@ pub struct SpillWriter {
 }
 
 impl SpillWriter {
-    /// Start a writer over `threads` background threads writing into
-    /// `cfg.dir`. `threads == 0` keeps every write synchronous inside
+    /// Start a writer over `threads` background threads writing runs
+    /// into `dir` and charging spill traffic to `counters` (the
+    /// attempt's own, published only if the attempt commits).
+    /// `threads == 0` keeps every write synchronous inside
     /// [`submit`](Self::submit).
-    pub fn new(cfg: SpillWriterCfg, threads: usize) -> SpillWriter {
-        let shared = Arc::new(WriterShared::default());
+    pub fn new(
+        env: &ShuffleEnv,
+        dir: &Path,
+        counters: Arc<Counters>,
+        threads: usize,
+    ) -> SpillWriter {
         let mut writer = SpillWriter {
-            cfg,
+            env: env.clone(),
+            dir: dir.to_path_buf(),
+            counters,
             tx: None,
             handles: Vec::new(),
-            shared,
+            shared: Arc::new(WriterShared::default()),
             next_seq: 0,
         };
         if threads > 0 {
@@ -153,7 +120,9 @@ impl SpillWriter {
             let (tx, rx) = std::sync::mpsc::sync_channel::<SpillJob>(threads);
             let rx = Arc::new(Mutex::new(rx));
             for _ in 0..threads {
-                let cfg = writer.cfg.clone();
+                let env = writer.env.clone();
+                let dir = writer.dir.clone();
+                let counters = Arc::clone(&writer.counters);
                 let shared = Arc::clone(&writer.shared);
                 let rx: Arc<Mutex<Receiver<SpillJob>>> = Arc::clone(&rx);
                 writer.handles.push(std::thread::spawn(move || loop {
@@ -162,7 +131,7 @@ impl SpillWriter {
                         Err(_) => return,
                     };
                     match job {
-                        Ok(job) => write_one(&cfg, job, &shared),
+                        Ok(job) => write_one(&env, &dir, &counters, job, &shared),
                         Err(_) => return, // channel closed: attempt over
                     }
                 }));
@@ -190,12 +159,12 @@ impl SpillWriter {
             pairs,
         };
         if self.shared.failed.load(Ordering::Relaxed) {
-            self.cfg.pool.put_pairs(job.pairs);
+            self.env.pool.put_pairs(job.pairs);
             return Err(spill_failed());
         }
         match &self.tx {
             None => {
-                write_one(&self.cfg, job, &self.shared);
+                write_one(&self.env, &self.dir, &self.counters, job, &self.shared);
                 match self.shared.failed.load(Ordering::Relaxed) {
                     true => Err(spill_failed()),
                     false => Ok(()),
@@ -205,7 +174,7 @@ impl SpillWriter {
                 Ok(()) => Ok(()),
                 Err(std::sync::mpsc::SendError(job)) => {
                     // Writers only exit early if one panicked.
-                    self.cfg.pool.put_pairs(job.pairs);
+                    self.env.pool.put_pairs(job.pairs);
                     Err(spill_failed())
                 }
             },
@@ -250,22 +219,10 @@ fn spill_failed() -> EngineError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::BufferPool;
     use crate::spill::SpillDir;
-    use mr_storage::fault::IoSite;
+    use mr_storage::fault::{IoFaults, IoSite};
     use mr_storage::runfile::RunFileReader;
-
-    fn cfg(dir: &SpillDir, pool: &Arc<BufferPool>, io: Option<Arc<IoFaults>>) -> SpillWriterCfg {
-        SpillWriterCfg {
-            dir: dir.path().to_path_buf(),
-            combine: CombineStrategy::passthrough(),
-            compression: ShuffleCompression::None,
-            dict: None,
-            counters: Counters::new(),
-            io,
-            pool: Arc::clone(pool),
-            shuffle_nanos: Arc::new(AtomicU64::new(0)),
-        }
-    }
 
     fn buf(pool: &BufferPool, pairs: &[(i64, i64)]) -> Vec<(Value, Value)> {
         let mut b = pool.get_pairs();
@@ -275,13 +232,13 @@ mod tests {
 
     fn run_pipeline(threads: usize) -> Vec<Vec<(Value, Value)>> {
         let dir = SpillDir::create(None, &format!("writer-{threads}")).unwrap();
-        let pool = BufferPool::new();
-        let c = cfg(&dir, &pool, None);
-        let counters = Arc::clone(&c.counters);
-        let mut w = SpillWriter::new(c, threads);
-        w.submit(0, buf(&pool, &[(3, 30), (1, 10)])).unwrap();
-        w.submit(1, buf(&pool, &[(2, 20)])).unwrap();
-        w.submit(0, buf(&pool, &[(1, 11)])).unwrap();
+        let env = ShuffleEnv::plain();
+        let pool = &env.pool;
+        let counters = Counters::new();
+        let mut w = SpillWriter::new(&env, dir.path(), Arc::clone(&counters), threads);
+        w.submit(0, buf(pool, &[(3, 30), (1, 10)])).unwrap();
+        w.submit(1, buf(pool, &[(2, 20)])).unwrap();
+        w.submit(0, buf(pool, &[(1, 11)])).unwrap();
         let runs = w.finish().unwrap();
         assert_eq!(pool.outstanding(), 0, "all buffers recycled");
         assert_eq!(counters.snapshot().spill_count, 3);
@@ -312,28 +269,30 @@ mod tests {
     #[test]
     fn write_error_surfaces_and_recycles_buffers() {
         let dir = SpillDir::create(None, "writer-fault").unwrap();
-        let pool = BufferPool::new();
         // Fail the very first pair append in the background.
-        let io = Arc::new(IoFaults::new().with_fault(IoSite::RunWrite, 0));
-        let mut w = SpillWriter::new(cfg(&dir, &pool, Some(io)), 1);
-        w.submit(0, buf(&pool, &[(1, 1)])).unwrap();
+        let env = ShuffleEnv {
+            io: Some(Arc::new(IoFaults::new().with_fault(IoSite::RunWrite, 0))),
+            ..ShuffleEnv::plain()
+        };
+        let mut w = SpillWriter::new(&env, dir.path(), Counters::new(), 1);
+        w.submit(0, buf(&env.pool, &[(1, 1)])).unwrap();
         // Later submissions either race in before the failure is seen
         // (recycled unwritten) or fail fast here; both keep accounting.
-        let _ = w.submit(0, buf(&pool, &[(2, 2)]));
+        let _ = w.submit(0, buf(&env.pool, &[(2, 2)]));
         let err = w.finish().unwrap_err();
         assert!(matches!(err, EngineError::Storage(_)), "{err}");
-        assert_eq!(pool.outstanding(), 0, "fault path leaks nothing");
+        assert_eq!(env.pool.outstanding(), 0, "fault path leaks nothing");
     }
 
     #[test]
     fn drop_without_finish_recycles_everything() {
         let dir = SpillDir::create(None, "writer-drop").unwrap();
-        let pool = BufferPool::new();
-        let mut w = SpillWriter::new(cfg(&dir, &pool, None), 2);
+        let env = ShuffleEnv::plain();
+        let mut w = SpillWriter::new(&env, dir.path(), Counters::new(), 2);
         for i in 0..6 {
-            w.submit(0, buf(&pool, &[(i, i)])).unwrap();
+            w.submit(0, buf(&env.pool, &[(i, i)])).unwrap();
         }
         drop(w);
-        assert_eq!(pool.outstanding(), 0);
+        assert_eq!(env.pool.outstanding(), 0);
     }
 }

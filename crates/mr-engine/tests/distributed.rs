@@ -165,33 +165,67 @@ fn drill<'a>(path: &'a Path, parent: &'a Path) -> Drill<'a> {
     }
 }
 
+/// The counters the shared attempt module owns: everything a map or
+/// reduce attempt does, as opposed to how its backend spills
+/// (`spill_count`) or where a combine site runs (`combine_in`/`_out`).
+const ATTEMPT_COUNTERS: [&str; 10] = [
+    "map_input_records",
+    "map_invocations",
+    "map_output_records",
+    "input_bytes",
+    "shuffle_bytes",
+    "instructions_executed",
+    "side_effects",
+    "combine_bypassed",
+    "reduce_input_groups",
+    "reduce_output_records",
+];
+
+fn attempt_counters(r: &JobResult) -> Vec<(&'static str, u64)> {
+    let fields = r.counters.fields().into_iter();
+    fields
+        .filter(|(name, _)| ATTEMPT_COUNTERS.contains(name))
+        .collect()
+}
+
 /// Baseline sanity: the process backend with no faults produces output
-/// byte-identical to the local backend, resident and spilling alike.
+/// byte-identical to the local backend — few and distinct keys, with
+/// and without a combiner, resident and spilling — and, because both
+/// run every attempt through the same attempt module, the same
+/// attempt-owned counters.
 #[test]
 fn process_backend_matches_local_output() {
-    let path = write_data("match", 3000, 7);
     let parent = tmp("match-spills");
     std::fs::create_dir_all(&parent).unwrap();
-    for budget in [None, Some(512)] {
-        let mut local = drill(&path, &parent);
-        local.backend = BackendSpec::Local;
-        local.budget = budget;
-        let local = local.run();
-        let mut proc = drill(&path, &parent);
-        proc.budget = budget;
-        let proc = proc.run();
-        assert_eq!(proc.output, local.output, "budget {budget:?}");
-        assert_eq!(proc.counters.task_retries, 0);
-        assert_eq!(proc.counters.workers_killed, 0);
-        assert_eq!(
-            proc.counters.map_input_records,
-            local.counters.map_input_records
-        );
-        assert_eq!(
-            proc.counters.reduce_output_records,
-            local.counters.reduce_output_records
-        );
-        assert_clean(&parent);
+    for keys in [7, 3000] {
+        let path = write_data(&format!("match-{keys}"), 3000, keys);
+        for combine in [false, true] {
+            for budget in [None, Some(512)] {
+                let run = |backend: BackendSpec| {
+                    let mut d = drill(&path, &parent);
+                    d.backend = backend;
+                    d.budget = budget;
+                    let job = d.build();
+                    run_job(&if combine {
+                        job.with_declared_combiner()
+                    } else {
+                        job
+                    })
+                    .unwrap()
+                };
+                let local = run(BackendSpec::Local);
+                let proc = run(process(2, false));
+                let cell = format!("{keys} keys, combine {combine}, budget {budget:?}");
+                assert_eq!(proc.output, local.output, "{cell}");
+                assert_eq!(proc.counters.task_retries, 0, "{cell}");
+                assert_eq!(proc.counters.workers_killed, 0, "{cell}");
+                assert_eq!(attempt_counters(&proc), attempt_counters(&local), "{cell}");
+                if combine && keys == 3000 && budget.is_some() {
+                    assert!(local.counters.combine_bypassed > 0, "{cell}: no bail-out");
+                }
+                assert_clean(&parent);
+            }
+        }
     }
 }
 
