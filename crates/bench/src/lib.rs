@@ -20,18 +20,9 @@ pub fn smoke() -> bool {
     *SMOKE.get_or_init(|| std::env::args().any(|a| a == "--smoke"))
 }
 
-/// Become a task-protocol worker if this binary was re-exec'd as one —
-/// the first line of every bench `main`. With `MANIMAL_BACKEND=process`
-/// the engine forks the running bench binary itself as its worker
-/// fleet, so every bin that might coordinate must also be able to obey.
-pub fn worker_guard() {
-    mr_engine::maybe_worker_entry();
-}
-
 /// Parse environment variable `var` with `parse`, hard-erroring on any
-/// unrecognized value. A typo'd drill variable silently falling back to
-/// its default would make a CI fault drill pass while injecting
-/// nothing — misconfiguration must be loud.
+/// unrecognized value: a typo'd scale silently falling back to its
+/// default would time the wrong dataset — misconfiguration must be loud.
 fn env_parsed<T>(var: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
     let raw = std::env::var(var).ok()?;
     match parse(&raw) {
@@ -54,66 +45,6 @@ pub fn scale() -> f64 {
 /// Scaled element count.
 pub fn scaled(base: usize) -> usize {
     ((base as f64) * scale()).round().max(1.0) as usize
-}
-
-/// The fault-drill environment: `MANIMAL_FAULT_SPEC` (a
-/// [`mr_engine::FaultPlan`] spec like `map:0:0:0,reduce:0:0:0`) and
-/// `MANIMAL_TASK_ATTEMPTS` (attempts per task, default 1). CI's
-/// `fault-smoke` step runs the scale bins under an injected schedule
-/// this way, proving the bench surface — byte-identity assertions
-/// included — survives task retries.
-pub fn fault_env() -> (Option<std::sync::Arc<mr_engine::FaultPlan>>, usize) {
-    let plan = std::env::var("MANIMAL_FAULT_SPEC").ok().map(|spec| {
-        std::sync::Arc::new(
-            mr_engine::FaultPlan::from_spec(&spec)
-                .unwrap_or_else(|e| panic!("MANIMAL_FAULT_SPEC: {e}")),
-        )
-    });
-    let attempts = env_parsed("MANIMAL_TASK_ATTEMPTS", |s| {
-        s.parse::<usize>().ok().filter(|n| *n >= 1)
-    })
-    .unwrap_or(1);
-    (plan, attempts)
-}
-
-/// The execution backend from `MANIMAL_BACKEND` (`local` | `process` |
-/// `process:N`), or `None` when unset. CI's `distributed-smoke` job
-/// sets `process` so the whole bench surface — byte-identity assertions
-/// included — runs over forked workers and the task protocol on every
-/// push. Unknown values are a hard error, like every `MANIMAL_*` knob.
-pub fn backend_env() -> Option<mr_engine::BackendSpec> {
-    let raw = std::env::var("MANIMAL_BACKEND").ok()?;
-    match mr_engine::BackendSpec::parse(&raw) {
-        Ok(spec) => Some(spec),
-        Err(e) => panic!("MANIMAL_BACKEND: {e}"),
-    }
-}
-
-/// The shuffle codec from `MANIMAL_SHUFFLE_CODEC` (`none` | `raw` |
-/// `dict` | `delta` | `dict-trained`), or `None` when unset — CI's
-/// `fault-smoke` step sets it so the compressed spill path runs under
-/// injected failures on every push.
-pub fn shuffle_codec_env() -> Option<mr_engine::ShuffleCompression> {
-    std::env::var("MANIMAL_SHUFFLE_CODEC").ok().map(|name| {
-        mr_engine::ShuffleCompression::parse(&name)
-            .unwrap_or_else(|| panic!("MANIMAL_SHUFFLE_CODEC: unknown codec `{name}`"))
-    })
-}
-
-/// Apply [`fault_env`], [`shuffle_codec_env`], and [`backend_env`] to
-/// a job — every bench job opts in, so one environment variable
-/// fault-drills, compresses, or re-backends a whole table run. Every
-/// `MANIMAL_*` variable involved hard-errors on an unrecognized value.
-pub fn apply_fault_env(job: &mut mr_engine::JobConfig) {
-    let (plan, attempts) = fault_env();
-    job.max_task_attempts = attempts;
-    job.fault_plan = plan;
-    if let Some(codec) = shuffle_codec_env() {
-        job.shuffle_compression = codec;
-    }
-    if let Some(backend) = backend_env() {
-        job.backend = backend;
-    }
 }
 
 /// Timed repetitions from `MANIMAL_RUNS` (default 3, like the paper).
@@ -191,30 +122,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Write a bench bin's machine-readable results next to the human
-/// table: `BENCH_<name>.json` in the working directory (CI uploads
-/// these as artifacts, so the perf trajectory is tracked run over run
-/// instead of scrolling away in logs). The document always carries the
-/// active scale/runs settings so runs are comparable.
-pub fn write_bench_json(name: &str, mut doc: mr_json::Json) {
-    if let mr_json::Json::Obj(members) = &mut doc {
-        members.insert(0, ("bench".into(), mr_json::Json::str(name)));
-        members.insert(1, ("scale".into(), mr_json::Json::Float(scale())));
-        members.insert(2, ("runs".into(), mr_json::Json::Int(runs() as i64)));
-        members.insert(3, ("smoke".into(), mr_json::Json::Bool(smoke())));
-    }
-    let path = PathBuf::from(format!("BENCH_{name}.json"));
-    match std::fs::write(&path, doc.to_string_pretty() + "\n") {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
-/// A duration in fractional seconds for JSON output.
-pub fn json_secs(d: Duration) -> mr_json::Json {
-    mr_json::Json::Float(d.as_secs_f64())
-}
-
 /// A banner naming the table being reproduced.
 pub fn banner(title: &str, detail: &str) {
     println!("\n=== {title} ===");
@@ -267,17 +174,5 @@ mod tests {
     fn env_parsed_hard_errors_on_unrecognized_values() {
         std::env::set_var("MANIMAL_TEST_BAD", "nope");
         env_parsed("MANIMAL_TEST_BAD", |s| s.parse::<usize>().ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "MANIMAL_TEST_BACKEND")]
-    fn backend_env_hard_errors_on_unknown_backends() {
-        // Exercised through a private alias of the same code path to
-        // avoid poisoning the real variable for parallel tests.
-        std::env::set_var("MANIMAL_TEST_BACKEND", "cluster");
-        let raw = std::env::var("MANIMAL_TEST_BACKEND").unwrap();
-        if let Err(e) = mr_engine::BackendSpec::parse(&raw) {
-            panic!("MANIMAL_TEST_BACKEND: {e}");
-        }
     }
 }

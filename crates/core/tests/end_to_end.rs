@@ -7,10 +7,15 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use manimal::{Builtin, Manimal};
-use mr_workloads::data::{
-    generate_uservisits, generate_webpages, UserVisitsConfig, WebPagesConfig,
+use manimal::{
+    Builtin, DagInput, DagStage, JobDag, JoinJob, JoinPlan, Manimal, StageJob,
+    DEFAULT_BROADCAST_BUDGET,
 };
+use mr_engine::InputSpec;
+use mr_workloads::data::{
+    generate_rankings, generate_uservisits, generate_webpages, UserVisitsConfig, WebPagesConfig,
+};
+use mr_workloads::pavlo;
 use mr_workloads::queries::{
     duration_sum_query, projection_query, selection_query, threshold_for_selectivity,
 };
@@ -336,4 +341,96 @@ fn catalog_survives_reopen() {
     let submission = manimal.submit(&program, &input);
     let plan = manimal.plan(&submission).unwrap();
     assert!(plan.applied.iter().any(|a| a.contains("selection")));
+}
+
+/// Rankings ⋈ UserVisits (Benchmark 3), as one join and as a two-stage
+/// filter → join [`JobDag`]. Both physical join plans return the same
+/// rows; the DAG's join stage plans its probe side against the catalog
+/// and reuses the date index the filter stage registered instead of
+/// building its own, returning the direct join's row count; and a warm
+/// rerun serves the filter stage from its committed output and builds
+/// nothing.
+#[test]
+fn filter_join_dag_reuses_the_index_and_its_committed_output() {
+    let dir = tmpdir("dag");
+    let rankings = dir.join("rankings.seq");
+    let visits = dir.join("uservisits.seq");
+    generate_rankings(&rankings, 2000, false, 13).unwrap();
+    let uv_cfg = UserVisitsConfig {
+        visits: 8000,
+        pages: 2000,
+        ..UserVisitsConfig::default()
+    };
+    generate_uservisits(&visits, &uv_cfg).unwrap();
+    // Half the date range: a join output big enough to mean something.
+    let (lo, hi) = pavlo::benchmark3_date_window(&uv_cfg, 0.5);
+    let rankings_prog = pavlo::benchmark3_rankings_mapper();
+    let visits_prog = pavlo::benchmark3_visits_mapper(lo, hi);
+
+    let manimal = Manimal::new(dir.join("work")).unwrap();
+    let outputs = [JoinPlan::Broadcast, JoinPlan::Repartition].map(|plan| {
+        let job = JoinJob {
+            name: format!("join-{}", plan.name()),
+            build: InputSpec::SeqFile {
+                path: rankings.clone(),
+            },
+            build_mapper: rankings_prog.mapper.clone(),
+            probe: InputSpec::SeqFile {
+                path: visits.clone(),
+            },
+            probe_mapper: visits_prog.mapper.clone(),
+            plan,
+        };
+        manimal.execute_join(&job).unwrap().result.output
+    });
+    assert!(!outputs[0].is_empty(), "degenerate join: no output rows");
+    assert_eq!(
+        outputs[0], outputs[1],
+        "broadcast and repartition outputs must be identical"
+    );
+
+    let dag = JobDag {
+        name: "bench3".into(),
+        stages: vec![
+            DagStage {
+                name: "filter-visits".into(),
+                job: StageJob::Map {
+                    input: DagInput::Path(visits.clone()),
+                    program: visits_prog.clone(),
+                    reducer: Arc::new(Builtin::Identity),
+                    build_index: true,
+                },
+            },
+            DagStage {
+                name: "join".into(),
+                job: StageJob::Join {
+                    build: DagInput::Path(rankings.clone()),
+                    build_mapper: rankings_prog.clone(),
+                    probe: DagInput::Path(visits.clone()),
+                    probe_mapper: visits_prog.clone(),
+                    plan: None,
+                    broadcast_budget: DEFAULT_BROADCAST_BUDGET,
+                    index_probe: true,
+                },
+            },
+        ],
+    };
+    let dag_manimal = Manimal::new(dir.join("dag-work")).unwrap();
+    let cold = dag_manimal.execute_dag(&dag).unwrap();
+    assert!(
+        cold.index_builds_reused >= 1,
+        "the join stage must reuse the filter stage's index, got {} reused",
+        cold.index_builds_reused
+    );
+    assert_eq!(
+        cold.stages.last().unwrap().rows,
+        outputs[0].len() as u64,
+        "the DAG's join stage must return the direct join's row count"
+    );
+    let warm = dag_manimal.execute_dag(&dag).unwrap();
+    assert!(
+        warm.stages[0].cached,
+        "a rerun must hit the filter stage's committed output"
+    );
+    assert_eq!(warm.index_builds, 0, "a warm rerun builds nothing");
 }

@@ -9,9 +9,8 @@
 //! counters read 0 and cost nothing.
 //!
 //! The counts are process-wide (a global allocator cannot be scoped),
-//! so they are meaningful only for serially-run jobs — the bench bins
-//! and the feature-gated integration test, both of which run one job at
-//! a time.
+//! so they are meaningful only for serially-run jobs — like the
+//! feature-gated integration test, which runs one job at a time.
 
 /// Total `(allocation count, allocated bytes)` since process start.
 /// Deallocations are not subtracted: the hot-path invariant is about

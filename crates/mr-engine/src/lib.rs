@@ -79,7 +79,7 @@ pub use input::{InputSpec, SplitReader};
 pub use job::{BackendSpec, InputBinding, JobConfig, OutputSpec, ProcessCfg};
 pub use join::{BroadcastSpec, JoinSide};
 pub use mapper::{FnMapperFactory, IrMapperFactory, Mapper, MapperFactory};
-pub use merge::{KWayMerge, LoserTree, RunStream};
+pub use merge::{LoserTree, RunStream};
 pub use mr_storage::blockcodec::ShuffleCompression;
 pub use pool::{BufferPool, PoolStats};
 pub use reducer::{

@@ -13,12 +13,10 @@
 //! Two interchangeable merge engines implement that contract:
 //! [`LoserTree`] — a tournament tree doing exactly ⌈log₂ k⌉ comparisons
 //! per pair, what the hot path uses — and the original binary-heap
-//! [`KWayMerge`], kept as the executable specification the loser tree
-//! is property-tested against (`tests/loser_tree.rs` asserts the two
-//! produce identical streams on random runs).
+//! merge, kept in this module's tests as the executable specification
+//! the loser tree is property-tested against on random runs.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -229,91 +227,6 @@ impl RunStream {
     }
 }
 
-/// A heap entry: the next pair of run `run`.
-struct Head {
-    key: Value,
-    value: Value,
-    run: usize,
-}
-
-impl PartialEq for Head {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Head {}
-
-impl PartialOrd for Head {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Head {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Values never participate: within a run the file order is
-        // already the emission order, and across runs the run index is
-        // the stable-sort tiebreak.
-        self.key.cmp(&other.key).then(self.run.cmp(&other.run))
-    }
-}
-
-/// Merges `k` sorted streams into one sorted pair stream.
-pub struct KWayMerge {
-    streams: Vec<RunStream>,
-    heap: BinaryHeap<Reverse<Head>>,
-    pending_error: Option<EngineError>,
-}
-
-impl KWayMerge {
-    /// Prime the heap with the first pair of every stream.
-    pub fn new(streams: Vec<RunStream>) -> Result<KWayMerge> {
-        let mut merge = KWayMerge {
-            heap: BinaryHeap::with_capacity(streams.len()),
-            streams,
-            pending_error: None,
-        };
-        for run in 0..merge.streams.len() {
-            merge.refill(run)?;
-        }
-        Ok(merge)
-    }
-
-    /// Number of input streams.
-    pub fn width(&self) -> usize {
-        self.streams.len()
-    }
-
-    fn refill(&mut self, run: usize) -> Result<()> {
-        match self.streams[run].next_pair() {
-            Some(Ok((key, value))) => {
-                self.heap.push(Reverse(Head { key, value, run }));
-                Ok(())
-            }
-            Some(Err(e)) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-impl Iterator for KWayMerge {
-    type Item = Result<(Value, Value)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Some(e) = self.pending_error.take() {
-            return Some(Err(e));
-        }
-        let Reverse(head) = self.heap.pop()?;
-        // Refill before yielding; an error is held back one step so the
-        // popped pair is not lost.
-        if let Err(e) = self.refill(head.run) {
-            self.pending_error = Some(e);
-        }
-        Some(Ok((head.key, head.value)))
-    }
-}
-
 /// Sentinel for a tournament node not yet contested during the build.
 const NO_LEAF: usize = usize::MAX;
 
@@ -328,7 +241,7 @@ const NO_LEAF: usize = usize::MAX;
 /// index parked at internal node `i` and `tree[0]` the tournament
 /// winner.
 ///
-/// Ordering is *identical* to [`KWayMerge`]: `(key, stream index)`
+/// Ordering is *identical* to a binary-heap merge: `(key, stream index)`
 /// ascending, an exhausted stream ranking above every live one — the
 /// tie-break that makes external and in-memory shuffles byte-identical.
 pub struct LoserTree {
@@ -370,7 +283,7 @@ impl LoserTree {
 
     /// Does leaf `a`'s head beat leaf `b`'s? Exhausted heads are
     /// +infinity; every tie breaks toward the lower stream index, which
-    /// is exactly the [`Head`] ordering of the heap merge.
+    /// is exactly the `(key, run)` ordering of the heap merge.
     fn beats(&self, a: usize, b: usize) -> bool {
         match (&self.heads[a], &self.heads[b]) {
             (Some(x), Some(y)) => match x.0.cmp(&y.0) {
@@ -436,6 +349,91 @@ impl Iterator for LoserTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use proptest::prelude::*;
+
+    /// A heap entry: the next pair of run `run`.
+    struct Head {
+        key: Value,
+        value: Value,
+        run: usize,
+    }
+
+    impl PartialEq for Head {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+
+    impl Eq for Head {}
+
+    impl PartialOrd for Head {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Head {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Values never participate: within a run the file order is
+            // already the emission order, and across runs the run index is
+            // the stable-sort tiebreak.
+            self.key.cmp(&other.key).then(self.run.cmp(&other.run))
+        }
+    }
+
+    /// The binary-heap k-way merge the loser tree replaced, kept as the
+    /// executable specification it is tested against.
+    struct KWayMerge {
+        streams: Vec<RunStream>,
+        heap: BinaryHeap<Reverse<Head>>,
+        pending_error: Option<EngineError>,
+    }
+
+    impl KWayMerge {
+        /// Prime the heap with the first pair of every stream.
+        fn new(streams: Vec<RunStream>) -> Result<KWayMerge> {
+            let mut merge = KWayMerge {
+                heap: BinaryHeap::with_capacity(streams.len()),
+                streams,
+                pending_error: None,
+            };
+            for run in 0..merge.streams.len() {
+                merge.refill(run)?;
+            }
+            Ok(merge)
+        }
+
+        fn refill(&mut self, run: usize) -> Result<()> {
+            match self.streams[run].next_pair() {
+                Some(Ok((key, value))) => {
+                    self.heap.push(Reverse(Head { key, value, run }));
+                    Ok(())
+                }
+                Some(Err(e)) => Err(e),
+                None => Ok(()),
+            }
+        }
+    }
+
+    impl Iterator for KWayMerge {
+        type Item = Result<(Value, Value)>;
+
+        fn next(&mut self) -> Option<Self::Item> {
+            if let Some(e) = self.pending_error.take() {
+                return Some(Err(e));
+            }
+            let Reverse(head) = self.heap.pop()?;
+            // Refill before yielding; an error is held back one step so the
+            // popped pair is not lost.
+            if let Err(e) = self.refill(head.run) {
+                self.pending_error = Some(e);
+            }
+            Some(Ok((head.key, head.value)))
+        }
+    }
 
     fn mem(pairs: Vec<(i64, &str)>) -> RunStream {
         RunStream::Memory(
@@ -587,7 +585,6 @@ mod tests {
             mem(vec![(3, "c"), (6, "f"), (8, "h"), (9, "i")]),
         ])
         .unwrap();
-        assert_eq!(m.width(), 3);
         let out = collect(m);
         let keys: Vec<i64> = out.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, (1..=9).collect::<Vec<_>>());
@@ -793,6 +790,43 @@ mod tests {
                 .collect();
             assert_eq!(tree, heap, "width {n}");
             assert_eq!(tree, expect, "width {n} vs stable sort");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Loser tree ≡ heap on random runs, for every width the
+        /// generator produces (including 0, 1, and non-power-of-two
+        /// widths) and for key distributions heavy with cross-run ties.
+        /// The value encodes (run, position), so any tie-break deviation
+        /// changes the merged sequence.
+        #[test]
+        fn loser_tree_matches_heap_on_random_runs(
+            raw in proptest::collection::vec(
+                proptest::collection::vec(-8i64..8, 0..40),
+                0..12,
+            ),
+        ) {
+            let runs: Vec<Arc<Vec<(Value, Value)>>> = raw
+                .iter()
+                .enumerate()
+                .map(|(run, keys)| {
+                    let mut pairs: Vec<(Value, Value)> = keys
+                        .iter()
+                        .enumerate()
+                        .map(|(i, k)| (Value::Int(*k), Value::str(format!("r{run}p{i}"))))
+                        .collect();
+                    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+                    Arc::new(pairs)
+                })
+                .collect();
+            let streams = || runs.iter().map(|r| RunStream::shared(Arc::clone(r))).collect();
+            let tree: Vec<(Value, Value)> =
+                LoserTree::new(streams()).unwrap().map(|p| p.unwrap()).collect();
+            let heap: Vec<(Value, Value)> =
+                KWayMerge::new(streams()).unwrap().map(|p| p.unwrap()).collect();
+            prop_assert_eq!(tree, heap);
         }
     }
 

@@ -78,9 +78,8 @@ impl BufferPool {
     }
 
     /// A pool that never reuses anything: every loan allocates fresh
-    /// and every return is dropped. The A/B control for the hot-path
-    /// bench (`scale_hotpath` runs it as the "tax" configuration) and
-    /// the synthetic regression the CI bench gate must catch.
+    /// and every return is dropped: the A/B control that prices what
+    /// pooling saves (`tests/allocgate.rs` measures both).
     pub fn disabled() -> Arc<BufferPool> {
         BufferPool::with_capacity(0)
     }

@@ -73,6 +73,26 @@ fn jobs_report_alloc_deltas_and_pooling_reduces_them() {
         pooled.counters.alloc_count,
         unpooled.counters.alloc_count
     );
+
+    // The spill path's allocation rate: a budget of a 32nd of the
+    // shuffle forces deep spilling and a wide merge. Serial and on the
+    // warm pool, so the count is the job's own and the same on any
+    // machine. The bound is the rate measured when it was set (4.685)
+    // plus a tenth: one more allocation per record fails it.
+    let mut resident = job(Arc::clone(&warm));
+    resident.shuffle_buffer_bytes = None;
+    let resident = run_job(&resident).unwrap();
+    let budget = resident.counters.shuffle_bytes as usize / 32;
+    let spilling = run_job(&job(Arc::clone(&warm)).with_shuffle_buffer(budget)).unwrap();
+    let c = &spilling.counters;
+    assert!(c.spill_count > 0, "shuffle/32 must spill");
+    let per_record = c.alloc_count as f64 / c.map_input_records as f64;
+    assert!(
+        per_record <= 4.685 * 1.1,
+        "shuffle/32: {per_record:.3} allocations per input record ({} / {})",
+        c.alloc_count,
+        c.map_input_records
+    );
     std::fs::remove_file(&path).ok();
 }
 

@@ -133,6 +133,64 @@ fn spilling_combined_sum_is_byte_identical_and_5x_smaller() {
     );
 }
 
+/// The combine counters, exact, on 16 keys (the table folds nearly
+/// everything) and on distinct keys (nothing to fold: the table bails
+/// out to pass-through at its first drain), each at two budgets. One
+/// map worker pins where every drain, spill and bail-out check falls,
+/// so the numbers are the same on any machine. Every run also holds the
+/// site-1 invariant: no pair is folded twice on the map side.
+#[test]
+fn combine_counters_are_exact_on_16_and_distinct_keys() {
+    for (keys, cases) in [
+        (16, [(4, (6000, 16, 0)), (16, (6000, 16, 0))]),
+        (6000, [(4, (6398, 6398, 5250)), (16, (6113, 6113, 5812))]),
+    ] {
+        let pairs: Vec<(String, i64)> = (0..6000)
+            .map(|i| (format!("10.0.{}", (i * 7919) % keys), i % 101))
+            .collect();
+        let path = write_pairs("exact", &pairs);
+        let run = |budget: Option<usize>, combining: bool| {
+            let mut j = JobConfig::ir_job(
+                "exact",
+                InputSpec::SeqFile { path: path.clone() },
+                emit_kv_mapper(),
+                Builtin::Sum,
+            )
+            .with_reducers(4)
+            .with_parallelism(1);
+            j.shuffle_buffer_bytes = budget;
+            if combining {
+                j = j.with_declared_combiner();
+            }
+            run_job(&j).unwrap()
+        };
+        let shuffle = run(None, false).counters.shuffle_bytes as usize;
+        for (divisor, expect) in cases {
+            let budget = Some(shuffle / divisor);
+            let plain = run(budget, false);
+            let combined = run(budget, true);
+            assert_eq!(
+                combined.output, plain.output,
+                "{keys} keys, shuffle/{divisor}"
+            );
+            let c = &combined.counters;
+            assert!(
+                c.combine_in <= c.map_output_records + c.spilled_records,
+                "{keys} keys, shuffle/{divisor}: a pair was re-folded on the map side \
+                 ({} in > {} emitted + {} spilled)",
+                c.combine_in,
+                c.map_output_records,
+                c.spilled_records
+            );
+            assert_eq!(
+                (c.combine_in, c.combine_out, c.combine_bypassed),
+                expect,
+                "{keys} keys, shuffle/{divisor}: (combine_in, combine_out, combine_bypassed)"
+            );
+        }
+    }
+}
+
 /// Text-file output is byte-for-byte identical too (the same check the
 /// spill suite applies to the external shuffle).
 #[test]

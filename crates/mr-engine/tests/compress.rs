@@ -78,46 +78,100 @@ fn job(input: &Path, budget: Option<usize>, codec: ShuffleCompression) -> JobCon
     j
 }
 
+/// Near-distinct keys: the adversarial case, where codecs find little
+/// redundancy but must not inflate the spill much either.
+fn random_key_input(name: &str, n: i64) -> PathBuf {
+    let s = schema();
+    let records: Vec<Record> = (0..n)
+        .map(|i| {
+            let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            record(
+                &s,
+                vec![
+                    format!("{}.{}", h >> 40, h & 0xffff).into(),
+                    Value::Int(i % 11),
+                ],
+            )
+        })
+        .collect();
+    let path = tmp(name);
+    write_seqfile(&path, s, records).unwrap();
+    path
+}
+
 /// Every codec produces output byte-identical to the uncompressed,
-/// unbounded baseline, and the byte counters prove compression
-/// actually engaged (or didn't, for `None`/`Raw`).
+/// unbounded baseline, at 64 keys and at random keys with the budget
+/// at an eighth of the shuffle, and the byte counters prove compression
+/// actually engaged (or didn't, for `None`/`Raw`). The spill ratio
+/// (`spill_bytes_written / spill_bytes_raw`) stays under a ceiling per
+/// codec: the ratio measured when the ceiling was set (listed below)
+/// × 1.25, the tolerance of the timed bench gate these checks replaced,
+/// so a codec that gets materially worse at its one job fails. One map
+/// worker pins every spill (and the trained codec's corpus), so the
+/// ratio is the same on any machine.
 #[test]
 fn every_codec_matches_uncompressed_output() {
-    let input = low_cardinality_input("identity", 3000, 7);
-    let baseline = run_job(&job(&input, None, ShuffleCompression::None)).unwrap();
-    for codec in ShuffleCompression::ALL {
-        let capped = run_job(&job(&input, Some(512), codec)).unwrap();
-        assert_eq!(capped.output, baseline.output, "{codec}");
-        let c = &capped.counters;
-        assert!(c.spill_count > 0, "{codec}: the budget must force spills");
-        assert!(c.spill_bytes_raw > 0, "{codec}");
-        match codec {
-            ShuffleCompression::None => {
-                assert_eq!(c.spill_bytes_written, c.spill_bytes_raw, "{codec}")
-            }
-            ShuffleCompression::Raw => assert!(
+    use ShuffleCompression::{Delta, Dict, DictTrained, Raw};
+    let none = ShuffleCompression::None;
+    let inputs = [
+        (
+            "64 keys",
+            low_cardinality_input("identity-64", 4000, 64),
+            [
+                (none, 1.0),
+                (Raw, 1.0023),
+                (Dict, 0.3561),
+                (Delta, 0.1110),
+                (DictTrained, 0.0700),
+            ],
+        ),
+        (
+            "random keys",
+            random_key_input("identity-random", 4000),
+            [
+                (none, 1.0),
+                (Raw, 1.0046),
+                (Dict, 0.8829),
+                (Delta, 0.9644),
+                (DictTrained, 0.5783),
+            ],
+        ),
+    ];
+    for (keys, input, ratios) in inputs {
+        let baseline = run_job(&job(&input, None, none).with_parallelism(1)).unwrap();
+        let budget = baseline.counters.shuffle_bytes as usize / 8;
+        for (codec, measured) in ratios {
+            let capped = run_job(&job(&input, Some(budget), codec).with_parallelism(1)).unwrap();
+            let cell = format!("{keys}/{codec}");
+            assert_eq!(capped.output, baseline.output, "{cell}");
+            let c = &capped.counters;
+            assert!(c.spill_count > 0, "{cell}: the budget must force spills");
+            match codec {
+                ShuffleCompression::None => {
+                    assert_eq!(c.spill_bytes_written, c.spill_bytes_raw, "{cell}")
+                }
                 // Frame headers cost a little; CRCs buy detection.
-                c.spill_bytes_written >= c.spill_bytes_raw,
-                "{codec}"
-            ),
-            ShuffleCompression::Dict
-            | ShuffleCompression::Delta
-            | ShuffleCompression::DictTrained => assert!(
-                c.spill_bytes_written < c.spill_bytes_raw,
-                "{codec}: {} written vs {} raw",
-                c.spill_bytes_written,
-                c.spill_bytes_raw
-            ),
+                Raw => assert!(c.spill_bytes_written >= c.spill_bytes_raw, "{cell}"),
+                Dict | Delta | DictTrained => assert!(
+                    c.spill_bytes_written < c.spill_bytes_raw,
+                    "{cell}: {} written vs {} raw",
+                    c.spill_bytes_written,
+                    c.spill_bytes_raw
+                ),
+            }
+            if codec == DictTrained {
+                assert!(c.dict_trained >= 1, "the job must train a dictionary");
+            } else {
+                assert_eq!(c.dict_trained + c.dict_reused, 0, "{cell}");
+            }
+            let ratio = capped
+                .compression_ratio()
+                .expect("spilled jobs report a ratio");
+            assert!(
+                ratio <= measured * 1.25,
+                "{cell}: spill ratio {ratio:.4} above its ceiling {measured} × 1.25"
+            );
         }
-        if codec == ShuffleCompression::DictTrained {
-            assert!(c.dict_trained >= 1, "the job must train a dictionary");
-        } else {
-            assert_eq!(c.dict_trained + c.dict_reused, 0, "{codec}");
-        }
-        assert!(
-            capped.compression_ratio().is_some(),
-            "{codec}: spilled jobs report a ratio"
-        );
     }
 }
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use mr_engine::backend::protocol::{read_frame, write_frame, MAX_PAYLOAD};
 use mr_engine::{
     run_job, BackendSpec, BroadcastSpec, Builtin, EngineError, FaultPlan, InputBinding, InputSpec,
-    JobConfig, JobResult, JoinSide, ProcessCfg,
+    JobConfig, JobResult, JoinSide, ProcessCfg, ShuffleCompression,
 };
 use mr_ir::asm::parse_function;
 use mr_ir::record::{record, Record};
@@ -393,30 +393,49 @@ fn speculative_race_first_commit_wins() {
 
 /// Kills compose with record-level injected faults and spilling
 /// shuffles in one schedule, and the retry accounting stays exact.
-/// A single-worker fleet pins worker 0's first assignment to map
-/// task 0, so the kill/record failure split is deterministic.
+/// A single-worker fleet pins worker 0's assignment order (the one map
+/// task, then the reduces), so the kill/record failure split is
+/// deterministic. Under the trained-dictionary codec the kill lands on
+/// the first reduce, after the map task trained and committed the job's
+/// dictionary: the replacement worker must reuse it, not retrain.
 #[test]
 fn kill_composes_with_record_faults() {
     let path = write_data("compose", 3000, 7);
     let parent = tmp("compose-spills");
     std::fs::create_dir_all(&parent).unwrap();
-    let mut local = drill(&path, &parent);
-    local.backend = BackendSpec::Local;
-    local.budget = Some(512);
-    let local = local.run();
-
-    let mut d = drill(&path, &parent);
-    d.budget = Some(512);
-    d.attempts = 3;
-    d.backend = process(1, false);
-    d.fault = Some(FaultPlan::new().kill_worker(0, 0).fail_reduce(1, 0, 2));
-    let faulted = d.run();
-    assert_eq!(faulted.output, local.output);
-    assert_eq!(faulted.counters.workers_killed, 1);
-    assert_eq!(faulted.counters.task_retries, 2);
-    assert_eq!(faulted.counters.map_task_failures, 1);
-    assert_eq!(faulted.counters.reduce_task_failures, 1);
-    assert_clean(&parent);
+    for (codec, kill_at, map_failures, reduce_failures) in [
+        (ShuffleCompression::None, 0, 1, 1),
+        (ShuffleCompression::DictTrained, 1, 0, 2),
+    ] {
+        let run = |backend: BackendSpec, fault: Option<FaultPlan>| {
+            let mut d = drill(&path, &parent);
+            d.budget = Some(512);
+            d.attempts = 3;
+            d.backend = backend;
+            d.fault = fault;
+            run_job(&d.build().with_shuffle_codec(codec)).unwrap()
+        };
+        let local = run(BackendSpec::Local, None);
+        let faulted = run(
+            process(1, false),
+            Some(
+                FaultPlan::new()
+                    .kill_worker(0, kill_at)
+                    .fail_reduce(1, 0, 2),
+            ),
+        );
+        assert_eq!(faulted.output, local.output, "{codec}");
+        let c = &faulted.counters;
+        assert_eq!(c.workers_killed, 1, "{codec}");
+        assert_eq!(c.task_retries, 2, "{codec}");
+        assert_eq!(c.map_task_failures, map_failures, "{codec}");
+        assert_eq!(c.reduce_task_failures, reduce_failures, "{codec}");
+        if codec == ShuffleCompression::DictTrained {
+            assert_eq!(c.dict_trained, 1, "the replacement must not retrain");
+            assert!(c.dict_reused >= 1, "the committed dictionary is reused");
+        }
+        assert_clean(&parent);
+    }
 }
 
 // ---- join drills -----------------------------------------------------

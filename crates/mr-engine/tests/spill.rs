@@ -136,6 +136,45 @@ fn merge_preserves_emission_order_within_keys() {
     assert_eq!(unbounded.output, capped.output);
 }
 
+/// The spill counters, exact, for a budget sweep at fractions of the
+/// resident shuffle volume. One map worker pins where every staging
+/// drain and bucket spill falls, so the numbers are the same on any
+/// machine and a change that spills once more fails here. The keys are
+/// near-distinct (like `GROUP BY sourceIP`): nothing folds, the whole
+/// shuffle has to travel.
+#[test]
+fn budget_sweep_spills_exactly() {
+    let pairs: Vec<(String, i64)> = (0..6000)
+        .map(|i| (format!("10.{}.{}", i % 97, (i * 7919) % 6007), i % 1000))
+        .collect();
+    let path = write_pairs("sweep", &pairs);
+    let run = |budget: Option<usize>| {
+        let mut j = JobConfig::ir_job(
+            "sweep",
+            InputSpec::SeqFile { path: path.clone() },
+            emit_kv_mapper(),
+            Builtin::Sum,
+        )
+        .with_reducers(4)
+        .with_parallelism(1);
+        j.shuffle_buffer_bytes = budget;
+        run_job(&j).unwrap()
+    };
+    let resident = run(None);
+    let shuffle = resident.counters.shuffle_bytes as usize;
+    assert_eq!(shuffle, 118_272, "the budgets below are fractions of this");
+    for (divisor, spills, records) in [(2, 14, 5285), (8, 62, 5833), (32, 252, 5923)] {
+        let capped = run(Some(shuffle / divisor));
+        assert_eq!(capped.output, resident.output, "shuffle/{divisor}");
+        let c = &capped.counters;
+        assert_eq!(
+            (c.spill_count, c.spilled_records),
+            (spills, records),
+            "shuffle/{divisor}: (spill_count, spilled_records)"
+        );
+    }
+}
+
 /// Spill runs live in a private directory that is removed when the job
 /// finishes — even when the parent dir is user-supplied.
 #[test]

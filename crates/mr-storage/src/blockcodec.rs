@@ -446,7 +446,7 @@ fn best_stride(raw: &[u8]) -> usize {
 
 /// The shuffle-compression knob jobs carry
 /// (`JobConfig::shuffle_compression` in `mr-engine`, `manimal run
-/// --shuffle-codec`, `MANIMAL_SHUFFLE_CODEC` for the bench bins).
+/// --shuffle-codec`).
 ///
 /// [`ShuffleCompression::None`] — the default — bypasses the block
 /// layer entirely: the stream is byte-identical to what the formats
@@ -987,7 +987,7 @@ mod tests {
         // written <= raw + frames * MAX_FRAME_OVERHEAD, for every
         // codec, even on incompressible input. (The raw codec used to
         // violate this by a redundant compressed-length varint per
-        // frame — the 1.006× inflation in BENCH_compress.json.)
+        // frame — a 1.006× inflation on random keys.)
         let mut x = 0x243F6A8885A308D3u64;
         let noise: Vec<u8> = (0..DEFAULT_BLOCK_SIZE * 4 + 123)
             .map(|_| {

@@ -22,7 +22,7 @@ use mr_ir::schema::Schema;
 use crate::error::{Result, StorageError};
 use crate::rowcodec::{decode_schema, encode_schema};
 use crate::seqfile::{SeqFileMeta, SeqFileReader, SeqFileWriter};
-use crate::varint::{decode_u64, encode_u64};
+use crate::varint::{capacity_for, decode_len_prefixed, decode_u64, encode_u64};
 
 const MANIFEST_MAGIC: &[u8; 5] = b"MRCG1";
 
@@ -133,23 +133,19 @@ impl ColumnGroups {
         pos += n;
         let (ngroups, n) = decode_u64(&buf[pos..])?;
         pos += n;
-        let mut groups = Vec::with_capacity(ngroups as usize);
+        let mut groups = Vec::with_capacity(capacity_for(ngroups, buf.len() - pos));
         for _ in 0..ngroups {
             let (nfields, n) = decode_u64(&buf[pos..])?;
             pos += n;
-            let mut fields = Vec::with_capacity(nfields as usize);
+            let mut fields = Vec::with_capacity(capacity_for(nfields, buf.len() - pos));
             for _ in 0..nfields {
-                let (len, n) = decode_u64(&buf[pos..])?;
-                pos += n;
-                let bytes = buf
-                    .get(pos..pos + len as usize)
-                    .ok_or_else(|| StorageError::corrupt("colgroups", "truncated field"))?;
+                let (bytes, n) = decode_len_prefixed(&buf[pos..], "colgroups", "field")?;
                 fields.push(
                     std::str::from_utf8(bytes)
                         .map_err(|_| StorageError::corrupt("colgroups", "bad utf-8"))?
                         .to_string(),
                 );
-                pos += len as usize;
+                pos += n;
             }
             groups.push(fields);
         }

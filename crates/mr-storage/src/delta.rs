@@ -55,7 +55,7 @@ use mr_ir::value::Value;
 
 use crate::error::{Result, StorageError};
 use crate::rowcodec::{decode_schema, encode_schema};
-use crate::varint::{decode_i64, decode_u64, encode_i64, encode_u64};
+use crate::varint::{capacity_for, decode_i64, decode_u64, encode_i64, encode_u64};
 
 const MAGIC: &[u8; 5] = b"MRDL1";
 
@@ -212,7 +212,7 @@ impl DeltaFileMeta {
         let mut lenbuf = [0u8; 8];
         tail.read_exact(&mut lenbuf)?;
         let footer_len = u64::from_le_bytes(lenbuf);
-        if footer_len + 8 > file_size {
+        if footer_len > file_size - 8 {
             return Err(StorageError::corrupt("deltafile", "bad footer length"));
         }
         tail.seek(SeekFrom::End(-8 - footer_len as i64))?;
@@ -223,7 +223,7 @@ impl DeltaFileMeta {
         fpos += n;
         let (nblocks, n) = decode_u64(&footer[fpos..])?;
         fpos += n;
-        let mut blocks = Vec::with_capacity(nblocks as usize);
+        let mut blocks = Vec::with_capacity(capacity_for(nblocks, footer.len() - fpos));
         for _ in 0..nblocks {
             let (off, n) = decode_u64(&footer[fpos..])?;
             fpos += n;

@@ -62,7 +62,9 @@ use mr_ir::value::Value;
 
 use crate::error::{Result, StorageError};
 use crate::rowcodec::{decode_schema, encode_schema};
-use crate::varint::{decode_i64, decode_u64, encode_i64, encode_u64};
+use crate::varint::{
+    capacity_for, decode_i64, decode_len_prefixed, decode_u64, encode_i64, encode_u64,
+};
 
 const MAGIC: &[u8; 5] = b"MRDC1";
 
@@ -259,7 +261,7 @@ impl DictFileReader {
         let mut lenbuf = [0u8; 8];
         tail.read_exact(&mut lenbuf)?;
         let footer_len = u64::from_le_bytes(lenbuf);
-        if footer_len + 8 > file_size {
+        if footer_len > file_size - 8 {
             return Err(StorageError::corrupt("dictfile", "bad footer length"));
         }
         tail.seek(SeekFrom::End(-8 - footer_len as i64))?;
@@ -270,7 +272,7 @@ impl DictFileReader {
         pos += n;
         let (nblocks, n) = decode_u64(&footer[pos..])?;
         pos += n;
-        let mut blocks = Vec::with_capacity(nblocks as usize);
+        let mut blocks = Vec::with_capacity(capacity_for(nblocks, footer.len() - pos));
         for _ in 0..nblocks {
             let (off, n) = decode_u64(&footer[pos..])?;
             pos += n;
@@ -280,26 +282,22 @@ impl DictFileReader {
         }
         let (nfields, n) = decode_u64(&footer[pos..])?;
         pos += n;
-        let mut dictionaries = Vec::with_capacity(nfields as usize);
+        let mut dictionaries = Vec::with_capacity(capacity_for(nfields, footer.len() - pos));
         for _ in 0..nfields {
             let (ncodes, n) = decode_u64(&footer[pos..])?;
             pos += n;
-            let mut strings = Vec::with_capacity(ncodes as usize);
+            let mut strings = Vec::with_capacity(capacity_for(ncodes, footer.len() - pos));
             for expected in 0..ncodes {
                 let (code, n) = decode_i64(&footer[pos..])?;
                 pos += n;
                 if code != expected as i64 {
                     return Err(StorageError::corrupt("dictfile", "non-dense codes"));
                 }
-                let (len, n) = decode_u64(&footer[pos..])?;
-                pos += n;
-                let payload = footer
-                    .get(pos..pos + len as usize)
-                    .ok_or_else(|| StorageError::corrupt("dictfile", "truncated dict"))?;
+                let (payload, n) = decode_len_prefixed(&footer[pos..], "dictfile", "dict")?;
                 let s = std::str::from_utf8(payload)
                     .map_err(|_| StorageError::corrupt("dictfile", "invalid utf-8"))?;
                 strings.push(s.to_string());
-                pos += len as usize;
+                pos += n;
             }
             dictionaries.push(Dictionary { strings });
         }
@@ -615,6 +613,46 @@ mod tests {
         let s = uservisits();
         assert!(DictFileWriter::create(tmp("bad"), s.clone(), &["duration".into()]).is_err());
         assert!(DictFileWriter::create(tmp("bad2"), s, &["nope".into()]).is_err());
+    }
+
+    /// Open a valid dict file whose footer is replaced by the varints
+    /// `footer` and whose footer-length field reads `footer_len` (the
+    /// real length when `None`).
+    fn open_forged(name: &str, footer: &[u64], footer_len: Option<u64>) -> Result<DictFileReader> {
+        let s = uservisits();
+        let path = tmp(name);
+        let w = DictFileWriter::create(&path, Arc::clone(&s), &["destURL".into()]).unwrap();
+        w.finish().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let old_len = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        let mut forged = bytes[..bytes.len() - 8 - old_len as usize].to_vec();
+        let mut encoded = Vec::new();
+        for &v in footer {
+            encode_u64(v, &mut encoded);
+        }
+        forged.extend_from_slice(&encoded);
+        forged.extend_from_slice(&footer_len.unwrap_or(encoded.len() as u64).to_le_bytes());
+        std::fs::write(&path, forged).unwrap();
+        DictFileReader::open(&path)
+    }
+
+    #[test]
+    fn forged_footer_counts_and_lengths_are_corrupt() {
+        let big = 1u64 << 40;
+        for (what, footer, footer_len) in [
+            ("footer length", vec![0, 0], Some(u64::MAX)),
+            ("nblocks", vec![0, big], None),
+            ("nfields", vec![0, 0, big], None),
+            ("ncodes", vec![0, 0, 1, big], None),
+            ("string length", vec![0, 0, 1, 1, 0, u64::MAX], None),
+        ] {
+            let r = open_forged(what, &footer, footer_len);
+            assert!(
+                matches!(r, Err(StorageError::Corrupt { .. })),
+                "{what}: {:?}",
+                r.err()
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@ use mr_ir::schema::{FieldType, Schema};
 use mr_ir::value::Value;
 
 use crate::error::{Result, StorageError};
-use crate::varint::{decode_i64, decode_u64, encode_i64, encode_u64};
+use crate::varint::{
+    capacity_for, decode_i64, decode_len_prefixed, decode_u64, encode_i64, encode_u64,
+};
 
 /// Append the schema-typed encoding of `record` to `out`.
 ///
@@ -94,22 +96,14 @@ pub fn decode_field(ty: FieldType, buf: &[u8]) -> Result<(Value, usize)> {
             (Value::Double(f64::from_bits(u64::from_le_bytes(b))), 8)
         }
         FieldType::Str => {
-            let (len, n) = decode_u64(buf)?;
-            let len = len as usize;
-            let payload = buf
-                .get(n..n + len)
-                .ok_or_else(|| StorageError::corrupt("field", "truncated string"))?;
+            let (payload, n) = decode_len_prefixed(buf, "field", "string")?;
             let s = std::str::from_utf8(payload)
                 .map_err(|_| StorageError::corrupt("field", "invalid utf-8"))?;
-            (Value::str(s), n + len)
+            (Value::str(s), n)
         }
         FieldType::Bytes => {
-            let (len, n) = decode_u64(buf)?;
-            let len = len as usize;
-            let payload = buf
-                .get(n..n + len)
-                .ok_or_else(|| StorageError::corrupt("field", "truncated bytes"))?;
-            (Value::bytes(payload), n + len)
+            let (payload, n) = decode_len_prefixed(buf, "field", "bytes")?;
+            (Value::bytes(payload), n)
         }
     })
 }
@@ -215,26 +209,18 @@ pub fn decode_value(buf: &[u8]) -> Result<(Value, usize)> {
             (Value::Double(f64::from_bits(u64::from_le_bytes(b))), 9)
         }
         TAG_STR => {
-            let (len, n) = decode_u64(rest)?;
-            let len = len as usize;
-            let payload = rest
-                .get(n..n + len)
-                .ok_or_else(|| StorageError::corrupt("value", "truncated string"))?;
+            let (payload, n) = decode_len_prefixed(rest, "value", "string")?;
             let s = std::str::from_utf8(payload)
                 .map_err(|_| StorageError::corrupt("value", "invalid utf-8"))?;
-            (Value::str(s), 1 + n + len)
+            (Value::str(s), 1 + n)
         }
         TAG_BYTES => {
-            let (len, n) = decode_u64(rest)?;
-            let len = len as usize;
-            let payload = rest
-                .get(n..n + len)
-                .ok_or_else(|| StorageError::corrupt("value", "truncated bytes"))?;
-            (Value::bytes(payload), 1 + n + len)
+            let (payload, n) = decode_len_prefixed(rest, "value", "bytes")?;
+            (Value::bytes(payload), 1 + n)
         }
         TAG_LIST => {
             let (count, mut pos) = decode_u64(rest)?;
-            let mut items = Vec::with_capacity(count as usize);
+            let mut items = Vec::with_capacity(capacity_for(count, rest.len() - pos));
             for _ in 0..count {
                 let (v, n) = decode_value(&rest[pos..])?;
                 items.push(v);
@@ -283,8 +269,9 @@ pub fn decode_schema(buf: &[u8]) -> Result<(Schema, usize)> {
     pos += 1;
     let (nfields, n) = decode_u64(&buf[pos..])?;
     pos += n;
-    let mut fields = Vec::with_capacity(nfields as usize);
-    let mut names: Vec<String> = Vec::with_capacity(nfields as usize);
+    let cap = capacity_for(nfields, buf.len() - pos);
+    let mut fields = Vec::with_capacity(cap);
+    let mut names: Vec<String> = Vec::with_capacity(cap);
     for _ in 0..nfields {
         let (fname, n) = decode_str(&buf[pos..])?;
         pos += n;
@@ -304,14 +291,10 @@ pub fn decode_schema(buf: &[u8]) -> Result<(Schema, usize)> {
 }
 
 fn decode_str(buf: &[u8]) -> Result<(String, usize)> {
-    let (len, n) = decode_u64(buf)?;
-    let len = len as usize;
-    let payload = buf
-        .get(n..n + len)
-        .ok_or_else(|| StorageError::corrupt("schema", "truncated name"))?;
+    let (payload, n) = decode_len_prefixed(buf, "schema", "name")?;
     let s = std::str::from_utf8(payload)
         .map_err(|_| StorageError::corrupt("schema", "invalid utf-8"))?;
-    Ok((s.to_string(), n + len))
+    Ok((s.to_string(), n))
 }
 
 fn field_type_tag(ty: FieldType) -> u8 {
@@ -477,5 +460,40 @@ mod tests {
     #[test]
     fn unknown_value_tag_rejected() {
         assert!(decode_value(&[99]).is_err());
+    }
+
+    /// `prefix` followed by the varint `n` and nothing else.
+    fn forged(prefix: &[u8], n: u64) -> Vec<u8> {
+        let mut buf = prefix.to_vec();
+        encode_u64(n, &mut buf);
+        buf
+    }
+
+    fn assert_corrupt<T: std::fmt::Debug>(r: Result<T>) {
+        assert!(matches!(r, Err(StorageError::Corrupt { .. })), "{r:?}");
+    }
+
+    #[test]
+    fn forged_list_count_is_corrupt_not_an_allocation() {
+        assert_corrupt(decode_value(&forged(&[TAG_LIST], 1 << 40)));
+    }
+
+    #[test]
+    fn forged_string_length_is_corrupt_not_an_overflow() {
+        assert_corrupt(decode_value(&forged(&[TAG_STR], u64::MAX)));
+        assert_corrupt(decode_field(FieldType::Str, &forged(&[], u64::MAX)));
+    }
+
+    #[test]
+    fn forged_bytes_length_is_corrupt_not_an_overflow() {
+        assert_corrupt(decode_value(&forged(&[TAG_BYTES], u64::MAX)));
+        assert_corrupt(decode_field(FieldType::Bytes, &forged(&[], u64::MAX)));
+    }
+
+    #[test]
+    fn forged_schema_field_count_is_corrupt_not_an_allocation() {
+        // Empty name, not opaque, then 2^40 fields that are not there.
+        assert_corrupt(decode_schema(&forged(&[0, 0], 1 << 40)));
+        assert_corrupt(decode_schema(&forged(&[], u64::MAX)));
     }
 }

@@ -38,7 +38,7 @@ use crate::blockcodec::{BlockReader, BlockWriter, ShuffleCompression};
 use crate::error::{Result, StorageError};
 use crate::fault::{IoFaults, IoSite};
 use crate::rowcodec::{decode_row, decode_schema, encode_row, encode_schema};
-use crate::varint::{decode_u64, encode_u64, read_u64_from};
+use crate::varint::{capacity_for, decode_u64, encode_u64, read_u64_from};
 
 const MAGIC: &[u8; 5] = b"MRSQ1";
 const MAGIC_COMPRESSED: &[u8; 5] = b"MRSQ2";
@@ -266,6 +266,10 @@ impl SeqFileMeta {
             return Err(StorageError::corrupt("seqfile", "bad footer magic"));
         }
         let footer_len = u64::from_le_bytes(tail[..8].try_into().expect("8 bytes"));
+        // The footer lies between the data start and the 13-byte tail.
+        if footer_len > file_size - 13 - data_start {
+            return Err(StorageError::corrupt("seqfile", "bad footer length"));
+        }
         f.seek(SeekFrom::End(-13 - footer_len as i64))?;
         let mut footer = vec![0u8; footer_len as usize];
         f.read_exact(&mut footer)?;
@@ -273,7 +277,7 @@ impl SeqFileMeta {
         let mut pos = 0usize;
         let (n_blocks, n) = decode_u64(&footer[pos..])?;
         pos += n;
-        let mut blocks = Vec::with_capacity(n_blocks as usize);
+        let mut blocks = Vec::with_capacity(capacity_for(n_blocks, footer.len() - pos));
         for _ in 0..n_blocks {
             let (off, n) = decode_u64(&footer[pos..])?;
             pos += n;
@@ -628,6 +632,41 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
         assert!(SeqFileMeta::open(&path).is_err());
+    }
+
+    /// A valid file whose footer is replaced by `footer` and whose
+    /// footer-length field reads `footer_len`.
+    fn forge_footer(name: &str, footer: &[u8], footer_len: u64) -> PathBuf {
+        let s = schema();
+        let path = tmp(name);
+        write_seqfile(&path, Arc::clone(&s), make_records(&s, 10)).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let tail = bytes.len() - 13;
+        let old_len = u64::from_le_bytes(bytes[tail..tail + 8].try_into().unwrap());
+        let mut forged = bytes[..tail - old_len as usize].to_vec();
+        forged.extend_from_slice(footer);
+        forged.extend_from_slice(&footer_len.to_le_bytes());
+        forged.extend_from_slice(FOOTER_MAGIC);
+        std::fs::write(&path, forged).unwrap();
+        path
+    }
+
+    fn assert_corrupt(path: &Path) {
+        let r = SeqFileMeta::open(path);
+        assert!(matches!(r, Err(StorageError::Corrupt { .. })), "{r:?}");
+    }
+
+    #[test]
+    fn forged_footer_length_is_corrupt_not_an_allocation() {
+        assert_corrupt(&forge_footer("footer-len", &[0, 0], u64::MAX));
+        assert_corrupt(&forge_footer("footer-len-big", &[0, 0], 1 << 40));
+    }
+
+    #[test]
+    fn forged_block_count_is_corrupt_not_an_allocation() {
+        let mut footer = Vec::new();
+        encode_u64(1 << 40, &mut footer);
+        assert_corrupt(&forge_footer("n-blocks", &footer, footer.len() as u64));
     }
 
     #[test]

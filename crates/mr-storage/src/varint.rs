@@ -60,6 +60,32 @@ pub fn decode_u64(buf: &[u8]) -> Result<(u64, usize)> {
     Err(StorageError::corrupt("varint", "truncated"))
 }
 
+/// Split a varint length and that many payload bytes off the front of
+/// `buf`; returns the payload and the bytes consumed. The end offset is
+/// `checked_add`ed, so a forged length near `u64::MAX` is a typed
+/// `Corrupt { context, "truncated <what>" }`, never an overflow.
+pub(crate) fn decode_len_prefixed<'a>(
+    buf: &'a [u8],
+    context: &str,
+    what: &str,
+) -> Result<(&'a [u8], usize)> {
+    let (len, n) = decode_u64(buf)?;
+    let payload = usize::try_from(len)
+        .ok()
+        .and_then(|len| n.checked_add(len))
+        .and_then(|end| buf.get(n..end))
+        .ok_or_else(|| StorageError::corrupt(context, format!("truncated {what}")))?;
+    Ok((payload, n + payload.len()))
+}
+
+/// A `Vec` capacity for `count` items decoded from bytes of which
+/// `remaining` are left: every item takes at least one byte, so an
+/// honest count never exceeds it and a forged one cannot reserve more
+/// memory than the input holds.
+pub(crate) fn capacity_for(count: u64, remaining: usize) -> usize {
+    usize::try_from(count).map_or(remaining, |c| c.min(remaining))
+}
+
 /// Read one unsigned varint from `input`, byte at a time — the
 /// streaming sibling of [`decode_u64`] for readers that cannot see a
 /// slice (seqfile rows, runfile frames). Returns the value and the

@@ -9,10 +9,6 @@
 //!   pageRank > t` (Table 4; `content` is never touched);
 //! * [`duration_sum_query`] — sum `duration` grouped by `destURL`
 //!   without emitting the URL (Tables 5 and 6).
-//!
-//! The external-shuffle scale benchmark (`scale_shuffle`) uses
-//! [`crate::pavlo::benchmark2`] — the aggregation task whose
-//! near-distinct keys make the shuffle as large as the projected input.
 
 use mr_ir::builder::FunctionBuilder;
 use mr_ir::function::Program;
