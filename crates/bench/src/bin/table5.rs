@@ -62,7 +62,9 @@ fn main() {
         key_expr: None,
         view_ranges: vec![],
     };
-    let proj_entry = proj_prog.run().expect("projection build");
+    let proj_entry = proj_prog
+        .run(None, Default::default())
+        .expect("projection build");
 
     // "Manimal" side: projection + delta.
     let delta_prog = manimal::IndexGenProgram {

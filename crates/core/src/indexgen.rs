@@ -15,22 +15,30 @@
 //!   projected-delta file;
 //! * else delta → delta file;
 //! * direct-operation → dictionary file (orthogonal artifact).
+//!
+//! [`IndexGenProgram::run`] executes one. The selection program is the
+//! MapReduce job: its map drops records outside the view and its one
+//! reducer streams the sorted groups into the B+Tree writer. The other
+//! kinds are single scans. Every artifact commits by rename.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use mr_analysis::expr::Expr;
 use mr_analysis::{AnalysisReport, SelectOutcome};
 use mr_engine::mapper::{MapStats, Mapper, MapperFactory};
-use mr_engine::{run_job, InputBinding, InputSpec, JobConfig, OutputSpec};
-use mr_ir::record::Record;
+use mr_engine::{
+    run_job, InputBinding, InputSpec, JobConfig, OutputSpec, Reducer, ReducerFactory,
+    ShuffleCompression,
+};
+use mr_ir::schema::Schema;
 use mr_ir::value::Value;
-use mr_storage::btree::BTreeWriter;
+use mr_ir::IrError;
+use mr_storage::btree::{BTreeWriter, ScanBound};
 use mr_storage::delta::DeltaFileWriter;
 use mr_storage::dict::DictFileWriter;
+use mr_storage::rowcodec::{encode_row, encode_value};
 use mr_storage::seqfile::SeqFileMeta;
-
-use mr_storage::btree::ScanBound;
 
 use crate::catalog::{CatalogEntry, IndexKind, RangeRepr};
 use crate::error::{ManimalError, Result};
@@ -192,166 +200,42 @@ pub fn plan_index_programs(
 
 impl IndexGenProgram {
     /// Execute the program, producing the artifact and a catalog entry.
-    /// Index-build jobs run with an unbounded shuffle; use
-    /// [`run_with_shuffle_budget`](Self::run_with_shuffle_budget) to
-    /// bound it.
-    pub fn run(&self) -> Result<CatalogEntry> {
-        self.run_with_shuffle_budget(None)
-    }
-
-    /// Execute the program with the fabric's shuffle memory bounded by
-    /// `shuffle_buffer_bytes` — selection builds are a full-input
-    /// MapReduce job into a single reducer, exactly the shape that
-    /// outgrows RAM first. Map-side combining stays on (a no-op for the
-    /// order-preserving `Identity` reducer these jobs use today).
-    pub fn run_with_shuffle_budget(
+    /// `shuffle_buffer_bytes` bounds the shuffle memory of a selection
+    /// build — a full-input MapReduce job into a single reducer, exactly
+    /// the shape that outgrows RAM first — and `shuffle_compression` is
+    /// its spill codec; the other kinds are single-pass scans.
+    ///
+    /// The artifact commits by rename: the build writes a sibling temp
+    /// file that replaces `output` only once finished, so a failed or
+    /// killed rebuild never tears an artifact the catalog registered.
+    pub fn run(
         &self,
         shuffle_buffer_bytes: Option<usize>,
-    ) -> Result<CatalogEntry> {
-        self.run_tuned(shuffle_buffer_bytes, true, Default::default())
-    }
-
-    /// [`run_with_shuffle_budget`](Self::run_with_shuffle_budget) with
-    /// the optimizer's combiner decision plumbed through (`combine:
-    /// false` — the `--no-combine` escape hatch — keeps the build
-    /// job's pipeline plain even if its reducer declares a combiner)
-    /// and the instance's spill codec
-    /// ([`mr_engine::JobConfig::shuffle_compression`]).
-    pub fn run_tuned(
-        &self,
-        shuffle_buffer_bytes: Option<usize>,
-        combine: bool,
-        shuffle_compression: mr_engine::ShuffleCompression,
+        shuffle_compression: ShuffleCompression,
     ) -> Result<CatalogEntry> {
         let input_bytes = std::fs::metadata(&self.input)?.len();
-        match &self.kind {
+        let mut tmp = self.output.clone().into_os_string();
+        tmp.push(format!(".{}.tmp", std::process::id()));
+        let tmp = PathBuf::from(tmp);
+        let built = match &self.kind {
             IndexKind::Selection {
                 projected_fields, ..
             } => self.build_selection(
+                &tmp,
                 projected_fields.as_deref(),
-                input_bytes,
                 shuffle_buffer_bytes,
-                combine,
                 shuffle_compression,
             ),
-            IndexKind::Projection { fields } => self.build_projection(fields, input_bytes),
+            IndexKind::Projection { fields } => self.build_projection(&tmp, fields),
             IndexKind::Delta { fields, projected } => {
-                self.build_delta(fields, projected.as_deref(), input_bytes)
+                self.build_delta(&tmp, fields, projected.as_deref())
             }
-            IndexKind::Dict { fields } => self.build_dict(fields, input_bytes),
-        }
-    }
-
-    /// Selection indexes are built by an actual MapReduce job: map
-    /// evaluates the index-key expression per record, the shuffle sorts
-    /// by that key, and the (single) reduce output streams into the
-    /// B+Tree bulk loader.
-    fn build_selection(
-        &self,
-        projected_fields: Option<&[String]>,
-        input_bytes: u64,
-        shuffle_buffer_bytes: Option<usize>,
-        combine: bool,
-        shuffle_compression: mr_engine::ShuffleCompression,
-    ) -> Result<CatalogEntry> {
-        let expr = self
-            .key_expr
-            .clone()
-            .ok_or_else(|| ManimalError::IndexGen("selection program without key".into()))?;
-        let meta = SeqFileMeta::open(&self.input)?;
-        let source_schema = Arc::clone(&meta.schema);
-        let stored_schema = match projected_fields {
-            Some(fields) => Arc::new(source_schema.project(fields)),
-            None => Arc::clone(&source_schema),
+            IndexKind::Dict { fields } => self.build_dict(&tmp, fields),
         };
-
-        let mut job = JobConfig {
-            name: format!("index-gen {}", self.output.display()),
-            inputs: vec![InputBinding {
-                input: InputSpec::SeqFile {
-                    path: self.input.clone(),
-                },
-                mapper: Arc::new(ExprKeyMapperFactory { expr }),
-                join: None,
-            }],
-            num_reducers: 1,
-            reducer: Arc::new(mr_engine::Builtin::Identity),
-            output: OutputSpec::InMemory,
-            map_parallelism: mr_engine::job::available_parallelism(),
-            sort_output: true,
-            shuffle_buffer_bytes,
-            shuffle_compression,
-            spill_dir: None,
-            dict_store: None,
-            combiner: None,
-            max_task_attempts: 1,
-            fault_plan: None,
-            spill_writer_threads: 1,
-            buffer_pool: None,
-            backend: Default::default(),
-        };
-        if combine {
-            job = job.with_declared_combiner();
+        if let Err(e) = built.and_then(|()| Ok(std::fs::rename(&tmp, &self.output)?)) {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
         }
-        let result = run_job(&job)?;
-
-        let in_view = |key: &Value| -> bool {
-            if self.view_ranges.is_empty() {
-                return true; // no restriction: full clustered index
-            }
-            self.view_ranges.iter().any(|(lo, hi)| {
-                let low_ok = match lo {
-                    ScanBound::Unbounded => true,
-                    ScanBound::Incl(b) => key >= b,
-                    ScanBound::Excl(b) => key > b,
-                };
-                let high_ok = match hi {
-                    ScanBound::Unbounded => true,
-                    ScanBound::Incl(b) => key <= b,
-                    ScanBound::Excl(b) => key < b,
-                };
-                low_ok && high_ok
-            })
-        };
-        let mut writer = BTreeWriter::create(&self.output, Arc::clone(&stored_schema))?;
-        for (index_key, packed) in &result.output {
-            if !in_view(index_key) {
-                // Outside the materialized view (paper §2.2): the index
-                // is a view on the records the predicate can ever
-                // select, which is what keeps its space overhead at the
-                // selectivity level rather than 100%.
-                continue;
-            }
-            let Value::List(kv) = packed else {
-                return Err(ManimalError::IndexGen("malformed index-gen pair".into()));
-            };
-            let orig_key = &kv[0];
-            let Some(record) = kv[1].as_record() else {
-                return Err(ManimalError::IndexGen("malformed index-gen record".into()));
-            };
-            let stored = if projected_fields.is_some() {
-                record.project_to(Arc::clone(&stored_schema))
-            } else {
-                record.clone()
-            };
-            writer.append(index_key, orig_key, &stored)?;
-        }
-        let stats = writer.finish()?;
-        Ok(CatalogEntry {
-            input_path: self.input.clone(),
-            index_path: self.output.clone(),
-            kind: self.kind.clone(),
-            index_bytes: stats.file_size,
-            input_bytes,
-        })
-    }
-
-    fn build_projection(&self, fields: &[String], input_bytes: u64) -> Result<CatalogEntry> {
-        let meta = SeqFileMeta::open(&self.input)?;
-        let records = meta
-            .read_all()?
-            .collect::<mr_storage::Result<Vec<Record>>>()?;
-        mr_storage::colfile::write_projected(&self.output, &meta.schema, fields, records)?;
         Ok(CatalogEntry {
             input_path: self.input.clone(),
             index_path: self.output.clone(),
@@ -361,18 +245,86 @@ impl IndexGenProgram {
         })
     }
 
+    /// Selection indexes are built by an actual MapReduce job: map
+    /// evaluates the index-key expression per record and emits only the
+    /// records inside the view, the shuffle sorts them by that key, and
+    /// the single reducer is a [`BTreeSink`] that appends each group to
+    /// the B+Tree as the merge produces it — nothing holds the view in
+    /// memory beyond what the shuffle budget allows.
+    fn build_selection(
+        &self,
+        path: &Path,
+        projected_fields: Option<&[String]>,
+        shuffle_buffer_bytes: Option<usize>,
+        shuffle_compression: ShuffleCompression,
+    ) -> Result<()> {
+        let expr = self
+            .key_expr
+            .clone()
+            .ok_or_else(|| ManimalError::IndexGen("selection program without key".into()))?;
+        let source_schema = Arc::clone(&SeqFileMeta::open(&self.input)?.schema);
+        let projected = projected_fields.map(|fields| Arc::new(source_schema.project(fields)));
+        let stored_schema = projected.clone().unwrap_or(source_schema);
+        let writer = Arc::new(Mutex::new(BTreeWriter::create(path, stored_schema)?));
+        run_job(&JobConfig {
+            name: format!("index-gen {}", self.output.display()),
+            inputs: vec![InputBinding {
+                input: InputSpec::SeqFile {
+                    path: self.input.clone(),
+                },
+                mapper: Arc::new(ExprKeyMapper {
+                    expr,
+                    view_ranges: self.view_ranges.clone(),
+                    projected,
+                    entry: Vec::new(),
+                }),
+                join: None,
+            }],
+            num_reducers: 1,
+            reducer: Arc::new(BTreeSink(Arc::clone(&writer))),
+            // The sink writes the tree and emits no output pairs.
+            output: OutputSpec::InMemory,
+            map_parallelism: mr_engine::job::available_parallelism(),
+            sort_output: false,
+            shuffle_buffer_bytes,
+            shuffle_compression,
+            spill_dir: None,
+            dict_store: None,
+            combiner: None,
+            // The sink appends as groups arrive: a retried reduce
+            // attempt would append them twice.
+            max_task_attempts: 1,
+            fault_plan: None,
+            spill_writer_threads: 1,
+            buffer_pool: None,
+            backend: Default::default(),
+        })?;
+        let writer = Arc::into_inner(writer).expect("the finished job dropped its reducers");
+        writer
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .finish()?;
+        Ok(())
+    }
+
+    fn build_projection(&self, path: &Path, fields: &[String]) -> Result<()> {
+        let meta = SeqFileMeta::open(&self.input)?;
+        mr_storage::colfile::write_projected(path, &meta.schema, fields, meta.read_all()?)?;
+        Ok(())
+    }
+
     fn build_delta(
         &self,
+        path: &Path,
         fields: &[String],
         projected: Option<&[String]>,
-        input_bytes: u64,
-    ) -> Result<CatalogEntry> {
+    ) -> Result<()> {
         let meta = SeqFileMeta::open(&self.input)?;
         let schema = match projected {
             Some(kept) => Arc::new(meta.schema.project(kept)),
             None => Arc::clone(&meta.schema),
         };
-        let mut writer = DeltaFileWriter::create(&self.output, Arc::clone(&schema), fields)?;
+        let mut writer = DeltaFileWriter::create(path, Arc::clone(&schema), fields)?;
         for rec in meta.read_all()? {
             let rec = rec?;
             let stored = if projected.is_some() {
@@ -383,36 +335,35 @@ impl IndexGenProgram {
             writer.append(&stored)?;
         }
         writer.finish()?;
-        Ok(CatalogEntry {
-            input_path: self.input.clone(),
-            index_path: self.output.clone(),
-            kind: self.kind.clone(),
-            index_bytes: std::fs::metadata(&self.output)?.len(),
-            input_bytes,
-        })
+        Ok(())
     }
 
-    fn build_dict(&self, fields: &[String], input_bytes: u64) -> Result<CatalogEntry> {
+    fn build_dict(&self, path: &Path, fields: &[String]) -> Result<()> {
         let meta = SeqFileMeta::open(&self.input)?;
-        let mut writer = DictFileWriter::create(&self.output, Arc::clone(&meta.schema), fields)?;
+        let mut writer = DictFileWriter::create(path, Arc::clone(&meta.schema), fields)?;
         for rec in meta.read_all()? {
             writer.append(&rec?)?;
         }
         writer.finish()?;
-        Ok(CatalogEntry {
-            input_path: self.input.clone(),
-            index_path: self.output.clone(),
-            kind: self.kind.clone(),
-            index_bytes: std::fs::metadata(&self.output)?.len(),
-            input_bytes,
-        })
+        Ok(())
     }
 }
 
-/// The map side of the selection index-generation job: emit
-/// `(key_expr(record), [orig_key, record])`.
+/// The map side of the selection index-generation job: for each record
+/// whose key lies in the view (every record when `view_ranges` is empty
+/// — a full clustered index), emit `(key_expr(record), [orig_key,
+/// entry])`, where `entry` is the B+Tree entry value already encoded —
+/// the original key, then the record (projected when the index is). The
+/// index is a view on the records the predicate can ever select (paper
+/// §2.2), which keeps its space overhead at the selectivity level rather
+/// than 100 %; filtering here keeps the rest out of the shuffle too, and
+/// encoding here leaves the single reducer only bytes to copy.
+#[derive(Clone)]
 struct ExprKeyMapper {
     expr: Expr,
+    view_ranges: Vec<(ScanBound, ScanBound)>,
+    projected: Option<Arc<Schema>>,
+    entry: Vec<u8>,
 }
 
 impl Mapper for ExprKeyMapper {
@@ -426,20 +377,77 @@ impl Mapper for ExprKeyMapper {
             .expr
             .eval(key, value)
             .map_err(mr_engine::EngineError::Map)?;
-        out.push((index_key, Value::list(vec![key.clone(), value.clone()])));
+        let in_view = self.view_ranges.is_empty()
+            || (self.view_ranges.iter())
+                .any(|(lo, hi)| ScanBound::range_admits(lo, hi, &index_key));
+        if !in_view {
+            return Ok(MapStats::default());
+        }
+        let record = value.as_record().ok_or_else(|| IrError::Type {
+            context: "index-gen".into(),
+            expected: "record",
+            got: value.kind_name(),
+        })?;
+        self.entry.clear();
+        encode_value(key, &mut self.entry)?;
+        match &self.projected {
+            Some(schema) => encode_row(&record.project_to(Arc::clone(schema)), &mut self.entry)?,
+            None => encode_row(record, &mut self.entry)?,
+        }
+        let entry = Value::bytes(&self.entry);
+        out.push((index_key, Value::list(vec![key.clone(), entry])));
         Ok(MapStats::default())
     }
 }
 
-struct ExprKeyMapperFactory {
-    expr: Expr,
+impl MapperFactory for ExprKeyMapper {
+    fn create(&self) -> Box<dyn Mapper> {
+        // A private schema copy per task: every projected record holds a
+        // handle on it, and tasks run on different threads.
+        let projected = self.projected.as_deref().map(|s| Arc::new(s.clone()));
+        Box::new(ExprKeyMapper {
+            projected,
+            ..self.clone()
+        })
+    }
 }
 
-impl MapperFactory for ExprKeyMapperFactory {
-    fn create(&self) -> Box<dyn Mapper> {
-        Box::new(ExprKeyMapper {
-            expr: self.expr.clone(),
-        })
+/// The reduce side of the selection index-generation job: appends each
+/// `(index_key, [[orig_key, entry], …])` group to the B+Tree. The
+/// group's values are sorted first, so equal index keys land in
+/// original-key order whatever order the shuffle delivered them in; the
+/// original keys are record positions, unique, so that is also the
+/// order of the whole `(index_key, [orig_key, record])` pairs.
+#[derive(Clone)]
+struct BTreeSink(Arc<Mutex<BTreeWriter>>);
+
+impl Reducer for BTreeSink {
+    fn reduce(
+        &mut self,
+        key: &Value,
+        values: &[Value],
+        _out: &mut Vec<(Value, Value)>,
+    ) -> mr_engine::Result<()> {
+        let mut sorted: Vec<&Value> = values.iter().collect();
+        sorted.sort();
+        let malformed = || mr_engine::EngineError::Reduce("malformed index-gen pair".into());
+        let mut writer = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        for packed in sorted {
+            let Value::List(kv) = packed else {
+                return Err(malformed());
+            };
+            let [_, Value::Bytes(entry)] = &kv[..] else {
+                return Err(malformed());
+            };
+            writer.append_encoded(key, entry)?;
+        }
+        Ok(())
+    }
+}
+
+impl ReducerFactory for BTreeSink {
+    fn create(&self) -> Box<dyn Reducer> {
+        Box::new(self.clone())
     }
 }
 

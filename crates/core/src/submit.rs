@@ -190,14 +190,9 @@ impl Manimal {
 
     /// Run a single index program and register its artifact — the
     /// administrator picking one recommendation out of several. The
-    /// instance's shuffle budget and combiner decision both apply to
-    /// the build job.
+    /// instance's shuffle budget and spill codec apply to the build job.
     pub fn build_index(&self, program: &IndexGenProgram) -> Result<CatalogEntry> {
-        let entry = program.run_tuned(
-            self.shuffle_buffer_bytes,
-            !self.optimizer.no_combine,
-            self.effective_compression(),
-        )?;
+        let entry = program.run(self.shuffle_buffer_bytes, self.effective_compression())?;
         self.catalog.register(entry.clone())?;
         Ok(entry)
     }

@@ -58,14 +58,15 @@ fn cfg(dir: &Path, name: &str) -> ServiceConfig {
 #[test]
 fn busy_daemon_with_a_full_queue_rejects_typed() {
     let dir = tmpdir("admission");
-    let input = webpages(&dir, "webpages.seq", 12_000);
+    let input = webpages(&dir, "webpages.seq", 48_000);
     let mut c = cfg(&dir, "admission");
     c.max_running = 1;
     c.queue_cap = 0;
     let handle = start(c.clone()).unwrap();
 
     // Client A occupies the only slot with a real job (index build
-    // included, so it holds the slot for a while).
+    // included, over an input large enough that it holds the slot for
+    // a while even when the parallel test runner starves this thread).
     let socket = c.socket.clone();
     let req = selection_request(&input, true);
     let slow = {

@@ -9,7 +9,8 @@
 //! submitted job's input data" (§2).
 //!
 //! The index-generation job feeds keys in sorted order (it is a
-//! MapReduce job whose shuffle sorts by the index key), so the tree is
+//! MapReduce job whose shuffle sorts by the index key and whose reducer
+//! appends each group as the merge produces it), so the tree is
 //! bulk-built bottom-up: leaves first, then each internal level, root
 //! last.
 //!
@@ -70,6 +71,13 @@ pub enum ScanBound {
 }
 
 impl ScanBound {
+    /// Whether `key` lies within the range `[lo, hi]`, each end
+    /// inclusive, exclusive or open as its bound says — the one range
+    /// predicate scans and selection-index views share.
+    pub fn range_admits(lo: &ScanBound, hi: &ScanBound, key: &Value) -> bool {
+        lo.admits_low(key) && hi.admits_high(key)
+    }
+
     fn admits_low(&self, key: &Value) -> bool {
         match self {
             ScanBound::Unbounded => true,
@@ -206,6 +214,20 @@ impl BTreeWriter {
     /// it is stored alongside the record so the optimized plan feeds
     /// `map()` inputs identical to the baseline's.
     pub fn append(&mut self, key: &Value, orig_key: &Value, record: &Record) -> Result<()> {
+        let mut value = std::mem::take(&mut self.scratch_row);
+        value.clear();
+        let appended = encode_value(orig_key, &mut value)
+            .and_then(|()| encode_row(record, &mut value))
+            .and_then(|()| self.append_encoded(key, &value));
+        self.scratch_row = value;
+        appended
+    }
+
+    /// [`append`](Self::append) with the entry's value already encoded:
+    /// `value` is `encode_value(orig_key)` followed by `encode_row(record)`
+    /// against the tree's schema. A caller with parallelism to spare
+    /// encodes there and the writer only copies the bytes.
+    pub fn append_encoded(&mut self, key: &Value, value: &[u8]) -> Result<()> {
         if let Some(prev) = &self.last_key {
             if key < prev {
                 return Err(StorageError::Schema(format!(
@@ -217,14 +239,11 @@ impl BTreeWriter {
 
         self.scratch_key.clear();
         encode_value(key, &mut self.scratch_key)?;
-        self.scratch_row.clear();
-        encode_value(orig_key, &mut self.scratch_row)?;
-        encode_row(record, &mut self.scratch_row)?;
 
         let entry_len = encoded_len_u64(self.scratch_key.len() as u64)
             + self.scratch_key.len()
-            + encoded_len_u64(self.scratch_row.len() as u64)
-            + self.scratch_row.len();
+            + encoded_len_u64(value.len() as u64)
+            + value.len();
         if entry_len > self.leaf_capacity() {
             return Err(StorageError::Schema(format!(
                 "entry of {entry_len} bytes exceeds page capacity {}; use a larger page size",
@@ -239,8 +258,8 @@ impl BTreeWriter {
         }
         encode_u64(self.scratch_key.len() as u64, &mut self.leaf_buf);
         self.leaf_buf.extend_from_slice(&self.scratch_key);
-        encode_u64(self.scratch_row.len() as u64, &mut self.leaf_buf);
-        self.leaf_buf.extend_from_slice(&self.scratch_row);
+        encode_u64(value.len() as u64, &mut self.leaf_buf);
+        self.leaf_buf.extend_from_slice(value);
         self.leaf_entries += 1;
         self.entry_count += 1;
         Ok(())
@@ -1002,6 +1021,28 @@ mod tests {
         let mut w = BTreeWriter::with_page_size(&path, Arc::clone(&s), 256).unwrap();
         let r = record(&s, vec!["x".repeat(1000).into()]);
         assert!(w.append(&Value::Int(1), &Value::Int(0), &r).is_err());
+    }
+
+    #[test]
+    fn range_admits_honours_each_end() {
+        let (lo, hi) = (
+            ScanBound::Incl(Value::Int(10)),
+            ScanBound::Excl(Value::Int(20)),
+        );
+        let admitted: Vec<i64> = (0..30)
+            .filter(|&k| ScanBound::range_admits(&lo, &hi, &Value::Int(k)))
+            .collect();
+        assert_eq!(admitted, (10..20).collect::<Vec<_>>());
+        let (lo, hi) = (
+            ScanBound::Excl(Value::Int(10)),
+            ScanBound::Incl(Value::Int(20)),
+        );
+        let admitted: Vec<i64> = (0..30)
+            .filter(|&k| ScanBound::range_admits(&lo, &hi, &Value::Int(k)))
+            .collect();
+        assert_eq!(admitted, (11..=20).collect::<Vec<_>>());
+        let open = ScanBound::Unbounded;
+        assert!(ScanBound::range_admits(&open, &open, &Value::str("x")));
     }
 
     #[test]

@@ -23,18 +23,20 @@ use mr_ir::schema::Schema;
 use crate::error::Result;
 use crate::seqfile::{SeqFileMeta, SeqFileWriter};
 
-/// Write a projected copy of `records` keeping only `fields`.
+/// Write a projected copy of `records` keeping only `fields`. The
+/// records stream through one at a time (a reader's `Result` items go in
+/// as they are; the first error stops the write).
 /// Returns (records written, projected schema).
 pub fn write_projected(
     path: impl AsRef<Path>,
     source_schema: &Arc<Schema>,
     fields: &[String],
-    records: impl IntoIterator<Item = Record>,
+    records: impl IntoIterator<Item = Result<Record>>,
 ) -> Result<(u64, Arc<Schema>)> {
     let proj_schema = Arc::new(source_schema.project(fields));
     let mut w = SeqFileWriter::create(path, Arc::clone(&proj_schema))?;
     for r in records {
-        w.append(&r.project_to(Arc::clone(&proj_schema)))?;
+        w.append(&r?.project_to(Arc::clone(&proj_schema)))?;
     }
     let n = w.finish()?;
     Ok((n, proj_schema))
@@ -111,7 +113,8 @@ mod tests {
             })
             .collect();
         let keep = vec!["url".to_string(), "rank".to_string()];
-        let (n, proj_schema) = write_projected(&path, &s, &keep, records.clone()).unwrap();
+        let (n, proj_schema) =
+            write_projected(&path, &s, &keep, records.iter().cloned().map(Ok)).unwrap();
         assert_eq!(n, 200);
         assert_eq!(proj_schema.field_names(), vec!["url", "rank"]);
 
@@ -138,7 +141,7 @@ mod tests {
         let path = tmp("order");
         // Request fields out of order; schema order must win.
         let keep = vec!["content".to_string(), "url".to_string()];
-        let (_, proj) = write_projected(&path, &s, &keep, vec![]).unwrap();
+        let (_, proj) = write_projected(&path, &s, &keep, []).unwrap();
         assert_eq!(proj.field_names(), vec!["url", "content"]);
     }
 }
