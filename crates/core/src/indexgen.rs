@@ -18,10 +18,16 @@
 //!
 //! [`IndexGenProgram::run`] executes one. The selection program is the
 //! MapReduce job: its map drops records outside the view and its one
-//! reducer streams the sorted groups into the B+Tree writer. The other
-//! kinds are single scans. Every artifact commits by rename.
+//! reducer streams the sorted groups into the B+Tree writer. Projection
+//! and delta programs run on every core too: the input's sparse-index
+//! blocks are encoded apart, block *i* of the input becoming block *i*
+//! of the artifact, and one writer appends them in order, so the
+//! artifact is byte-identical to a sequential build. The dictionary
+//! program is one sequential scan (see [`DictFileWriter`]). Every
+//! artifact commits by rename.
 
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use mr_analysis::expr::Expr;
@@ -34,11 +40,12 @@ use mr_engine::{
 use mr_ir::schema::Schema;
 use mr_ir::value::Value;
 use mr_ir::IrError;
+use mr_storage::blockindex::{self, BlockEncoder, BLOCK_RECORDS};
 use mr_storage::btree::{BTreeWriter, ScanBound};
 use mr_storage::delta::DeltaFileWriter;
 use mr_storage::dict::DictFileWriter;
 use mr_storage::rowcodec::{encode_row, encode_value};
-use mr_storage::seqfile::SeqFileMeta;
+use mr_storage::seqfile::{SeqFileMeta, SeqFileWriter, Split};
 
 use crate::catalog::{CatalogEntry, IndexKind, RangeRepr};
 use crate::error::{ManimalError, Result};
@@ -213,6 +220,22 @@ impl IndexGenProgram {
         shuffle_buffer_bytes: Option<usize>,
         shuffle_compression: ShuffleCompression,
     ) -> Result<CatalogEntry> {
+        self.run_on(
+            shuffle_buffer_bytes,
+            shuffle_compression,
+            mr_engine::job::available_parallelism(),
+        )
+    }
+
+    /// [`run`](Self::run), encoding projection and delta blocks on
+    /// `workers` threads.
+    fn run_on(
+        &self,
+        shuffle_buffer_bytes: Option<usize>,
+        shuffle_compression: ShuffleCompression,
+        workers: usize,
+    ) -> Result<CatalogEntry> {
+        let workers = workers.max(1);
         let input_bytes = std::fs::metadata(&self.input)?.len();
         let mut tmp = self.output.clone().into_os_string();
         tmp.push(format!(".{}.tmp", std::process::id()));
@@ -226,9 +249,9 @@ impl IndexGenProgram {
                 shuffle_buffer_bytes,
                 shuffle_compression,
             ),
-            IndexKind::Projection { fields } => self.build_projection(&tmp, fields),
+            IndexKind::Projection { fields } => self.build_projection(&tmp, fields, workers),
             IndexKind::Delta { fields, projected } => {
-                self.build_delta(&tmp, fields, projected.as_deref())
+                self.build_delta(&tmp, fields, projected.as_deref(), workers)
             }
             IndexKind::Dict { fields } => self.build_dict(&tmp, fields),
         };
@@ -307,9 +330,16 @@ impl IndexGenProgram {
         Ok(())
     }
 
-    fn build_projection(&self, path: &Path, fields: &[String]) -> Result<()> {
+    fn build_projection(&self, path: &Path, fields: &[String], workers: usize) -> Result<()> {
         let meta = SeqFileMeta::open(&self.input)?;
-        mr_storage::colfile::write_projected(path, &meta.schema, fields, meta.read_all()?)?;
+        let mut writer = SeqFileWriter::create(path, Arc::new(meta.schema.project(fields)))?;
+        let encoders = (0..workers)
+            .map(|_| writer.block_encoder(&meta.schema))
+            .collect::<mr_storage::Result<_>>()?;
+        encode_blocks(&meta, encoders, |rows, records| {
+            writer.append_block(rows, records)
+        })?;
+        writer.finish()?;
         Ok(())
     }
 
@@ -318,26 +348,27 @@ impl IndexGenProgram {
         path: &Path,
         fields: &[String],
         projected: Option<&[String]>,
+        workers: usize,
     ) -> Result<()> {
         let meta = SeqFileMeta::open(&self.input)?;
         let schema = match projected {
             Some(kept) => Arc::new(meta.schema.project(kept)),
             None => Arc::clone(&meta.schema),
         };
-        let mut writer = DeltaFileWriter::create(path, Arc::clone(&schema), fields)?;
-        for rec in meta.read_all()? {
-            let rec = rec?;
-            let stored = if projected.is_some() {
-                rec.project_to(Arc::clone(&schema))
-            } else {
-                rec
-            };
-            writer.append(&stored)?;
-        }
+        let mut writer = DeltaFileWriter::create(path, schema, fields)?;
+        let encoders = (0..workers)
+            .map(|_| writer.block_encoder(&meta.schema))
+            .collect::<mr_storage::Result<_>>()?;
+        encode_blocks(&meta, encoders, |rows, records| {
+            writer.append_block(rows, records)
+        })?;
         writer.finish()?;
         Ok(())
     }
 
+    /// One sequential scan: [`DictFileWriter`] assigns codes in
+    /// first-seen order across the whole file, so its blocks cannot be
+    /// encoded apart.
     fn build_dict(&self, path: &Path, fields: &[String]) -> Result<()> {
         let meta = SeqFileMeta::open(&self.input)?;
         let mut writer = DictFileWriter::create(path, Arc::clone(&meta.schema), fields)?;
@@ -347,6 +378,94 @@ impl IndexGenProgram {
         writer.finish()?;
         Ok(())
     }
+}
+
+/// Encode `input`'s sparse-index blocks on one thread per encoder and
+/// hand each block's rows to `append` on the calling thread, in block
+/// order. Worker *w* encodes blocks *w*, *w + n*, … and sends each over
+/// its own bounded channel, so at most three blocks per worker are in
+/// flight. The input's blocks must lie on the shared grid, so input
+/// block *i* becomes artifact block *i*.
+///
+/// A worker's error reaches the caller typed, in block order. Returning
+/// early drops the receivers, which stops the other workers; a worker
+/// that panics or stops without sending is an [`ManimalError::IndexGen`].
+fn encode_blocks<E: BlockEncoder>(
+    input: &SeqFileMeta,
+    encoders: Vec<E>,
+    mut append: impl FnMut(&[u8], u64) -> mr_storage::Result<()>,
+) -> Result<()> {
+    if !blockindex::on_grid(&input.blocks, input.record_count) {
+        return Err(ManimalError::IndexGen(format!(
+            "{}: sparse-index blocks are off the {BLOCK_RECORDS}-record grid",
+            input.path.display()
+        )));
+    }
+    // On the grid, one split per block is exactly the blocks.
+    let splits = input.splits(input.blocks.len());
+    let workers = encoders.len().min(splits.len());
+    if workers == 0 {
+        return Ok(());
+    }
+    std::thread::scope(|scope| {
+        let mut receivers = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
+        for (w, mut encoder) in encoders.into_iter().take(workers).enumerate() {
+            let (tx, rx) = sync_channel(2);
+            // A schema copy of its own: every decoded record holds a
+            // handle on it, and workers run on different threads.
+            let meta = SeqFileMeta {
+                schema: Arc::new(Schema::clone(&input.schema)),
+                ..input.clone()
+            };
+            let splits = &splits;
+            handles.push(scope.spawn(move || {
+                for split in splits.iter().skip(w).step_by(workers) {
+                    let block = encode_block(&meta, split, &mut encoder);
+                    let failed = block.is_err();
+                    if tx.send(block).is_err() || failed {
+                        return;
+                    }
+                }
+            }));
+            receivers.push(rx);
+        }
+        let appended = (0..splits.len()).try_for_each(|b| match receivers[b % workers].recv() {
+            Ok(block) => {
+                let (rows, records) = block?;
+                Ok(append(&rows, records)?)
+            }
+            Err(_) => Err(ManimalError::IndexGen(format!(
+                "the encoder of block {b} stopped without sending it"
+            ))),
+        });
+        drop(receivers);
+        // Join every worker (counting all, not stopping at the first
+        // panic), so none outlives the scope unobserved.
+        let panicked = (handles.into_iter())
+            .map(|h| h.join())
+            .filter(std::result::Result::is_err)
+            .count();
+        appended?;
+        match panicked {
+            0 => Ok(()),
+            n => Err(ManimalError::IndexGen(format!(
+                "{n} block encoder thread(s) panicked"
+            ))),
+        }
+    })
+}
+
+/// Read one input block and encode it.
+fn encode_block<E: BlockEncoder>(
+    input: &SeqFileMeta,
+    split: &Split,
+    encoder: &mut E,
+) -> mr_storage::Result<(Vec<u8>, u64)> {
+    for record in input.read_split(split)? {
+        encoder.push(&record?)?;
+    }
+    Ok(encoder.finish_block())
 }
 
 /// The map side of the selection index-generation job: for each record
@@ -623,5 +742,239 @@ mod tests {
             schema,
         );
         assert!(programs.is_empty());
+    }
+
+    // ---- block-parallel projection and delta builds -------------------
+
+    use mr_ir::record::{record, Record};
+    use mr_storage::seqfile::write_seqfile;
+    use mr_storage::StorageError;
+
+    fn visits() -> Arc<Schema> {
+        Schema::new(
+            "UserVisits",
+            vec![
+                ("sourceIP", FieldType::Str),
+                ("visitDate", FieldType::Long),
+                ("adRevenue", FieldType::Int),
+                ("userAgent", FieldType::Str),
+            ],
+        )
+        .into_arc()
+    }
+
+    fn block_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join("manimal-indexgen-blocks")
+            .join(format!("{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A seqfile of `n` visits rows.
+    fn visits_file(path: &Path, n: u64) {
+        let s = visits();
+        let rows = (0..n as i64).map(|i| {
+            record(
+                &s,
+                vec![
+                    format!("10.0.{}.{}", i % 251, i % 7).into(),
+                    (1_600_000_000 + i * 37 - (i % 5) * 1_000).into(),
+                    ((i * 7_919) % 100_000).into(),
+                    "agent".repeat((i % 4) as usize).into(),
+                ],
+            )
+        });
+        let rows: Vec<Record> = rows.collect();
+        write_seqfile(path, s, rows).unwrap();
+    }
+
+    /// The three block-built kinds: delta, projected delta, projection.
+    fn block_programs(input: &Path, dir: &Path) -> Vec<IndexGenProgram> {
+        let kinds = [
+            IndexKind::Delta {
+                fields: vec!["visitDate".into(), "adRevenue".into()],
+                projected: None,
+            },
+            IndexKind::Delta {
+                fields: vec!["adRevenue".into()],
+                projected: Some(vec!["sourceIP".into(), "adRevenue".into()]),
+            },
+            IndexKind::Projection {
+                fields: vec!["visitDate".into(), "sourceIP".into()],
+            },
+        ];
+        kinds
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| IndexGenProgram {
+                kind,
+                input: input.to_path_buf(),
+                output: dir.join(format!("kind{i}.idx")),
+                key_expr: None,
+                view_ranges: vec![],
+            })
+            .collect()
+    }
+
+    /// The naive build: one thread, one record at a time, through the
+    /// writers' own `append`.
+    fn sequential_build(prog: &IndexGenProgram, path: &Path) {
+        let meta = SeqFileMeta::open(&prog.input).unwrap();
+        let rows = || meta.read_all().unwrap();
+        match &prog.kind {
+            IndexKind::Delta { fields, projected } => {
+                let stored = match projected {
+                    Some(kept) => Arc::new(meta.schema.project(kept)),
+                    None => Arc::clone(&meta.schema),
+                };
+                let mut w = DeltaFileWriter::create(path, Arc::clone(&stored), fields).unwrap();
+                for rec in rows() {
+                    w.append(&rec.unwrap().project_to(Arc::clone(&stored)))
+                        .unwrap();
+                }
+                w.finish().unwrap();
+            }
+            IndexKind::Projection { fields } => {
+                mr_storage::colfile::write_projected(path, &meta.schema, fields, rows()).unwrap();
+            }
+            other => panic!("not block-built: {other:?}"),
+        }
+    }
+
+    fn tmp_files(dir: &Path) -> Vec<PathBuf> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "tmp"))
+            .collect()
+    }
+
+    /// Every block-built artifact equals the sequential writer's byte
+    /// for byte, at every block-edge record count and worker count.
+    #[test]
+    fn block_builds_are_byte_equal_to_the_sequential_writer() {
+        let b = BLOCK_RECORDS;
+        let mut differ = Vec::new();
+        for n in [0, 1, b - 1, b, b + 1, 3 * b + 17] {
+            let dir = block_dir(&format!("equal-{n}"));
+            let input = dir.join("visits.seq");
+            visits_file(&input, n);
+            for prog in block_programs(&input, &dir) {
+                let expected = dir.join("reference.idx");
+                sequential_build(&prog, &expected);
+                let expected = std::fs::read(&expected).unwrap();
+                for workers in [1, 2, 7] {
+                    let entry = prog.run_on(None, Default::default(), workers).unwrap();
+                    let got = std::fs::read(&prog.output).unwrap();
+                    assert_eq!(entry.index_bytes, got.len() as u64);
+                    if got != expected {
+                        differ.push(format!("{} n={n} workers={workers}", prog.kind));
+                    }
+                }
+            }
+            assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
+        }
+        assert!(
+            differ.is_empty(),
+            "differ from the sequential writer: {differ:?}"
+        );
+    }
+
+    /// A corrupt row in a block a later worker owns fails the build
+    /// with the typed storage error, leaves no temp file and leaves the
+    /// artifact from the earlier build byte-identical.
+    #[test]
+    fn a_worker_failure_is_typed_and_keeps_the_registered_artifact() {
+        let dir = block_dir("failure");
+        let input = dir.join("visits.seq");
+        visits_file(&input, 3 * BLOCK_RECORDS + 17);
+        let programs = block_programs(&input, &dir);
+        let before: Vec<Vec<u8>> = (programs.iter())
+            .map(|prog| {
+                prog.run_on(None, Default::default(), 2).unwrap();
+                std::fs::read(&prog.output).unwrap()
+            })
+            .collect();
+        // An implausible row length at the first row of block 3, which
+        // worker 1 of 2 and worker 3 of 7 own: blocks 0–2 are appended
+        // before the failure arrives.
+        let meta = SeqFileMeta::open(&input).unwrap();
+        let mut bytes = std::fs::read(&input).unwrap();
+        let at = meta.blocks[3].0 as usize;
+        bytes[at..at + 5].copy_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x7f]);
+        std::fs::write(&input, &bytes).unwrap();
+        for (prog, before) in programs.iter().zip(&before) {
+            for workers in [2, 7] {
+                let err = prog.run_on(None, Default::default(), workers).unwrap_err();
+                assert!(
+                    matches!(err, ManimalError::Storage(StorageError::Corrupt { .. })),
+                    "{prog} workers={workers}: {err}"
+                );
+                assert!(std::fs::read(&prog.output).unwrap() == *before, "{prog}");
+                assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
+            }
+        }
+    }
+
+    /// An input whose block index is valid but off the 4096-record grid
+    /// (a block entry dropped) is refused, not built misaligned.
+    #[test]
+    fn an_off_grid_input_is_refused() {
+        let dir = block_dir("off-grid");
+        let input = dir.join("visits.seq");
+        visits_file(&input, 3 * BLOCK_RECORDS);
+        let meta = SeqFileMeta::open(&input).unwrap();
+        let bytes = std::fs::read(&input).unwrap();
+        let tail = bytes.len() - 13;
+        let footer_len = u64::from_le_bytes(bytes[tail..tail + 8].try_into().unwrap());
+        let mut forged = bytes[..tail - footer_len as usize].to_vec();
+        let mut footer = Vec::new();
+        let kept = [meta.blocks[0], meta.blocks[2]];
+        mr_storage::varint::encode_u64(kept.len() as u64, &mut footer);
+        for (offset, before) in kept {
+            mr_storage::varint::encode_u64(offset, &mut footer);
+            mr_storage::varint::encode_u64(before, &mut footer);
+        }
+        mr_storage::varint::encode_u64(meta.record_count, &mut footer);
+        forged.extend_from_slice(&footer);
+        forged.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+        forged.extend_from_slice(&bytes[tail + 8..]);
+        std::fs::write(&input, forged).unwrap();
+        assert_eq!(SeqFileMeta::open(&input).unwrap().blocks.len(), 2);
+        for prog in block_programs(&input, &dir) {
+            let err = prog.run_on(None, Default::default(), 2).unwrap_err();
+            assert!(matches!(err, ManimalError::IndexGen(_)), "{prog}: {err}");
+            assert!(!prog.output.exists());
+        }
+        assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
+    }
+
+    /// An encoder that panics on its first record.
+    struct Panicking;
+
+    impl BlockEncoder for Panicking {
+        fn push(&mut self, _: &Record) -> mr_storage::Result<()> {
+            panic!("encoder bug")
+        }
+
+        fn finish_block(&mut self) -> (Vec<u8>, u64) {
+            (Vec::new(), 0)
+        }
+    }
+
+    /// A panicking worker becomes a typed error, and the build neither
+    /// hangs nor re-raises the panic.
+    #[test]
+    fn a_panicking_worker_is_a_typed_error() {
+        let dir = block_dir("panic");
+        let input = dir.join("visits.seq");
+        visits_file(&input, 2 * BLOCK_RECORDS + 1);
+        let meta = SeqFileMeta::open(&input).unwrap();
+        for workers in [1, 2, 7] {
+            let encoders = (0..workers).map(|_| Panicking).collect();
+            let err = encode_blocks(&meta, encoders, |_, _| Ok(())).unwrap_err();
+            assert!(matches!(err, ManimalError::IndexGen(_)), "{err}");
+        }
     }
 }

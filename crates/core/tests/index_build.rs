@@ -171,8 +171,8 @@ fn leftover_tmp_files(dir: &Path) -> Vec<PathBuf> {
 
 /// A rebuild whose input fails mid-scan returns the error and leaves
 /// the registered artifact byte-identical, still planned, with no temp
-/// file behind — for a MapReduce-built selection and a single-pass
-/// projection alike.
+/// file behind — for a MapReduce-built selection and the block-parallel
+/// projection and delta builds alike.
 #[test]
 fn failed_rebuild_keeps_the_registered_artifact() {
     let dir = tmpdir("rebuild");
@@ -197,7 +197,17 @@ fn failed_rebuild_keeps_the_registered_artifact() {
         key_expr: None,
         view_ranges: vec![],
     };
-    let programs = [&submission.index_programs[0], &projection];
+    let delta = IndexGenProgram {
+        kind: IndexKind::Delta {
+            fields: vec!["rank".into()],
+            projected: Some(vec!["url".into(), "rank".into()]),
+        },
+        input: input.clone(),
+        output: dir.join("work").join("webpages.projdelta.idx"),
+        key_expr: None,
+        view_ranges: vec![],
+    };
+    let programs = [&submission.index_programs[0], &projection, &delta];
     let before: Vec<Vec<u8>> = programs
         .iter()
         .map(|prog| {

@@ -11,11 +11,13 @@
 //! written as zig-zag varint differences against the previous record's
 //! value, all other fields use the normal row codec.
 //!
-//! Delta state **restarts at block boundaries** (every [`BLOCK`]
-//! records the first record is stored with absolute values), and the
-//! footer carries a block index — so delta files support input splits
-//! just like sequence files, at the cost of one absolute value per
-//! block per field.
+//! Delta state **restarts at block boundaries** (every
+//! [`BLOCK_RECORDS`] records the first record is stored with absolute
+//! values), and the footer carries a block index — so delta files
+//! support input splits just like sequence files, at the cost of one
+//! absolute value per block per field. The blocks are the sequence
+//! file's blocks, so a build can encode them apart
+//! ([`DeltaBlockEncoder`]) and append them in order.
 //!
 //! # Example
 //!
@@ -53,30 +55,79 @@ use mr_ir::record::Record;
 use mr_ir::schema::{FieldType, Schema};
 use mr_ir::value::Value;
 
+use crate::blockindex::{self, BlockEncoder, BlockRows, BLOCK_RECORDS};
 use crate::error::{Result, StorageError};
-use crate::rowcodec::{decode_schema, encode_schema};
-use crate::varint::{capacity_for, decode_i64, decode_u64, encode_i64, encode_u64};
+use crate::rowcodec::{decode_schema, encode_schema, FieldBinding};
+use crate::varint::{decode_i64, decode_u64, encode_i64, encode_u64};
 
 const MAGIC: &[u8; 5] = b"MRDL1";
-
-/// Records per delta block; delta state resets at each block boundary
-/// so blocks are independently decodable (split points).
-pub const BLOCK: u64 = 4096;
 
 /// Upper bound on a single serialized row; beyond this is corruption.
 const MAX_ROW_LEN: u64 = 1 << 30;
 
+/// Encodes delta-file rows one block at a time; delta state starts
+/// afresh with every block. Like [`SeqBlockEncoder`], it reads records
+/// of a source schema and stores the fields of the file's schema, a
+/// projection of it.
+///
+/// [`SeqBlockEncoder`]: crate::seqfile::SeqBlockEncoder
+pub struct DeltaBlockEncoder {
+    /// The stored schema; a private copy, so encoders on different
+    /// threads share nothing.
+    schema: Schema,
+    binding: FieldBinding,
+    /// Per stored field: delta-encoded?
+    is_delta: Vec<bool>,
+    /// Previous values of delta fields (by stored field index).
+    prev: Vec<i64>,
+    block: BlockRows,
+}
+
+impl DeltaBlockEncoder {
+    fn new(schema: &Schema, is_delta: Vec<bool>, binding: FieldBinding) -> DeltaBlockEncoder {
+        DeltaBlockEncoder {
+            schema: schema.clone(),
+            binding,
+            prev: vec![0; is_delta.len()],
+            is_delta,
+            block: BlockRows::default(),
+        }
+    }
+}
+
+impl BlockEncoder for DeltaBlockEncoder {
+    fn push(&mut self, record: &Record) -> Result<()> {
+        let row = self.block.start_row();
+        let values = self.binding.values(record)?;
+        for (i, (fd, v)) in self.schema.fields().iter().zip(values).enumerate() {
+            if self.is_delta[i] {
+                let cur = v.as_int().ok_or_else(|| {
+                    StorageError::Schema(format!("field `{}` not an int", fd.name))
+                })?;
+                encode_i64(cur.wrapping_sub(self.prev[i]), row);
+                self.prev[i] = cur;
+            } else {
+                crate::rowcodec::encode_field(fd.ty, v, &fd.name, row)?;
+            }
+        }
+        self.block.commit_row();
+        Ok(())
+    }
+
+    fn finish_block(&mut self) -> (Vec<u8>, u64) {
+        // The next block decodes independently: deltas restart from 0.
+        self.prev.fill(0);
+        self.block.take()
+    }
+}
+
 /// Writes a delta-compressed file.
 pub struct DeltaFileWriter {
     out: BufWriter<File>,
-    schema: Arc<Schema>,
-    /// Per schema field: delta-encoded?
-    is_delta: Vec<bool>,
-    /// Previous values of delta fields (by field index).
-    prev: Vec<i64>,
+    /// The block being filled by [`append`](Self::append).
+    pending: DeltaBlockEncoder,
     count: u64,
     bytes_written: u64,
-    buf: Vec<u8>,
     /// Block index: (byte offset, records before block).
     blocks: Vec<(u64, u64)>,
 }
@@ -124,59 +175,75 @@ impl DeltaFileWriter {
         out.write_all(&lenbuf)?;
         out.write_all(&header)?;
         let bytes_written = (5 + lenbuf.len() + header.len()) as u64;
-        let nfields = schema.len();
         Ok(DeltaFileWriter {
             out,
-            schema,
-            is_delta,
-            prev: vec![0; nfields],
+            pending: DeltaBlockEncoder::new(&schema, is_delta, FieldBinding::identity(&schema)),
             count: 0,
             bytes_written,
-            buf: Vec::new(),
             blocks: Vec::new(),
         })
     }
 
     /// Append a record.
     pub fn append(&mut self, record: &Record) -> Result<()> {
-        if self.count.is_multiple_of(BLOCK) {
-            // Block boundary: record a split point and restart deltas so
-            // the block decodes independently.
-            self.blocks.push((self.bytes_written, self.count));
-            for p in &mut self.prev {
-                *p = 0;
-            }
+        self.pending.push(record)?;
+        if self.pending.block.records == BLOCK_RECORDS {
+            self.write_pending()?;
         }
-        self.buf.clear();
-        for (i, (fd, v)) in self.schema.fields().iter().zip(record.values()).enumerate() {
-            if self.is_delta[i] {
-                let cur = v.as_int().ok_or_else(|| {
-                    StorageError::Schema(format!("field `{}` not an int", fd.name))
-                })?;
-                encode_i64(cur.wrapping_sub(self.prev[i]), &mut self.buf);
-                self.prev[i] = cur;
-            } else {
-                crate::rowcodec::encode_field(fd.ty, v, &fd.name, &mut self.buf)?;
-            }
+        Ok(())
+    }
+
+    /// An encoder for this file's blocks, reading records of `source`:
+    /// this file's schema, or one it is a projection of.
+    pub fn block_encoder(&self, source: &Schema) -> Result<DeltaBlockEncoder> {
+        let stored = &self.pending.schema;
+        let binding = FieldBinding::projecting(stored, source)?;
+        Ok(DeltaBlockEncoder::new(
+            stored,
+            self.pending.is_delta.clone(),
+            binding,
+        ))
+    }
+
+    /// Append one whole block encoded by a [`block_encoder`]: `rows`
+    /// holds `records` rows. Blocks keep the shared grid, so every
+    /// block but the last must be full and no [`append`]ed records may
+    /// be pending.
+    ///
+    /// [`block_encoder`]: Self::block_encoder
+    /// [`append`]: Self::append
+    pub fn append_block(&mut self, rows: &[u8], records: u64) -> Result<()> {
+        if self.pending.block.records > 0 {
+            return Err(StorageError::corrupt(
+                "deltafile",
+                "a block appended after a partial one",
+            ));
         }
-        let mut lenbuf = Vec::new();
-        encode_u64(self.buf.len() as u64, &mut lenbuf);
-        self.out.write_all(&lenbuf)?;
-        self.out.write_all(&self.buf)?;
-        self.bytes_written += (lenbuf.len() + self.buf.len()) as u64;
-        self.count += 1;
+        self.write_block(rows, records)
+    }
+
+    fn write_pending(&mut self) -> Result<()> {
+        match self.pending.finish_block() {
+            (_, 0) => Ok(()),
+            (rows, records) => self.write_block(&rows, records),
+        }
+    }
+
+    fn write_block(&mut self, rows: &[u8], records: u64) -> Result<()> {
+        blockindex::check_append("deltafile", self.count, records)?;
+        self.blocks.push((self.bytes_written, self.count));
+        self.out.write_all(rows)?;
+        self.bytes_written += rows.len() as u64;
+        self.count += records;
         Ok(())
     }
 
     /// Flush; returns (records, bytes written).
     pub fn finish(mut self) -> Result<(u64, u64)> {
+        self.write_pending()?;
         let mut footer = Vec::new();
         encode_u64(self.count, &mut footer);
-        encode_u64(self.blocks.len() as u64, &mut footer);
-        for (off, before) in &self.blocks {
-            encode_u64(*off, &mut footer);
-            encode_u64(*before, &mut footer);
-        }
+        blockindex::encode(&self.blocks, &mut footer);
         self.out.write_all(&footer)?;
         self.out.write_all(&(footer.len() as u64).to_le_bytes())?;
         self.out.flush()?;
@@ -218,19 +285,8 @@ impl DeltaFileMeta {
         tail.seek(SeekFrom::End(-8 - footer_len as i64))?;
         let mut footer = vec![0u8; footer_len as usize];
         tail.read_exact(&mut footer)?;
-        let mut fpos = 0usize;
-        let (record_count, n) = decode_u64(&footer[fpos..])?;
-        fpos += n;
-        let (nblocks, n) = decode_u64(&footer[fpos..])?;
-        fpos += n;
-        let mut blocks = Vec::with_capacity(capacity_for(nblocks, footer.len() - fpos));
-        for _ in 0..nblocks {
-            let (off, n) = decode_u64(&footer[fpos..])?;
-            fpos += n;
-            let (before, n) = decode_u64(&footer[fpos..])?;
-            fpos += n;
-            blocks.push((off, before));
-        }
+        let (record_count, n) = decode_u64(&footer)?;
+        let (blocks, _) = blockindex::decode(&footer[n..])?;
 
         let mut input = BufReader::new(File::open(&path_buf)?);
         let mut magic = [0u8; 5];
@@ -238,7 +294,7 @@ impl DeltaFileMeta {
         if &magic != MAGIC {
             return Err(StorageError::corrupt("deltafile", "bad magic"));
         }
-        let (header_len, _n) = read_varint(&mut input)?;
+        let (header_len, len_bytes) = read_varint(&mut input)?;
         if header_len > MAX_ROW_LEN {
             return Err(StorageError::corrupt(
                 "deltafile",
@@ -266,6 +322,16 @@ impl DeltaFileMeta {
                     != 0,
             );
         }
+        // Readers restart delta state every `BLOCK_RECORDS` records of
+        // a split, so a split may start only on the grid.
+        let rows = (5 + len_bytes as u64 + header_len)..(file_size - 8 - footer_len);
+        blockindex::check("deltafile", &blocks, record_count, rows)?;
+        if !blockindex::on_grid(&blocks, record_count) {
+            return Err(StorageError::corrupt(
+                "deltafile",
+                "block index off the grid",
+            ));
+        }
         Ok(DeltaFileMeta {
             path: path_buf,
             schema: Arc::new(schema),
@@ -283,27 +349,7 @@ impl DeltaFileMeta {
     /// Cut the file into at most `n` splits along block boundaries.
     pub fn splits(&self, n: usize) -> Vec<(u64, u64, u64)> {
         // (byte offset, records before, records in split)
-        if self.record_count == 0 || n == 0 {
-            return vec![];
-        }
-        let per_split = self.record_count.div_ceil(n as u64).max(1);
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        while i < self.blocks.len() {
-            let (offset, before) = self.blocks[i];
-            let mut j = i + 1;
-            while j < self.blocks.len() && self.blocks[j].1 - before < per_split {
-                j += 1;
-            }
-            let end = if j < self.blocks.len() {
-                self.blocks[j].1
-            } else {
-                self.record_count
-            };
-            out.push((offset, before, end - before));
-            i = j;
-        }
-        out
+        blockindex::splits(&self.blocks, self.record_count, n)
     }
 
     /// Read one split: `(offset, records_before, records)` from
@@ -372,7 +418,7 @@ impl DeltaFileReader {
         if self.remaining == 0 {
             return Ok(None);
         }
-        if self.produced.is_multiple_of(BLOCK) {
+        if self.produced.is_multiple_of(BLOCK_RECORDS) {
             // Block boundary: the writer restarted delta state here.
             for p in &mut self.prev {
                 *p = 0;
@@ -592,6 +638,35 @@ mod split_tests {
     use mr_ir::record::record;
     use std::sync::Arc;
 
+    /// A split starting off the grid would restart deltas at the wrong
+    /// record, so `open` refuses an index that is valid but off it.
+    #[test]
+    fn off_grid_block_index_is_corrupt() {
+        let s = Schema::new("T", vec![("v", FieldType::Long)]).into_arc();
+        let path = std::env::temp_dir()
+            .join("mr-delta-tests")
+            .join(format!("off-grid-{}", std::process::id()));
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let mut w = DeltaFileWriter::create(&path, Arc::clone(&s), &["v".into()]).unwrap();
+        for i in 0..BLOCK_RECORDS as i64 + 1 {
+            w.append(&record(&s, vec![Value::Int(i)])).unwrap();
+        }
+        w.finish().unwrap();
+        let meta = DeltaFileMeta::open(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let footer_len = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        let mut forged = bytes[..bytes.len() - 8 - footer_len as usize].to_vec();
+        let mut footer = Vec::new();
+        encode_u64(meta.record_count, &mut footer);
+        // The second block's offset, claimed to start at record 4000.
+        blockindex::encode(&[meta.blocks[0], (meta.blocks[1].0, 4000)], &mut footer);
+        forged.extend_from_slice(&footer);
+        forged.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+        std::fs::write(&path, forged).unwrap();
+        let r = DeltaFileMeta::open(&path);
+        assert!(matches!(r, Err(StorageError::Corrupt { .. })), "{r:?}");
+    }
+
     #[test]
     fn splits_cover_all_records_with_correct_values() {
         let s = Schema::new("T", vec![("v", FieldType::Long)]).into_arc();
@@ -599,7 +674,7 @@ mod split_tests {
             .join("mr-delta-tests")
             .join(format!("splits-{}", std::process::id()));
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        let n = (BLOCK * 2 + 500) as i64;
+        let n = (BLOCK_RECORDS * 2 + 500) as i64;
         let mut w = DeltaFileWriter::create(&path, Arc::clone(&s), &["v".into()]).unwrap();
         for i in 0..n {
             w.append(&record(&s, vec![Value::Int(1_000_000 + i)]))

@@ -60,6 +60,7 @@ use mr_ir::record::Record;
 use mr_ir::schema::{FieldType, Schema};
 use mr_ir::value::Value;
 
+use crate::blockindex::{self, BLOCK_RECORDS};
 use crate::error::{Result, StorageError};
 use crate::rowcodec::{decode_schema, encode_schema};
 use crate::varint::{
@@ -68,14 +69,18 @@ use crate::varint::{
 
 const MAGIC: &[u8; 5] = b"MRDC1";
 
-/// Records per block in the split index.
-pub const BLOCK: u64 = 4096;
-
 /// Upper bound on a single serialized row or header; beyond this is
 /// corruption.
 const MAX_ROW_LEN: u64 = 1 << 30;
 
 /// Writes a dictionary-compressed file.
+///
+/// Unlike the sequence and delta writers it has no block encoder, and
+/// the dictionary build runs on one thread: codes are assigned in
+/// first-seen order across the whole file, so block *i*'s codes depend
+/// on every block before it. An order-preserving (sorted) dictionary,
+/// ROADMAP item 11, would fix each code before the scan and let blocks
+/// encode apart.
 pub struct DictFileWriter {
     out: BufWriter<File>,
     /// Original (string-typed) schema.
@@ -87,6 +92,8 @@ pub struct DictFileWriter {
     count: u64,
     bytes_written: u64,
     buf: Vec<u8>,
+    /// The row-length prefix of `buf`.
+    lenbuf: Vec<u8>,
     /// Block index: (byte offset, records before block).
     blocks: Vec<(u64, u64)>,
 }
@@ -141,13 +148,14 @@ impl DictFileWriter {
             count: 0,
             bytes_written,
             buf: Vec::new(),
+            lenbuf: Vec::new(),
             blocks: Vec::new(),
         })
     }
 
     /// Append a record (with original string values).
     pub fn append(&mut self, record: &Record) -> Result<()> {
-        if self.count.is_multiple_of(BLOCK) {
+        if self.count.is_multiple_of(BLOCK_RECORDS) {
             self.blocks.push((self.bytes_written, self.count));
         }
         self.buf.clear();
@@ -157,18 +165,24 @@ impl DictFileWriter {
                     StorageError::Schema(format!("field `{}` not a string", fd.name))
                 })?;
                 let dict = &mut self.dicts[i];
-                let next = dict.len() as i64;
-                let code = *dict.entry(s.to_string()).or_insert(next);
+                let code = match dict.get(s) {
+                    Some(&code) => code,
+                    None => {
+                        let code = dict.len() as i64;
+                        dict.insert(s.to_string(), code);
+                        code
+                    }
+                };
                 encode_i64(code, &mut self.buf);
             } else {
                 crate::rowcodec::encode_field(fd.ty, v, &fd.name, &mut self.buf)?;
             }
         }
-        let mut lenbuf = Vec::new();
-        encode_u64(self.buf.len() as u64, &mut lenbuf);
-        self.out.write_all(&lenbuf)?;
+        self.lenbuf.clear();
+        encode_u64(self.buf.len() as u64, &mut self.lenbuf);
+        self.out.write_all(&self.lenbuf)?;
         self.out.write_all(&self.buf)?;
-        self.bytes_written += (lenbuf.len() + self.buf.len()) as u64;
+        self.bytes_written += (self.lenbuf.len() + self.buf.len()) as u64;
         self.count += 1;
         Ok(())
     }
@@ -178,11 +192,7 @@ impl DictFileWriter {
     pub fn finish(mut self) -> Result<(u64, u64, u64)> {
         let mut footer = Vec::new();
         encode_u64(self.count, &mut footer);
-        encode_u64(self.blocks.len() as u64, &mut footer);
-        for (off, before) in &self.blocks {
-            encode_u64(*off, &mut footer);
-            encode_u64(*before, &mut footer);
-        }
+        blockindex::encode(&self.blocks, &mut footer);
         encode_u64(self.dicts.len() as u64, &mut footer);
         let mut total_codes = 0u64;
         for dict in &self.dicts {
@@ -267,19 +277,9 @@ impl DictFileReader {
         tail.seek(SeekFrom::End(-8 - footer_len as i64))?;
         let mut footer = vec![0u8; footer_len as usize];
         tail.read_exact(&mut footer)?;
-        let mut pos = 0usize;
-        let (record_count, n) = decode_u64(&footer[pos..])?;
+        let (record_count, mut pos) = decode_u64(&footer)?;
+        let (blocks, n) = blockindex::decode(&footer[pos..])?;
         pos += n;
-        let (nblocks, n) = decode_u64(&footer[pos..])?;
-        pos += n;
-        let mut blocks = Vec::with_capacity(capacity_for(nblocks, footer.len() - pos));
-        for _ in 0..nblocks {
-            let (off, n) = decode_u64(&footer[pos..])?;
-            pos += n;
-            let (before, n) = decode_u64(&footer[pos..])?;
-            pos += n;
-            blocks.push((off, before));
-        }
         let (nfields, n) = decode_u64(&footer[pos..])?;
         pos += n;
         let mut dictionaries = Vec::with_capacity(capacity_for(nfields, footer.len() - pos));
@@ -309,7 +309,7 @@ impl DictFileReader {
         if &magic != MAGIC {
             return Err(StorageError::corrupt("dictfile", "bad magic"));
         }
-        let (header_len, _) = read_varint(&mut input)?;
+        let (header_len, len_bytes) = read_varint(&mut input)?;
         if header_len > MAX_ROW_LEN {
             return Err(StorageError::corrupt(
                 "dictfile",
@@ -357,6 +357,8 @@ impl DictFileReader {
                 "dictionary count does not match schema",
             ));
         }
+        let rows = (5 + len_bytes as u64 + header_len)..(file_size - 8 - footer_len);
+        blockindex::check("dictfile", &blocks, record_count, rows)?;
         Ok(DictFileReader {
             input,
             schema,
@@ -375,27 +377,10 @@ impl DictFileReader {
     /// Cut the file into at most `n` splits along block boundaries,
     /// returning `(offset, records)` pairs.
     pub fn splits(&self, n: usize) -> Vec<(u64, u64)> {
-        if self.record_count == 0 || n == 0 {
-            return vec![];
-        }
-        let per_split = self.record_count.div_ceil(n as u64).max(1);
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        while i < self.blocks.len() {
-            let (offset, before) = self.blocks[i];
-            let mut j = i + 1;
-            while j < self.blocks.len() && self.blocks[j].1 - before < per_split {
-                j += 1;
-            }
-            let end = if j < self.blocks.len() {
-                self.blocks[j].1
-            } else {
-                self.record_count
-            };
-            out.push((offset, end - before));
-            i = j;
-        }
-        out
+        blockindex::splits(&self.blocks, self.record_count, n)
+            .into_iter()
+            .map(|(offset, _, records)| (offset, records))
+            .collect()
     }
 
     /// A reader positioned at one split (sharing this reader's parsed
@@ -645,6 +630,9 @@ mod tests {
             ("nfields", vec![0, 0, big], None),
             ("ncodes", vec![0, 0, 1, big], None),
             ("string length", vec![0, 0, 1, 1, 0, u64::MAX], None),
+            // Three empty dictionaries for the three fields, but a
+            // record count with no block index to split it.
+            ("block index", vec![1, 0, 3, 0, 0, 0], None),
         ] {
             let r = open_forged(what, &footer, footer_len);
             assert!(

@@ -25,6 +25,9 @@
 //! * [`trained`] — per-corpus trained LZW seed dictionaries: train
 //!   once on the first spill's bytes, commit first-trainer-wins,
 //!   reference by content hash from the columnar (v2) run layout;
+//! * [`blockindex`] — the 4096-record block grid the row files share:
+//!   footer block-index validation, split planning, and the per-block
+//!   encoder the parallel index builds drive;
 //! * [`rowcodec`] / [`varint`] — the shared codecs;
 //! * [`fault`] — deterministic IO fault injection for the run/seq
 //!   readers and writers (and the block-frame layer), driving the
@@ -37,6 +40,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod blockcodec;
+pub mod blockindex;
 pub mod btree;
 pub mod colfile;
 pub mod colgroups;

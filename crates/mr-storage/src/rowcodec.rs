@@ -34,6 +34,56 @@ pub fn encode_row(record: &Record, out: &mut Vec<u8>) -> Result<()> {
     Ok(())
 }
 
+/// Where each field of a stored schema sits in the records being
+/// written, resolved by name once when an encoder is set up rather
+/// than for every record (a projection's stored fields are a subset of
+/// the source's).
+pub(crate) struct FieldBinding {
+    /// Source position of each stored field, in stored order.
+    source: Vec<usize>,
+    /// Fields in a source record.
+    arity: usize,
+}
+
+impl FieldBinding {
+    /// Records of `schema` stored as they are.
+    pub(crate) fn identity(schema: &Schema) -> FieldBinding {
+        FieldBinding {
+            source: (0..schema.len()).collect(),
+            arity: schema.len(),
+        }
+    }
+
+    /// Records of `source` stored as `stored`, a projection of it.
+    pub(crate) fn projecting(stored: &Schema, source: &Schema) -> Result<FieldBinding> {
+        let positions = stored.fields().iter().map(|fd| {
+            source.index_of(&fd.name).ok_or_else(|| {
+                StorageError::Schema(format!("field `{}` not in {}", fd.name, source.name()))
+            })
+        });
+        Ok(FieldBinding {
+            source: positions.collect::<Result<_>>()?,
+            arity: source.len(),
+        })
+    }
+
+    /// `record`'s values in stored-field order.
+    pub(crate) fn values<'r>(
+        &'r self,
+        record: &'r Record,
+    ) -> Result<impl Iterator<Item = &'r Value>> {
+        let values = record.values();
+        if values.len() != self.arity {
+            return Err(StorageError::Schema(format!(
+                "record has {} fields, the writer expects {}",
+                values.len(),
+                self.arity
+            )));
+        }
+        Ok(self.source.iter().map(move |&i| &values[i]))
+    }
+}
+
 /// Append the schema-typed encoding of one field value.
 pub fn encode_field(ty: FieldType, v: &Value, name: &str, out: &mut Vec<u8>) -> Result<()> {
     match (ty, v) {

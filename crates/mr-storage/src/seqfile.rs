@@ -35,10 +35,11 @@ use mr_ir::record::Record;
 use mr_ir::schema::Schema;
 
 use crate::blockcodec::{BlockReader, BlockWriter, ShuffleCompression};
+use crate::blockindex::{self, BlockEncoder, BlockRows, BLOCK_RECORDS};
 use crate::error::{Result, StorageError};
 use crate::fault::{IoFaults, IoSite};
-use crate::rowcodec::{decode_row, decode_schema, encode_row, encode_schema};
-use crate::varint::{capacity_for, decode_u64, encode_u64, read_u64_from};
+use crate::rowcodec::{decode_row, decode_schema, encode_field, encode_schema, FieldBinding};
+use crate::varint::{decode_u64, encode_u64, read_u64_from};
 
 const MAGIC: &[u8; 5] = b"MRSQ1";
 const MAGIC_COMPRESSED: &[u8; 5] = b"MRSQ2";
@@ -48,19 +49,56 @@ const FOOTER_MAGIC: &[u8; 5] = b"MRSQF";
 /// treated as corruption rather than allocated.
 const MAX_ROW_LEN: u64 = 1 << 30;
 
-/// Records per sparse-index block (a new split point every `BLOCK`
-/// records).
-const BLOCK: u64 = 4096;
+/// Encodes sequence-file rows (`varint row_len, encode_row`) one
+/// sparse-index block at a time. It reads records of a source schema
+/// and stores the fields of the file's schema, a projection of it, so a
+/// projected file is encoded without building projected records.
+pub struct SeqBlockEncoder {
+    /// The stored schema; a private copy, so encoders on different
+    /// threads share nothing.
+    schema: Schema,
+    binding: FieldBinding,
+    block: BlockRows,
+}
+
+impl SeqBlockEncoder {
+    fn new(schema: &Schema, binding: FieldBinding) -> SeqBlockEncoder {
+        SeqBlockEncoder {
+            schema: schema.clone(),
+            binding,
+            block: BlockRows::default(),
+        }
+    }
+}
+
+impl BlockEncoder for SeqBlockEncoder {
+    fn push(&mut self, record: &Record) -> Result<()> {
+        let row = self.block.start_row();
+        let values = self.binding.values(record)?;
+        for (fd, v) in self.schema.fields().iter().zip(values) {
+            encode_field(fd.ty, v, &fd.name, row)?;
+        }
+        self.block.commit_row();
+        Ok(())
+    }
+
+    fn finish_block(&mut self) -> (Vec<u8>, u64) {
+        self.block.take()
+    }
+}
 
 /// Writes a sequence file.
 pub struct SeqFileWriter {
     out: BlockWriter<BufWriter<File>>,
     schema: Arc<Schema>,
+    /// Whether the row region is block-compressed.
+    framed: bool,
     /// Physical offset where the row region starts.
     data_start: u64,
     count: u64,
     blocks: Vec<(u64, u64)>, // (byte offset, records before block)
-    row_buf: Vec<u8>,
+    /// The block being filled by [`append`](Self::append).
+    pending: SeqBlockEncoder,
     finished: bool,
     faults: Option<Arc<IoFaults>>,
 }
@@ -111,9 +149,9 @@ impl SeqFileWriter {
             ));
         }
         let mut file = BufWriter::new(File::create(path)?);
-        let compressed = codec != ShuffleCompression::None;
+        let framed = codec != ShuffleCompression::None;
         let mut data_start = MAGIC.len() as u64;
-        if compressed {
+        if framed {
             file.write_all(MAGIC_COMPRESSED)?;
             file.write_all(&[codec.stream_tag()])?;
             data_start += 1;
@@ -129,11 +167,12 @@ impl SeqFileWriter {
         data_start += (lenbuf.len() + header.len()) as u64;
         Ok(SeqFileWriter {
             out: BlockWriter::new(file, codec.codec(), faults.clone()),
+            pending: SeqBlockEncoder::new(&schema, FieldBinding::identity(&schema)),
             schema,
+            framed,
             data_start,
             count: 0,
             blocks: Vec::new(),
-            row_buf: Vec::new(),
             finished: false,
             faults,
         })
@@ -150,32 +189,73 @@ impl SeqFileWriter {
         if let Some(f) = &self.faults {
             f.check(IoSite::SeqWrite)?;
         }
-        if self.count.is_multiple_of(BLOCK) {
-            // A split point: force a frame boundary so the recorded
-            // byte offset is seekable in the compressed variant too
-            // (no-op without a codec).
-            self.out.flush_block()?;
-            self.blocks
-                .push((self.data_start + self.out.written_bytes(), self.count));
+        self.pending.push(record)?;
+        if self.pending.block.records == BLOCK_RECORDS {
+            self.write_pending()?;
         }
-        self.row_buf.clear();
-        encode_row(record, &mut self.row_buf)?;
-        let mut lenbuf = Vec::new();
-        encode_u64(self.row_buf.len() as u64, &mut lenbuf);
-        self.out.write_all(&lenbuf)?;
-        self.out.write_all(&self.row_buf)?;
-        self.count += 1;
+        Ok(())
+    }
+
+    /// An encoder for this file's blocks, reading records of `source`:
+    /// this file's schema, or one it is a projection of.
+    pub fn block_encoder(&self, source: &Schema) -> Result<SeqBlockEncoder> {
+        let binding = FieldBinding::projecting(&self.schema, source)?;
+        Ok(SeqBlockEncoder::new(&self.schema, binding))
+    }
+
+    /// Append one whole block encoded by a [`block_encoder`]: `rows`
+    /// holds `records` rows. Blocks keep the shared grid, so every
+    /// block but the last must be full and no [`append`]ed records may
+    /// be pending. Plain (uncompressed) files only; the parallel index
+    /// builds are its one caller and write plain projected files.
+    ///
+    /// [`block_encoder`]: Self::block_encoder
+    /// [`append`]: Self::append
+    pub fn append_block(&mut self, rows: &[u8], records: u64) -> Result<()> {
+        if self.framed {
+            return Err(StorageError::Schema(
+                "whole blocks append to uncompressed seqfiles only".into(),
+            ));
+        }
+        if self.pending.block.records > 0 {
+            return Err(StorageError::corrupt(
+                "seqfile",
+                "a block appended after a partial one",
+            ));
+        }
+        if let Some(f) = &self.faults {
+            for _ in 0..records {
+                f.check(IoSite::SeqWrite)?;
+            }
+        }
+        self.write_block(rows, records)
+    }
+
+    fn write_pending(&mut self) -> Result<()> {
+        match self.pending.finish_block() {
+            (_, 0) => Ok(()),
+            (rows, records) => self.write_block(&rows, records),
+        }
+    }
+
+    fn write_block(&mut self, rows: &[u8], records: u64) -> Result<()> {
+        blockindex::check_append("seqfile", self.count, records)?;
+        // A split point: force a frame boundary so the recorded byte
+        // offset is seekable in the compressed variant too (no-op
+        // without a codec).
+        self.out.flush_block()?;
+        self.blocks
+            .push((self.data_start + self.out.written_bytes(), self.count));
+        self.out.write_all(rows)?;
+        self.count += records;
         Ok(())
     }
 
     /// Write the footer and flush. Returns the total record count.
     pub fn finish(mut self) -> Result<u64> {
+        self.write_pending()?;
         let mut footer = Vec::new();
-        encode_u64(self.blocks.len() as u64, &mut footer);
-        for (off, before) in &self.blocks {
-            encode_u64(*off, &mut footer);
-            encode_u64(*before, &mut footer);
-        }
+        blockindex::encode(&self.blocks, &mut footer);
         encode_u64(self.count, &mut footer);
         // Close the framed row region; the footer is raw so the reader
         // can find it from the end without decoding anything.
@@ -274,18 +354,10 @@ impl SeqFileMeta {
         let mut footer = vec![0u8; footer_len as usize];
         f.read_exact(&mut footer)?;
 
-        let mut pos = 0usize;
-        let (n_blocks, n) = decode_u64(&footer[pos..])?;
-        pos += n;
-        let mut blocks = Vec::with_capacity(capacity_for(n_blocks, footer.len() - pos));
-        for _ in 0..n_blocks {
-            let (off, n) = decode_u64(&footer[pos..])?;
-            pos += n;
-            let (before, n) = decode_u64(&footer[pos..])?;
-            pos += n;
-            blocks.push((off, before));
-        }
-        let (record_count, _) = decode_u64(&footer[pos..])?;
+        let (blocks, used) = blockindex::decode(&footer)?;
+        let (record_count, _) = decode_u64(&footer[used..])?;
+        let rows_end = file_size - 13 - footer_len;
+        blockindex::check("seqfile", &blocks, record_count, data_start..rows_end)?;
 
         Ok(SeqFileMeta {
             path,
@@ -300,31 +372,10 @@ impl SeqFileMeta {
 
     /// Cut the file into at most `n` splits along block boundaries.
     pub fn splits(&self, n: usize) -> Vec<Split> {
-        if self.record_count == 0 || n == 0 {
-            return vec![];
-        }
-        let per_split = self.record_count.div_ceil(n as u64).max(1);
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        while i < self.blocks.len() {
-            let (offset, before) = self.blocks[i];
-            // Advance until this split holds >= per_split records.
-            let mut j = i + 1;
-            while j < self.blocks.len() && self.blocks[j].1 - before < per_split {
-                j += 1;
-            }
-            let end_records = if j < self.blocks.len() {
-                self.blocks[j].1
-            } else {
-                self.record_count
-            };
-            out.push(Split {
-                offset,
-                records: end_records - before,
-            });
-            i = j;
-        }
-        out
+        blockindex::splits(&self.blocks, self.record_count, n)
+            .into_iter()
+            .map(|(offset, _, records)| Split { offset, records })
+            .collect()
     }
 
     /// Read records starting at `split`.
@@ -504,7 +555,7 @@ mod tests {
         let s = schema();
         let path = tmp("splits");
         // Enough records to span several sparse-index blocks.
-        let n = (super::BLOCK * 3 + 100) as usize;
+        let n = (BLOCK_RECORDS * 3 + 100) as usize;
         write_seqfile(&path, Arc::clone(&s), make_records(&s, n)).unwrap();
         let meta = SeqFileMeta::open(&path).unwrap();
         for nsplits in [1usize, 2, 3, 7] {
@@ -550,7 +601,7 @@ mod tests {
     #[test]
     fn compressed_splits_seek_to_frame_boundaries() {
         let s = schema();
-        let n = (super::BLOCK * 3 + 77) as usize;
+        let n = (BLOCK_RECORDS * 3 + 77) as usize;
         let records = make_records(&s, n);
         for codec in [ShuffleCompression::Dict, ShuffleCompression::Delta] {
             let path = tmp(&format!("comp-splits-{codec}"));
@@ -667,6 +718,73 @@ mod tests {
         let mut footer = Vec::new();
         encode_u64(1 << 40, &mut footer);
         assert_corrupt(&forge_footer("n-blocks", &footer, footer.len() as u64));
+    }
+
+    /// One forged block index per rule `open` enforces on a 10-record
+    /// file: each is typed corruption, so `splits` never sees it.
+    #[test]
+    fn forged_block_indexes_are_corrupt() {
+        let s = schema();
+        let path = tmp("index-valid");
+        write_seqfile(&path, Arc::clone(&s), make_records(&s, 10)).unwrap();
+        let meta = SeqFileMeta::open(&path).unwrap();
+        let ds = meta.data_start;
+        for (rule, blocks, count) in [
+            ("records without blocks", vec![], 10),
+            ("blocks without records", vec![(ds, 0)], 0),
+            ("first block past record 0", vec![(ds, 1)], 10),
+            ("first block not at the rows", vec![(ds + 1, 0)], 10),
+            ("offsets not increasing", vec![(ds, 0), (ds, 5)], 10),
+            ("records not increasing", vec![(ds, 0), (ds + 5, 0)], 10),
+            ("record past the count", vec![(ds, 0), (ds + 5, 10)], 10),
+            (
+                "offset past the rows",
+                vec![(ds, 0), (meta.file_size, 5)],
+                10,
+            ),
+        ] {
+            let mut footer = Vec::new();
+            blockindex::encode(&blocks, &mut footer);
+            encode_u64(count, &mut footer);
+            let path = forge_footer(&format!("index-{rule}"), &footer, footer.len() as u64);
+            let r = SeqFileMeta::open(&path);
+            assert!(
+                matches!(r, Err(StorageError::Corrupt { .. })),
+                "{rule}: {r:?}"
+            );
+        }
+    }
+
+    /// Whole blocks append only on the grid, after no partial block,
+    /// and only to plain files; a refused block writes nothing.
+    #[test]
+    fn append_block_keeps_the_grid() {
+        let s = schema();
+        let records = make_records(&s, 3);
+        let path = tmp("append-block");
+        let mut w = SeqFileWriter::create(&path, Arc::clone(&s)).unwrap();
+        let mut enc = w.block_encoder(&s).unwrap();
+        for r in &records {
+            enc.push(r).unwrap();
+        }
+        let (short, n) = enc.finish_block();
+        w.append_block(&short, n).unwrap();
+        assert!(w.append_block(&short, n).is_err(), "after a short block");
+        assert_eq!(w.finish().unwrap(), 3);
+        let back: Vec<Record> = (SeqFileMeta::open(&path).unwrap().read_all().unwrap())
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(back, records);
+
+        let mut w = SeqFileWriter::create(tmp("append-block-2"), Arc::clone(&s)).unwrap();
+        w.append(&records[0]).unwrap();
+        assert!(w.append_block(&short, n).is_err(), "after a partial block");
+
+        let mut w =
+            SeqFileWriter::create_with_codec(tmp("append-block-3"), s, ShuffleCompression::Dict)
+                .unwrap();
+        let err = w.append_block(&short, n).unwrap_err();
+        assert!(matches!(err, StorageError::Schema(_)), "{err}");
     }
 
     #[test]
