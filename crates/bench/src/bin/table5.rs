@@ -96,7 +96,6 @@ fn main() {
         shuffle_buffer_bytes: None,
         shuffle_compression: Default::default(),
         spill_dir: None,
-        dict_store: None,
         combiner: None,
         max_task_attempts: 1,
         fault_plan: None,

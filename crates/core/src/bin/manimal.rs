@@ -90,9 +90,9 @@ manimal — automatic optimization for MapReduce programs
   manimal run     PROG.mrasm DATA.seq [--work DIR] [--reducer R]
                   [--reduce-ir REDUCE.mrasm]
                   [--baseline] [--safe-mode] [--shuffle-buffer BYTES]
-                  [--shuffle-codec none|raw|dict|delta|dict-trained]
+                  [--shuffle-codec none|raw|auto]
                   [--spill-writer-threads N]
-                  [--no-combine] [--no-dict-train] [--max-task-attempts N]
+                  [--no-combine] [--max-task-attempts N]
                   [--fault-spec SPEC]
                   [--backend local|process|process:N]
   manimal join    RANKINGS.seq USERVISITS.seq [--work DIR]
@@ -110,14 +110,11 @@ manimal — automatic optimization for MapReduce programs
   manimal stats   SOCKET                  # daemon counter snapshot
   manimal shutdown SOCKET                 # drain in-flight jobs and exit
 
-codecs: --shuffle-codec block-compresses spill runs (dict = LZW
-dictionary frames, delta = stride-delta frames, raw = CRC framing
-only, dict-trained = LZW seeded from a dictionary trained on the
-job's own map output and stored content-addressed under
-WORK/dicts for cross-job reuse); --no-dict-train downgrades
-dict-trained to the static dict codec (no training pass, no
-artifacts); --codec on generate writes the block-compressed seqfile
-variant. Output is byte-identical under every codec.
+codecs: --shuffle-codec block-compresses spill runs (none = no
+framing, raw = CRC'd frames only, auto = each frame the smallest of
+an LZW dictionary, a stride-delta and a stored encoding); --codec on
+generate takes the same values and writes the block-compressed
+seqfile variant. Output is byte-identical under every codec.
 
 shuffle: --shuffle-buffer caps the resident shuffle and spills the
 excess to sorted runs; --spill-writer-threads N overlaps run writing
@@ -325,9 +322,8 @@ fn parse_num(rest: &[&String], name: &str, default: usize) -> Result<usize, Stri
 fn parse_codec(rest: &[&String], name: &str) -> Result<ShuffleCompression, String> {
     match flag_value(rest, name) {
         None => Ok(ShuffleCompression::None),
-        Some(v) => ShuffleCompression::parse(v).ok_or_else(|| {
-            format!("{name}: unknown codec `{v}` (none|raw|dict|delta|dict-trained)")
-        }),
+        Some(v) => ShuffleCompression::parse(v)
+            .ok_or_else(|| format!("{name}: unknown codec `{v}` (none|raw|auto)")),
     }
 }
 
@@ -524,7 +520,6 @@ fn run_cmd(rest: &[&String]) -> Result<(), String> {
     let mut manimal = Manimal::new(workdir(rest, input)).map_err(|e| e.to_string())?;
     manimal.optimizer.safe_mode = flag_present(rest, "--safe-mode");
     manimal.optimizer.no_combine = flag_present(rest, "--no-combine");
-    manimal.optimizer.no_dict_train = flag_present(rest, "--no-dict-train");
     if let Some(bytes) = flag_value(rest, "--shuffle-buffer") {
         manimal.shuffle_buffer_bytes = Some(
             bytes
@@ -917,7 +912,7 @@ mod tests {
         }
         let fault = plan("io:block-read:0");
         let mut k = knobs(Some(&fault), &backend);
-        k.codec = ShuffleCompression::Dict;
+        k.codec = ShuffleCompression::Auto;
         assert_eq!(validate_run_knobs(&k), Ok(()));
     }
 

@@ -27,6 +27,7 @@ use parking_lot::Mutex;
 
 use mr_ir::value::Value;
 use mr_storage::btree::ScanBound;
+use mr_storage::hex;
 use mr_storage::rowcodec::{decode_value, encode_value};
 
 use crate::error::{ManimalError, Result};
@@ -52,27 +53,13 @@ pub struct RangeRepr {
     pub high: BoundRepr,
 }
 
-pub(crate) fn hex_encode(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-pub(crate) fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
-        .collect()
-}
-
 impl BoundRepr {
     /// Encode a scan bound.
     pub fn from_bound(b: &ScanBound) -> Result<BoundRepr> {
         let enc = |v: &Value| -> Result<String> {
             let mut buf = Vec::new();
             encode_value(v, &mut buf)?;
-            Ok(hex_encode(&buf))
+            Ok(hex::encode(&buf))
         };
         Ok(match b {
             ScanBound::Unbounded => BoundRepr::Open,
@@ -84,8 +71,8 @@ impl BoundRepr {
     /// Decode back to a scan bound.
     pub fn to_bound(&self) -> Result<ScanBound> {
         let dec = |s: &str| -> Result<Value> {
-            let bytes =
-                hex_decode(s).ok_or_else(|| ManimalError::Catalog("bad hex in catalog".into()))?;
+            let bytes = hex::decode(s)
+                .map_err(|e| ManimalError::Catalog(format!("bad hex in catalog: {e}")))?;
             Ok(decode_value(&bytes)?.0)
         };
         Ok(match self {

@@ -312,7 +312,6 @@ impl IndexGenProgram {
             shuffle_buffer_bytes,
             shuffle_compression,
             spill_dir: None,
-            dict_store: None,
             combiner: None,
             // The sink appends as groups arrive: a retried reduce
             // attempt would append them twice.

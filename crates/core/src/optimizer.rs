@@ -45,12 +45,6 @@ pub struct OptimizerConfig {
     /// Escape hatch: never engage map-side combining, even for reducers
     /// with a declared or proven combiner (`manimal run --no-combine`).
     pub no_combine: bool,
-    /// Escape hatch for the trained-dictionary shuffle codec: when the
-    /// instance asks for `dict-trained` spill compression, run with the
-    /// static `dict` codec instead — no training pass, no dictionary
-    /// artifacts (`manimal run --no-dict-train`). Jobs already running
-    /// another codec are unaffected.
-    pub no_dict_train: bool,
 }
 
 /// The plan handed to the execution fabric (paper Fig. 1's "execution

@@ -1,7 +1,7 @@
 //! `manimald` — a long-running job service over a Unix socket.
 //!
 //! A single daemon owns one [`Manimal`] instance — one catalog, one
-//! shared buffer pool, one trained-dictionary store — and serves many
+//! shared buffer pool — and serves many
 //! clients concurrently. Three policies turn the one-shot CLI pipeline
 //! into a service:
 //!
@@ -233,7 +233,7 @@ pub struct ServiceConfig {
     /// The Unix socket path to listen on (a stale file is replaced).
     pub socket: PathBuf,
     /// The shared [`Manimal`] working directory (catalog, index
-    /// artifacts, trained dictionaries).
+    /// artifacts).
     pub workdir: PathBuf,
     /// Concurrent job slots.
     pub max_running: usize,

@@ -19,9 +19,9 @@ use std::path::PathBuf;
 
 use mr_ir::value::Value;
 use mr_json::Json;
+use mr_storage::hex;
 use mr_storage::rowcodec::{decode_value, encode_value};
 
-use crate::catalog::{hex_decode, hex_encode};
 use crate::error::{ManimalError, Result};
 
 /// Client → server: submit a job ([`JobRequest`] payload).
@@ -258,12 +258,12 @@ impl JobReply {
 pub fn encode_hex_value(v: &Value) -> Result<String> {
     let mut buf = Vec::new();
     encode_value(v, &mut buf)?;
-    Ok(hex_encode(&buf))
+    Ok(hex::encode(&buf))
 }
 
 /// Decode one hex rowcodec value.
 pub fn decode_hex_value(hex: &str) -> Result<Value> {
-    let bytes = hex_decode(hex).ok_or_else(|| bad("bad hex in output pair"))?;
+    let bytes = hex::decode(hex).map_err(|e| bad(&format!("bad hex in output pair: {e}")))?;
     Ok(decode_value(&bytes)?.0)
 }
 

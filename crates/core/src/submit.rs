@@ -141,29 +141,6 @@ impl Manimal {
         &self.catalog
     }
 
-    /// The spill codec jobs actually run with: the instance's
-    /// [`shuffle_compression`](Self::shuffle_compression), except that
-    /// [`OptimizerConfig::no_dict_train`] downgrades `dict-trained` to
-    /// the static `dict` codec — the escape hatch that keeps the spill
-    /// path compressed without a training pass.
-    pub fn effective_compression(&self) -> ShuffleCompression {
-        match self.shuffle_compression {
-            ShuffleCompression::DictTrained if self.optimizer.no_dict_train => {
-                ShuffleCompression::Dict
-            }
-            codec => codec,
-        }
-    }
-
-    /// The instance's persistent trained-dictionary store
-    /// (`<workdir>/dicts`), handed to every dict-trained job so
-    /// identical training corpora across jobs share one
-    /// content-addressed artifact. `None` for every other codec.
-    fn dict_store(&self) -> Option<PathBuf> {
-        (self.effective_compression() == ShuffleCompression::DictTrained)
-            .then(|| self.workdir.join("dicts"))
-    }
-
     /// Step 1 — analyze a submitted program and produce the recommended
     /// index-generation programs.
     pub fn submit(&self, program: &Program, input: impl AsRef<Path>) -> Submission {
@@ -192,7 +169,7 @@ impl Manimal {
     /// administrator picking one recommendation out of several. The
     /// instance's shuffle budget and spill codec apply to the build job.
     pub fn build_index(&self, program: &IndexGenProgram) -> Result<CatalogEntry> {
-        let entry = program.run(self.shuffle_buffer_bytes, self.effective_compression())?;
+        let entry = program.run(self.shuffle_buffer_bytes, self.shuffle_compression)?;
         self.catalog.register(entry.clone())?;
         Ok(entry)
     }
@@ -264,9 +241,8 @@ impl Manimal {
             map_parallelism: mr_engine::job::available_parallelism(),
             sort_output: true,
             shuffle_buffer_bytes: self.shuffle_buffer_bytes,
-            shuffle_compression: self.effective_compression(),
+            shuffle_compression: self.shuffle_compression,
             spill_dir: None,
-            dict_store: self.dict_store(),
             combiner,
             max_task_attempts: self.max_task_attempts.max(1),
             fault_plan: self.fault_plan.clone(),
@@ -355,9 +331,8 @@ impl Manimal {
             map_parallelism: mr_engine::job::available_parallelism(),
             sort_output: true,
             shuffle_buffer_bytes: self.shuffle_buffer_bytes,
-            shuffle_compression: self.effective_compression(),
+            shuffle_compression: self.shuffle_compression,
             spill_dir: None,
-            dict_store: self.dict_store(),
             combiner: None,
             max_task_attempts: self.max_task_attempts.max(1),
             fault_plan: self.fault_plan.clone(),

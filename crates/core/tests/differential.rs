@@ -188,7 +188,6 @@ fn run_descriptor(
         shuffle_buffer_bytes: cfg.budget,
         shuffle_compression: cfg.codec,
         spill_dir: None,
-        dict_store: None,
         combiner: None,
         max_task_attempts: cfg.attempts,
         fault_plan: cfg.fault.clone().map(Arc::new),
@@ -590,7 +589,6 @@ fn run_join_cell(
         shuffle_buffer_bytes: cfg.budget,
         shuffle_compression: cfg.codec,
         spill_dir: None,
-        dict_store: None,
         combiner: None,
         max_task_attempts: cfg.attempts,
         fault_plan: cfg.fault.clone().map(Arc::new),

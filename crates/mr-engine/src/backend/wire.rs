@@ -27,7 +27,7 @@ use mr_ir::schema::Schema;
 use mr_ir::value::Value;
 use mr_json::Json;
 use mr_storage::blockcodec::ShuffleCompression;
-use mr_storage::{rowcodec, ScanBound, StorageError};
+use mr_storage::{hex, rowcodec, ScanBound, StorageError};
 
 use crate::combine::{combiner_by_name, Combiner};
 use crate::counters::CounterSnapshot;
@@ -46,32 +46,14 @@ fn bad(detail: impl Into<String>) -> EngineError {
 
 // ---- scalar helpers ----------------------------------------------------
 
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn hex_decode(s: &str) -> Result<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return Err(bad("odd-length hex string"));
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|_| bad("non-hex digit")))
-        .collect()
-}
-
 fn value_hex(v: &Value) -> Result<String> {
     let mut buf = Vec::new();
     rowcodec::encode_value(v, &mut buf).map_err(EngineError::Storage)?;
-    Ok(hex_encode(&buf))
+    Ok(hex::encode(&buf))
 }
 
 fn value_from_hex(s: &str) -> Result<Value> {
-    let buf = hex_decode(s)?;
+    let buf = hex::decode(s)?;
     let (v, _) = rowcodec::decode_value(&buf).map_err(EngineError::Storage)?;
     Ok(v)
 }
@@ -79,11 +61,11 @@ fn value_from_hex(s: &str) -> Result<Value> {
 fn schema_hex(schema: &Schema) -> String {
     let mut buf = Vec::new();
     rowcodec::encode_schema(schema, &mut buf);
-    hex_encode(&buf)
+    hex::encode(&buf)
 }
 
 fn schema_from_hex(s: &str) -> Result<Arc<Schema>> {
-    let buf = hex_decode(s)?;
+    let buf = hex::decode(s)?;
     let (schema, _) = rowcodec::decode_schema(&buf).map_err(EngineError::Storage)?;
     Ok(schema.into_arc())
 }
@@ -262,9 +244,6 @@ pub(crate) struct WireJob {
     pub shuffle_buffer_bytes: Option<usize>,
     /// Spill-run codec.
     pub compression: ShuffleCompression,
-    /// Persistent trained-dictionary store for the dict-trained codec
-    /// ([`JobConfig::dict_store`]), if any.
-    pub dict_store: Option<PathBuf>,
     /// Map-side combiner (by-name builtin), if any.
     pub combiner: Option<Arc<dyn Combiner>>,
     /// Record-level fault schedule (the worker consults map/reduce
@@ -347,13 +326,6 @@ pub(crate) fn encode_job(job: &JobConfig, job_dir: &Path, slow_ms: u64) -> Resul
             },
         ),
         ("compression", Json::str(job.shuffle_compression.name())),
-        (
-            "dict_store",
-            match &job.dict_store {
-                Some(p) => path_json(p)?,
-                None => Json::Null,
-            },
-        ),
         ("combiner", combiner),
         (
             "fault",
@@ -448,10 +420,6 @@ pub(crate) fn decode_job(payload: &[u8]) -> Result<WireJob> {
             let name = str_field(&j, "compression")?;
             ShuffleCompression::parse(name)
                 .ok_or_else(|| bad(format!("unknown shuffle codec `{name}`")))?
-        },
-        dict_store: match j.get("dict_store") {
-            Some(Json::Null) | None => None,
-            Some(_) => Some(path_field(&j, "dict_store")?),
         },
         combiner,
         fault,
@@ -759,9 +727,8 @@ mod tests {
             map_parallelism: 2,
             sort_output: true,
             shuffle_buffer_bytes: Some(4096),
-            shuffle_compression: ShuffleCompression::Dict,
+            shuffle_compression: ShuffleCompression::Auto,
             spill_dir: None,
-            dict_store: Some("/tmp/dict-store".into()),
             combiner: Builtin::Sum.combiner(),
             max_task_attempts: 2,
             fault_plan: Some(Arc::new(
@@ -782,8 +749,7 @@ mod tests {
         assert_eq!(wire.num_reducers, 3);
         assert_eq!(wire.map_parallelism, 2);
         assert_eq!(wire.shuffle_buffer_bytes, Some(4096));
-        assert_eq!(wire.compression, ShuffleCompression::Dict);
-        assert_eq!(wire.dict_store, Some(PathBuf::from("/tmp/dict-store")));
+        assert_eq!(wire.compression, ShuffleCompression::Auto);
         assert_eq!(wire.combiner.as_deref().map(Combiner::name), Some("sum"));
         assert_eq!(wire.slow_ms, 7);
         assert_eq!(wire.inputs.len(), 2);

@@ -35,14 +35,11 @@
 use std::io::{BufReader, BufWriter};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-use mr_storage::blockcodec::ShuffleCompression;
 use mr_storage::{RunFileReader, RunFileWriter};
 
 use crate::attempt::{merge_reduce, run_map, MapAttempt, SplitEnd};
 use crate::counters::CounterSnapshot;
-use crate::dictctx::DictContext;
 use crate::error::{EngineError, Result};
 use crate::merge::RunStream;
 use crate::pool::BufferPool;
@@ -81,16 +78,10 @@ pub fn worker_main(socket: &str, worker_id: usize) -> Result<()> {
         binding.mapper = mapper;
     }
     // The worker's shuffle-write settings, for every attempt it runs:
-    // no io faults (see the module docs). The dict-trained codec's
-    // dictionary authority commits into the *shared* job directory
-    // (hard-link, first trainer wins), which keeps concurrent workers
-    // and speculative attempts on one dictionary.
-    let dict = (job.compression == ShuffleCompression::DictTrained)
-        .then(|| Arc::new(DictContext::new(&job.job_dir, job.dict_store.clone())));
+    // no io faults (see the module docs).
     let env = ShuffleEnv::new(
         job.combiner.clone(),
         job.compression,
-        dict,
         None,
         BufferPool::new(),
     );

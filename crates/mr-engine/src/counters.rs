@@ -93,14 +93,6 @@ counters! {
     /// spill-disk write traffic. Equals `spill_bytes_raw` without a
     /// codec; the gap is exactly the I/O compression saved.
     spill_bytes_written,
-    /// Shared shuffle dictionaries trained by this job (dict-trained
-    /// codec only). One map task trains per job; everything else
-    /// reuses, so a healthy job reports at most 1.
-    dict_trained,
-    /// Times a committed (or store-cached) trained dictionary was
-    /// reused instead of retrained — retries, sibling map tasks,
-    /// compaction, and repeat jobs over the same data all count here.
-    dict_reused,
     /// Pairs that entered a shuffle-side combine site, once per site:
     /// emits aggregated by a staging table, pairs in a buffer about to
     /// be spill-written, pairs read by a compaction rewrite (the
@@ -194,13 +186,6 @@ impl std::fmt::Display for CounterSnapshot {
         if let Some(ratio) = self.spill_ratio() {
             write!(f, "\nspill ratio       : {ratio:.4}")?;
         }
-        if self.dict_trained > 0 || self.dict_reused > 0 {
-            write!(
-                f,
-                "\ndicts trained     : {}\ndicts reused      : {}",
-                self.dict_trained, self.dict_reused
-            )?;
-        }
         if self.speculative_tasks > 0 || self.workers_killed > 0 {
             write!(
                 f,
@@ -248,7 +233,7 @@ mod tests {
         job.absorb(&attempt);
         job.absorb(&attempt);
         let fields = job.snapshot().fields();
-        assert_eq!(fields.len(), 25);
+        assert_eq!(fields.len(), 23);
         for (i, (name, v)) in fields.into_iter().enumerate() {
             let expect = 2 * (100 + i as u64) + u64::from(name == "map_input_records");
             assert_eq!(v, expect, "{name}");

@@ -178,7 +178,7 @@ pub struct JobConfig {
     /// Block codec for spill-run I/O
     /// ([`mr_storage::blockcodec::ShuffleCompression`]). The default
     /// [`ShuffleCompression::None`] streams raw pairs — the seed
-    /// behaviour; `Dict`/`Delta` compress each spilled run (and every
+    /// behaviour; `Auto` compresses each spilled run (and every
     /// compaction rewrite) below the record layer, cutting spill-disk
     /// traffic when the shuffle is redundant, and `Raw` frames without
     /// compressing (CRC detection only). Output is byte-identical
@@ -191,14 +191,6 @@ pub struct JobConfig {
     /// subdirectory that is removed when the job finishes; `None` uses
     /// [`std::env::temp_dir`].
     pub spill_dir: Option<PathBuf>,
-    /// Persistent trained-dictionary store for the
-    /// [`ShuffleCompression::DictTrained`] codec. When set, a job whose
-    /// training corpus hashes to an already-stored dictionary *reuses*
-    /// it instead of training a new one, and freshly trained
-    /// dictionaries are saved back (content-addressed, so identical
-    /// corpora across jobs share one artifact). `None` trains per job
-    /// with no cross-job reuse. Ignored by the other codecs.
-    pub dict_store: Option<PathBuf>,
     /// Map-side combiner. `None` (the default) runs the plain
     /// emit→spill→merge pipeline; with a combiner, emitted pairs are
     /// folded as they are staged, at spill time, and in the merge
@@ -276,7 +268,6 @@ impl JobConfig {
             shuffle_buffer_bytes: None,
             shuffle_compression: ShuffleCompression::None,
             spill_dir: None,
-            dict_store: None,
             combiner: None,
             max_task_attempts: 1,
             fault_plan: None,
@@ -322,13 +313,6 @@ impl JobConfig {
     /// Put spill runs under `dir` instead of the system temp dir.
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// Deduplicate trained dictionaries through a persistent store
-    /// ([`JobConfig::dict_store`]).
-    pub fn with_dict_store(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.dict_store = Some(dir.into());
         self
     }
 

@@ -53,7 +53,6 @@ mod attempt;
 pub mod backend;
 pub mod combine;
 pub mod counters;
-pub mod dictctx;
 pub mod error;
 pub mod fault;
 pub mod input;
@@ -72,7 +71,6 @@ pub(crate) mod staging;
 pub use backend::{maybe_worker_entry, worker_main};
 pub use combine::{CombineStrategy, Combiner};
 pub use counters::{CounterSnapshot, Counters};
-pub use dictctx::DictContext;
 pub use error::{EngineError, Result};
 pub use fault::{FaultPlan, TaskFault};
 pub use input::{InputSpec, SplitReader};

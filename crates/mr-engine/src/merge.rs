@@ -23,7 +23,6 @@ use std::sync::Arc;
 
 use mr_ir::value::Value;
 use mr_storage::runfile::{RunFileReader, RunFileWriter};
-use mr_storage::trained::TrainedDict;
 
 use crate::counters::Counters;
 use crate::error::{EngineError, Result};
@@ -63,13 +62,6 @@ pub fn compact_runs(
     partition: usize,
     counters: &Counters,
 ) -> Result<()> {
-    // Resolve the shared dictionary once per compaction, not per
-    // batch: by compaction time the map side has committed it, so this
-    // is a cache or file load — never a retrain.
-    let trained = match runs.len() > MERGE_FACTOR {
-        true => env.trained(&[], counters)?,
-        false => None,
-    };
     while runs.len() > MERGE_FACTOR {
         let source = std::mem::take(runs);
         let mut next: Vec<SpillRun> = Vec::with_capacity(source.len().div_ceil(MERGE_FACTOR));
@@ -82,7 +74,7 @@ pub fn compact_runs(
                 continue;
             }
             let batch = &source[idx..end];
-            match merge_batch(env, batch, trained.clone(), dir, partition, counters) {
+            match merge_batch(env, batch, dir, partition, counters) {
                 Ok(run) => {
                     next.push(run);
                     idx = end;
@@ -109,7 +101,6 @@ pub fn compact_runs(
 fn merge_batch(
     env: &ShuffleEnv,
     batch: &[SpillRun],
-    trained: Option<Arc<TrainedDict>>,
     dir: &Path,
     partition: usize,
     counters: &Counters,
@@ -128,7 +119,7 @@ fn merge_batch(
         )?));
     }
     let path = dir.join(format!("merge-{partition:05}-{unique:08}"));
-    let (stats, (seen, kept)) = env.write_run(&path, trained, |w| merge_into(w, streams, env))?;
+    let (stats, (seen, kept)) = env.write_run(&path, |w| merge_into(w, streams, env))?;
     // Charge counters only after the batch is durable, so a failed
     // batch that is retried cannot double-count.
     if seen > 0 || kept > 0 {

@@ -70,14 +70,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mr_ir::value::Value;
-use mr_storage::blockcodec::ShuffleCompression;
 use mr_storage::runfile::RunFileReader;
 use parking_lot::Mutex as PlMutex;
 
 use crate::attempt::{merge_reduce, run_map, MapAttempt, MapOutput, SplitEnd};
 use crate::backend::{plan_map_tasks, JobRun, Partitions};
 use crate::counters::Counters;
-use crate::dictctx::DictContext;
 use crate::error::{EngineError, Result};
 use crate::fault::FaultPlan;
 use crate::input::SplitReader;
@@ -498,7 +496,6 @@ impl Drop for TextSink {
 ///     shuffle_buffer_bytes: Some(1024),
 ///     shuffle_compression: Default::default(),
 ///     spill_dir: None,
-///     dict_store: None,
 ///     combiner: None,
 ///     max_task_attempts: 1,
 ///     fault_plan: None,
@@ -541,16 +538,6 @@ pub(crate) fn run_job_local(run: &JobRun<'_>) -> Result<(Partitions, PhaseTiming
         }),
         None => None,
     };
-    // The dict-trained codec's job-scoped dictionary authority: commits
-    // `shuffle.dict` into the job spill directory (first trainer wins),
-    // optionally deduplicating through a persistent store.
-    let dict = match (&budget, job.shuffle_compression) {
-        (Some(b), ShuffleCompression::DictTrained) => Some(Arc::new(DictContext::new(
-            b.dir.path(),
-            job.dict_store.clone(),
-        ))),
-        _ => None,
-    };
     // Staging buffers and run-writer scratch recycle through a
     // job-private pool unless the caller shares one across jobs; io
     // faults are fresh per run, so the same schedule fails the same
@@ -558,7 +545,6 @@ pub(crate) fn run_job_local(run: &JobRun<'_>) -> Result<(Partitions, PhaseTiming
     let env = ShuffleEnv::new(
         job.combiner.clone(),
         job.shuffle_compression,
-        dict,
         fault.and_then(FaultPlan::io_faults),
         job.buffer_pool.clone().unwrap_or_else(BufferPool::new),
     );
@@ -891,7 +877,6 @@ mod tests {
             shuffle_buffer_bytes: None,
             shuffle_compression: Default::default(),
             spill_dir: None,
-            dict_store: None,
             combiner: None,
             max_task_attempts: 1,
             fault_plan: None,
@@ -1011,7 +996,6 @@ mod tests {
             shuffle_buffer_bytes: None,
             shuffle_compression: Default::default(),
             spill_dir: None,
-            dict_store: None,
             combiner: None,
             max_task_attempts: 1,
             fault_plan: None,

@@ -25,12 +25,10 @@ use mr_ir::value::Value;
 use mr_storage::blockcodec::ShuffleCompression;
 use mr_storage::fault::IoFaults;
 use mr_storage::runfile::{RunFileStats, RunFileWriter, RunScratch};
-use mr_storage::trained::TrainedDict;
 
 use crate::combine::{CombineStrategy, Combiner};
 use crate::counters::Counters;
-use crate::dictctx::DictContext;
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use crate::pool::BufferPool;
 
 /// A job's shuffle-write settings: everything a run write needs besides
@@ -44,9 +42,6 @@ pub struct ShuffleEnv {
     pub combine: CombineStrategy,
     /// Block codec of every run file written.
     pub compression: ShuffleCompression,
-    /// Shared-dictionary authority, required when `compression` is the
-    /// dict-trained codec (the first written spill trains it).
-    pub dict: Option<Arc<DictContext>>,
     /// Fault injection for run-file reads and writes.
     pub io: Option<Arc<IoFaults>>,
     /// Pool the pair buffers and writer scratch recycle through.
@@ -62,14 +57,12 @@ impl ShuffleEnv {
     pub fn new(
         combiner: Option<Arc<dyn Combiner>>,
         compression: ShuffleCompression,
-        dict: Option<Arc<DictContext>>,
         io: Option<Arc<IoFaults>>,
         pool: Arc<BufferPool>,
     ) -> ShuffleEnv {
         ShuffleEnv {
             combine: CombineStrategy::new(combiner),
             compression,
-            dict,
             io,
             pool,
             shuffle_nanos: Arc::new(AtomicU64::new(0)),
@@ -82,29 +75,8 @@ impl ShuffleEnv {
             .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// The shared dictionary a run about to be written is compressed
-    /// with: under the dict-trained codec, resolved — or trained on
-    /// `pairs`, by the job's first spill — through the dictionary
-    /// authority; `None` under every other codec.
-    pub(crate) fn trained(
-        &self,
-        pairs: &[(Value, Value)],
-        counters: &Counters,
-    ) -> Result<Option<Arc<TrainedDict>>> {
-        match (self.compression, &self.dict) {
-            (ShuffleCompression::DictTrained, Some(ctx)) => {
-                Ok(Some(ctx.resolve_or_train(pairs, counters)?))
-            }
-            (ShuffleCompression::DictTrained, None) => Err(EngineError::Config(
-                "dict-trained shuffle codec needs a dictionary context".into(),
-            )),
-            _ => Ok(None),
-        }
-    }
-
-    /// Write one run file at `path` in the env's codec (with the
-    /// [`trained`](Self::trained) dictionary under the dict-trained
-    /// codec); `fill` appends the pairs. Writer
+    /// Write one run file at `path` in the env's codec; `fill` appends
+    /// the pairs. Writer
     /// scratch ([`RunScratch`]) is loaned from the pool for the write
     /// and comes back with its capacity, so in steady state a write
     /// touches the allocator only when a pair outgrows every recycled
@@ -114,16 +86,12 @@ impl ShuffleEnv {
     pub(crate) fn write_run<T>(
         &self,
         path: &Path,
-        trained: Option<Arc<TrainedDict>>,
         fill: impl FnOnce(&mut RunFileWriter) -> Result<T>,
     ) -> Result<(RunFileStats, T)> {
         let scratch = self.pool.get_scratch();
         let written = (|| {
-            let io = self.io.clone();
-            let mut w = match trained {
-                Some(dict) => RunFileWriter::create_trained_pooled(path, dict, io, scratch)?,
-                None => RunFileWriter::create_pooled(path, self.compression, io, scratch)?,
-            };
+            let mut w =
+                RunFileWriter::create_pooled(path, self.compression, self.io.clone(), scratch)?;
             let filled = fill(&mut w)?;
             let (stats, scratch) = w.finish_reclaim()?;
             Ok((stats, scratch, filled))
@@ -143,13 +111,7 @@ impl ShuffleEnv {
     /// No combiner, no codec, no faults, a fresh pool.
     #[cfg(test)]
     pub(crate) fn plain() -> ShuffleEnv {
-        ShuffleEnv::new(
-            None,
-            ShuffleCompression::None,
-            None,
-            None,
-            BufferPool::new(),
-        )
+        ShuffleEnv::new(None, ShuffleCompression::None, None, BufferPool::new())
     }
 }
 
@@ -350,12 +312,8 @@ pub fn write_sorted_run(
     let t = Instant::now();
     pairs.sort_by(|a, b| a.0.cmp(&b.0));
     env.combine.combine_sorted(pairs, counters)?;
-    // The dict-trained codec resolves its shared dictionary here —
-    // after sort + combine, so the first spill trains on exactly the
-    // pair stream it is about to write.
-    let trained = env.trained(pairs, counters)?;
     let path = dir.join(format!("run-{partition:05}-{seq:06}"));
-    let (stats, ()) = env.write_run(&path, trained, |w| {
+    let (stats, ()) = env.write_run(&path, |w| {
         for (k, v) in pairs.iter() {
             w.append(k, v)?;
         }

@@ -48,7 +48,7 @@
 //! use mr_storage::blockcodec::{BlockReader, BlockWriter, ShuffleCompression};
 //!
 //! let payload: Vec<u8> = (0..10_000u32).flat_map(|i| (i / 8).to_le_bytes()).collect();
-//! let codec = ShuffleCompression::Dict.codec();
+//! let codec = ShuffleCompression::Auto;
 //!
 //! let mut w = BlockWriter::new(Vec::new(), codec, None);
 //! w.write_all(&payload)?;
@@ -57,7 +57,7 @@
 //! let framed = w.into_inner()?;
 //!
 //! let mut back = Vec::new();
-//! BlockReader::new(framed.as_slice(), codec.is_some(), None).read_to_end(&mut back)?;
+//! BlockReader::new(framed.as_slice(), codec.is_framed(), None).read_to_end(&mut back)?;
 //! assert_eq!(back, payload);
 //! # Ok::<(), std::io::Error>(())
 //! ```
@@ -81,21 +81,21 @@ const MAX_FRAME_LEN: u64 = 1 << 26;
 
 /// Codec tag of raw frames (legacy layout: carries a redundant
 /// compressed-length field). Still read; no longer written — the
-/// stored fallback emits [`TAG_STORED`] frames instead.
+/// stored fallback emits [`TAG_STORED`] frames instead. Also the
+/// stream-header tag of [`ShuffleCompression::Raw`].
 const TAG_RAW: u8 = 1;
 /// Codec tag of LZW dictionary frames.
-const TAG_DICT: u8 = 2;
+pub(crate) const TAG_DICT: u8 = 2;
 /// Codec tag of stride-delta + zero-run frames.
 pub(crate) const TAG_DELTA: u8 = 3;
-/// Codec tag of trained-dictionary LZW frames. Only valid inside the
-/// columnar (`MRRN2`) run layout, where the file header names the
-/// shared dictionary by hash; in a v1 stream it is corruption.
-pub(crate) const TAG_TRAINED: u8 = 4;
 /// Codec tag of stored frames: `[tag][varint raw_len][payload][crc]`,
 /// with no compressed-length field (it equals `raw_len`). This is
 /// what the can't-shrink fallback emits, so a framed stream never
 /// costs more than [`MAX_FRAME_OVERHEAD`] bytes per block over raw.
 pub(crate) const TAG_STORED: u8 = 5;
+/// Stream-header tag of [`ShuffleCompression::Auto`]. Never a frame
+/// tag: each `auto` frame carries the tag of the candidate that won it.
+const TAG_AUTO: u8 = 6;
 
 /// Worst-case frame bytes beyond the payload for a stored frame cut
 /// at [`DEFAULT_BLOCK_SIZE`]: 1 tag byte, ≤3 varint length bytes, 4
@@ -125,12 +125,6 @@ pub const MAX_FRAME_OVERHEAD: usize = 8;
 /// # Ok::<(), mr_storage::StorageError>(())
 /// ```
 pub trait BlockCodec: Send + Sync {
-    /// The tag written into each frame header.
-    fn tag(&self) -> u8;
-
-    /// Human-readable codec name (`raw`, `dict`, `delta`).
-    fn name(&self) -> &'static str;
-
     /// Compress `raw` into `out` (append; `out` is not cleared).
     fn compress(&self, raw: &[u8], out: &mut Vec<u8>);
 
@@ -140,21 +134,12 @@ pub trait BlockCodec: Send + Sync {
     fn decompress(&self, comp: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()>;
 }
 
-/// The identity codec: stored frames. Still worth having — it buys the
-/// frame CRC (corruption detection the bare stream lacks) at a few
-/// bytes per block.
+/// The identity codec behind legacy raw frames (tag 1), which are still
+/// read. Writers emit stored frames instead.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Raw;
 
 impl BlockCodec for Raw {
-    fn tag(&self) -> u8 {
-        TAG_RAW
-    }
-
-    fn name(&self) -> &'static str {
-        "raw"
-    }
-
     fn compress(&self, raw: &[u8], out: &mut Vec<u8>) {
         out.extend_from_slice(raw);
     }
@@ -189,14 +174,6 @@ const DICT_MAX_CODES: u32 = 1 << 16;
 pub struct DictBlock;
 
 impl BlockCodec for DictBlock {
-    fn tag(&self) -> u8 {
-        TAG_DICT
-    }
-
-    fn name(&self) -> &'static str {
-        "dict"
-    }
-
     fn compress(&self, raw: &[u8], out: &mut Vec<u8>) {
         // Classic LZW over (prefix code, next byte) pairs; emitted
         // codes are varints, so early (frequent) codes stay short.
@@ -321,14 +298,6 @@ pub struct DeltaVarint;
 const DELTA_MIN_ZRUN: usize = 4;
 
 impl BlockCodec for DeltaVarint {
-    fn tag(&self) -> u8 {
-        TAG_DELTA
-    }
-
-    fn name(&self) -> &'static str {
-        "delta"
-    }
-
     fn compress(&self, raw: &[u8], out: &mut Vec<u8>) {
         if raw.is_empty() {
             return;
@@ -446,62 +415,52 @@ fn best_stride(raw: &[u8]) -> usize {
 
 /// The shuffle-compression knob jobs carry
 /// (`JobConfig::shuffle_compression` in `mr-engine`, `manimal run
-/// --shuffle-codec`).
+/// --shuffle-codec`, `manimal generate --codec`).
 ///
 /// [`ShuffleCompression::None`] — the default — bypasses the block
 /// layer entirely: the stream is byte-identical to what the formats
-/// wrote before this layer existed. The other variants frame the
-/// stream through the named [`BlockCodec`].
+/// wrote before this layer existed. [`Raw`](Self::Raw) frames the
+/// stream in stored frames; [`Auto`](Self::Auto) frames each block as
+/// the smallest of a [`DictBlock`] frame, a [`DeltaVarint`] frame and a
+/// stored frame.
 ///
 /// # Example
 ///
 /// ```
 /// use mr_storage::blockcodec::ShuffleCompression;
 ///
-/// assert_eq!(ShuffleCompression::parse("dict"), Some(ShuffleCompression::Dict));
-/// assert_eq!(ShuffleCompression::parse("zstd"), None);
-/// assert!(ShuffleCompression::None.codec().is_none());
-/// assert_eq!(ShuffleCompression::Delta.codec().unwrap().name(), "delta");
+/// assert_eq!(ShuffleCompression::parse("auto"), Some(ShuffleCompression::Auto));
+/// assert_eq!(ShuffleCompression::parse("dict"), None);
+/// assert!(!ShuffleCompression::None.is_framed());
+/// assert!(ShuffleCompression::Auto.is_framed());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ShuffleCompression {
     /// No block layer: the raw record stream, exactly as before.
     #[default]
     None,
-    /// Framed but stored ([`Raw`]): CRC detection, no size change.
+    /// Stored frames: CRC detection, no size change.
     Raw,
-    /// LZW dictionary frames ([`DictBlock`]).
-    Dict,
-    /// Stride-delta + zero-run frames ([`DeltaVarint`]).
-    Delta,
-    /// Trained shared-dictionary frames in the columnar (v2) run
-    /// layout: sorted keys and values travel as separate block
-    /// streams, values seeded from a per-corpus dictionary
-    /// ([`trained`](crate::trained)). Handled by the run-file layer,
-    /// not a plain per-frame [`BlockCodec`], so
-    /// [`codec`](Self::codec) returns `None` for this variant.
-    DictTrained,
+    /// Per block, the smallest of an LZW ([`DictBlock`]), a
+    /// stride-delta ([`DeltaVarint`]) and a stored frame.
+    Auto,
 }
 
 impl ShuffleCompression {
-    /// Every variant, in the order benches and the differential
-    /// harness sweep them.
-    pub const ALL: [ShuffleCompression; 5] = [
+    /// Every variant, in the order tests and the differential harness
+    /// sweep them.
+    pub const ALL: [ShuffleCompression; 3] = [
         ShuffleCompression::None,
         ShuffleCompression::Raw,
-        ShuffleCompression::Dict,
-        ShuffleCompression::Delta,
-        ShuffleCompression::DictTrained,
+        ShuffleCompression::Auto,
     ];
 
-    /// The spec name (`none`, `raw`, `dict`, `delta`, `dict-trained`).
+    /// The spec name (`none`, `raw`, `auto`).
     pub fn name(self) -> &'static str {
         match self {
             ShuffleCompression::None => "none",
             ShuffleCompression::Raw => "raw",
-            ShuffleCompression::Dict => "dict",
-            ShuffleCompression::Delta => "delta",
-            ShuffleCompression::DictTrained => "dict-trained",
+            ShuffleCompression::Auto => "auto",
         }
     }
 
@@ -512,28 +471,43 @@ impl ShuffleCompression {
             .find(|c| c.name() == name)
     }
 
-    /// The codec to frame streams with; `None` for the passthrough
-    /// variant *and* for [`DictTrained`](Self::DictTrained), whose
-    /// framing lives in the columnar run-file layer (it needs the
-    /// shared dictionary, which a stateless unit codec cannot carry).
-    /// The codecs are stateless unit types, so these are static
-    /// borrows — no allocation per stream or per frame.
-    pub fn codec(self) -> Option<&'static dyn BlockCodec> {
+    /// Whether streams written under this setting are cut into frames.
+    pub fn is_framed(self) -> bool {
+        self != ShuffleCompression::None
+    }
+
+    /// The stream-header tag the file formats record: 0 = no block
+    /// layer. Readers only test it against 0 — every frame names its
+    /// own codec — so streams whose headers carry the retired `dict`
+    /// (2) and `delta` (3) tags still decode.
+    pub fn stream_tag(self) -> u8 {
         match self {
-            ShuffleCompression::None | ShuffleCompression::DictTrained => None,
-            ShuffleCompression::Raw => Some(&Raw),
-            ShuffleCompression::Dict => Some(&DictBlock),
-            ShuffleCompression::Delta => Some(&DeltaVarint),
+            ShuffleCompression::None => 0,
+            ShuffleCompression::Raw => TAG_RAW,
+            ShuffleCompression::Auto => TAG_AUTO,
         }
     }
 
-    /// The stream-header tag the file formats record (0 = no block
-    /// layer, otherwise the codec's frame tag).
-    pub fn stream_tag(self) -> u8 {
-        match self {
-            ShuffleCompression::DictTrained => TAG_TRAINED,
-            other => other.codec().map_or(0, |c| c.tag()),
+    /// Frame one block: the frame tag and its payload, either `raw`
+    /// itself (a stored frame) or a compressed candidate staged in
+    /// `comp`. Under [`Auto`](Self::Auto) both candidates are built
+    /// into `comp` back to back and the shorter one wins; a candidate
+    /// that does not shrink the block loses to the stored frame.
+    fn frame<'a>(self, raw: &'a [u8], comp: &'a mut Vec<u8>) -> (u8, &'a [u8]) {
+        comp.clear();
+        if self == ShuffleCompression::Auto {
+            DictBlock.compress(raw, comp);
+            let dict_len = comp.len();
+            DeltaVarint.compress(raw, comp);
+            let delta_len = comp.len() - dict_len;
+            if delta_len < dict_len.min(raw.len()) {
+                return (TAG_DELTA, &comp[dict_len..]);
+            }
+            if dict_len < raw.len() {
+                return (TAG_DICT, &comp[..dict_len]);
+            }
         }
+        (TAG_STORED, raw)
     }
 }
 
@@ -543,19 +517,13 @@ impl std::fmt::Display for ShuffleCompression {
     }
 }
 
-/// The codec a frame tag names. [`TAG_STORED`] is handled before this
-/// dispatch (it has no codec); [`TAG_TRAINED`] is only legal where a
-/// shared dictionary is in scope (the columnar run layout), so here it
-/// is corruption with a pointed message.
+/// The codec a compressed frame tag names ([`TAG_STORED`] is handled
+/// before this dispatch: it has no codec).
 fn codec_for_tag(tag: u8) -> Result<&'static dyn BlockCodec> {
     match tag {
         TAG_RAW => Ok(&Raw),
         TAG_DICT => Ok(&DictBlock),
         TAG_DELTA => Ok(&DeltaVarint),
-        TAG_TRAINED => Err(StorageError::corrupt(
-            "block frame",
-            "trained-dictionary frame outside a columnar run",
-        )),
         other => Err(StorageError::corrupt(
             "block frame",
             format!("unknown codec tag {other}"),
@@ -565,9 +533,8 @@ fn codec_for_tag(tag: u8) -> Result<&'static dyn BlockCodec> {
 
 /// Emit one frame: header, payload, CRC. Stored frames ([`TAG_STORED`])
 /// omit the compressed-length field — it equals `raw_len`. Returns the
-/// bytes written. Shared between [`BlockWriter`] and the columnar
-/// run-file layer so both speak byte-identical frames.
-pub(crate) fn write_frame<W: Write>(
+/// bytes written.
+fn write_frame<W: Write>(
     inner: &mut W,
     tag: u8,
     raw_len: usize,
@@ -589,7 +556,7 @@ pub(crate) fn write_frame<W: Write>(
 /// byte; otherwise the (still compressed) payload replaces `comp`'s
 /// contents, the CRC is verified, and `(tag, raw_len)` comes back.
 /// Truncation inside the frame and CRC mismatches surface as typed
-/// corruption. Shared with the columnar run-file reader.
+/// corruption.
 pub(crate) fn read_frame_into<R: Read>(
     inner: &mut R,
     comp: &mut Vec<u8>,
@@ -603,7 +570,7 @@ pub(crate) fn read_frame_into<R: Read>(
             Err(e) => return Err(e),
         }
     }
-    if !(TAG_RAW..=TAG_STORED).contains(&tag[0]) {
+    if ![TAG_RAW, TAG_DICT, TAG_DELTA, TAG_STORED].contains(&tag[0]) {
         return Err(
             StorageError::corrupt("block frame", format!("unknown codec tag {}", tag[0])).into_io(),
         );
@@ -679,17 +646,18 @@ const fn crc32_table() -> [u32; 256] {
 }
 
 /// A [`Write`] adapter that cuts the byte stream into codec frames.
-/// With no codec it is a pure passthrough (zero framing, zero
-/// overhead), so the record writers use it unconditionally.
+/// Under [`ShuffleCompression::None`] it is a pure passthrough (zero
+/// framing, zero overhead), so the record writers use it
+/// unconditionally.
 ///
 /// The writer buffers up to [`DEFAULT_BLOCK_SIZE`] bytes and emits one
 /// frame per full block; [`flush_block`](Self::flush_block) forces a
 /// frame boundary early (how the seqfile writer aligns frames with its
-/// split index). A codec that fails to shrink a block is overridden
-/// per-frame by a stored [`Raw`] frame.
+/// split index). A block no candidate shrinks goes out as a stored
+/// frame.
 pub struct BlockWriter<W: Write> {
     inner: W,
-    codec: Option<&'static dyn BlockCodec>,
+    compression: ShuffleCompression,
     block_size: usize,
     buf: Vec<u8>,
     comp: Vec<u8>,
@@ -699,15 +667,16 @@ pub struct BlockWriter<W: Write> {
 }
 
 impl<W: Write> BlockWriter<W> {
-    /// Wrap `inner`; `codec = None` passes bytes straight through.
+    /// Wrap `inner`, framing under `compression`
+    /// ([`ShuffleCompression::None`] passes bytes straight through).
     /// Each emitted frame is counted against `faults`
     /// ([`IoSite::BlockWrite`]).
     pub fn new(
         inner: W,
-        codec: Option<&'static dyn BlockCodec>,
+        compression: ShuffleCompression,
         faults: Option<Arc<IoFaults>>,
     ) -> BlockWriter<W> {
-        BlockWriter::with_buffers(inner, codec, faults, Vec::new(), Vec::new())
+        BlockWriter::with_buffers(inner, compression, faults, Vec::new(), Vec::new())
     }
 
     /// [`new`](Self::new), staging blocks in caller-provided scratch
@@ -718,7 +687,7 @@ impl<W: Write> BlockWriter<W> {
     /// final flush.
     pub fn with_buffers(
         inner: W,
-        codec: Option<&'static dyn BlockCodec>,
+        compression: ShuffleCompression,
         faults: Option<Arc<IoFaults>>,
         mut buf: Vec<u8>,
         mut comp: Vec<u8>,
@@ -727,7 +696,7 @@ impl<W: Write> BlockWriter<W> {
         comp.clear();
         BlockWriter {
             inner,
-            codec,
+            compression,
             block_size: DEFAULT_BLOCK_SIZE,
             buf,
             comp,
@@ -781,20 +750,11 @@ impl<W: Write> BlockWriter<W> {
     }
 
     fn emit_block(&mut self, n: usize) -> io::Result<()> {
-        let codec = self.codec.expect("emit_block implies a codec");
         if let Some(f) = &self.faults {
             f.check(IoSite::BlockWrite)?;
         }
         let raw = &self.buf[..n];
-        self.comp.clear();
-        codec.compress(raw, &mut self.comp);
-        let (tag, payload): (u8, &[u8]) = if self.comp.len() < raw.len() {
-            (codec.tag(), &self.comp)
-        } else {
-            // Can't shrink (the Raw codec never can): a stored frame,
-            // whose overhead is bounded by MAX_FRAME_OVERHEAD.
-            (TAG_STORED, raw)
-        };
+        let (tag, payload) = self.compression.frame(raw, &mut self.comp);
         self.written_bytes += write_frame(&mut self.inner, tag, raw.len(), payload)?;
         self.buf.drain(..n);
         Ok(())
@@ -804,7 +764,7 @@ impl<W: Write> BlockWriter<W> {
 impl<W: Write> Write for BlockWriter<W> {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
         self.raw_bytes += data.len() as u64;
-        if self.codec.is_none() {
+        if !self.compression.is_framed() {
             self.inner.write_all(data)?;
             self.written_bytes += data.len() as u64;
             return Ok(data.len());
@@ -896,14 +856,14 @@ mod tests {
     use super::*;
 
     fn roundtrip_through(codec: ShuffleCompression, payload: &[u8]) -> (u64, u64) {
-        let mut w = BlockWriter::new(Vec::new(), codec.codec(), None);
+        let mut w = BlockWriter::new(Vec::new(), codec, None);
         w.write_all(payload).unwrap();
         w.flush().unwrap();
         let (raw, written) = (w.raw_bytes(), w.written_bytes());
         let framed = w.into_inner().unwrap();
         assert_eq!(written, framed.len() as u64);
         let mut back = Vec::new();
-        BlockReader::new(framed.as_slice(), codec.codec().is_some(), None)
+        BlockReader::new(framed.as_slice(), codec.is_framed(), None)
             .read_to_end(&mut back)
             .unwrap();
         assert_eq!(back, payload, "codec {codec}");
@@ -936,7 +896,7 @@ mod tests {
     #[test]
     fn none_is_a_pure_passthrough() {
         let payload = b"untouched bytes".to_vec();
-        let mut w = BlockWriter::new(Vec::new(), None, None);
+        let mut w = BlockWriter::new(Vec::new(), ShuffleCompression::None, None);
         w.write_all(&payload).unwrap();
         w.flush().unwrap();
         assert_eq!(w.raw_bytes(), w.written_bytes());
@@ -946,20 +906,16 @@ mod tests {
     #[test]
     fn repetitive_payloads_shrink() {
         let repeated = b"http://popular.example.com/path\t1\n".repeat(4000);
-        for codec in [ShuffleCompression::Dict, ShuffleCompression::Delta] {
-            let (raw, written) = roundtrip_through(codec, &repeated);
-            assert!(written * 2 < raw, "{codec}: {written} vs {raw} raw bytes");
-        }
-        // Monotone numeric runs are the delta codec's home turf.
+        let (raw, written) = roundtrip_through(ShuffleCompression::Auto, &repeated);
+        assert!(written * 2 < raw, "{written} vs {raw} raw bytes");
+        // Monotone numeric runs are the delta candidate's home turf:
+        // ~3 token bytes per 8-byte record (zero-run + lit-len + the
+        // one carrying byte), better than 2x, reliably.
         let numeric: Vec<u8> = (0..50_000u64)
             .flat_map(|i| (3_000_000_000 + i * 17).to_le_bytes())
             .collect();
-        let mut w = BlockWriter::new(Vec::new(), ShuffleCompression::Delta.codec(), None);
-        w.write_all(&numeric).unwrap();
-        w.flush().unwrap();
-        // ~3 token bytes per 8-byte record (zero-run + lit-len + the
-        // one carrying byte): better than 2x, reliably.
-        assert!(w.written_bytes() * 2 < w.raw_bytes());
+        let (raw, written) = roundtrip_through(ShuffleCompression::Auto, &numeric);
+        assert!(written * 2 < raw, "{written} vs {raw} raw bytes");
     }
 
     #[test]
@@ -975,10 +931,8 @@ mod tests {
                 (x >> 56) as u8
             })
             .collect();
-        for codec in [ShuffleCompression::Dict, ShuffleCompression::Delta] {
-            let (raw, written) = roundtrip_through(codec, &noise);
-            assert!(written < raw + 64, "{codec}: fallback overhead bounded");
-        }
+        let (raw, written) = roundtrip_through(ShuffleCompression::Auto, &noise);
+        assert!(written < raw + 64, "fallback overhead bounded");
     }
 
     #[test]
@@ -997,11 +951,7 @@ mod tests {
                 (x >> 56) as u8
             })
             .collect();
-        for codec in [
-            ShuffleCompression::Raw,
-            ShuffleCompression::Dict,
-            ShuffleCompression::Delta,
-        ] {
+        for codec in [ShuffleCompression::Raw, ShuffleCompression::Auto] {
             let (raw, written) = roundtrip_through(codec, &noise);
             let frames = (noise.len() as u64).div_ceil(DEFAULT_BLOCK_SIZE as u64);
             assert!(
@@ -1016,7 +966,7 @@ mod tests {
         // The raw codec can never shrink a block, so every frame it
         // emits is a stored frame; legacy TAG_RAW frames still decode.
         let payload = vec![0xA5u8; 100];
-        let mut w = BlockWriter::new(Vec::new(), ShuffleCompression::Raw.codec(), None);
+        let mut w = BlockWriter::new(Vec::new(), ShuffleCompression::Raw, None);
         w.write_all(&payload).unwrap();
         w.flush().unwrap();
         let framed = w.into_inner().unwrap();
@@ -1039,10 +989,9 @@ mod tests {
 
     #[test]
     fn trained_tag_in_v1_stream_is_typed_corruption() {
-        // A trained-dict frame is only meaningful where a file header
-        // names the dictionary; in a plain framed stream it must be a
-        // typed error, not a decode attempt with an empty seed.
-        let mut bogus = vec![TAG_TRAINED];
+        // Tag 4 named the retired trained-dictionary frames; no reader
+        // can decode one, so it must be a typed error.
+        let mut bogus = vec![4u8];
         encode_u64(4, &mut bogus); // raw_len
         encode_u64(1, &mut bogus); // comp_len
         bogus.push(0x61);
@@ -1055,7 +1004,7 @@ mod tests {
 
     #[test]
     fn crc_mismatch_is_typed_corruption() {
-        let mut w = BlockWriter::new(Vec::new(), ShuffleCompression::Dict.codec(), None);
+        let mut w = BlockWriter::new(Vec::new(), ShuffleCompression::Auto, None);
         w.write_all(&b"abcabcabc".repeat(100)).unwrap();
         w.flush().unwrap();
         let mut framed = w.into_inner().unwrap();
@@ -1069,7 +1018,7 @@ mod tests {
 
     #[test]
     fn truncated_frame_is_typed_corruption_or_io() {
-        let mut w = BlockWriter::new(Vec::new(), ShuffleCompression::Delta.codec(), None);
+        let mut w = BlockWriter::new(Vec::new(), ShuffleCompression::Auto, None);
         w.write_all(&[7u8; 4096]).unwrap();
         w.flush().unwrap();
         let framed = w.into_inner().unwrap();
@@ -1095,7 +1044,7 @@ mod tests {
     fn flush_block_creates_seekable_boundaries() {
         // Two flushed segments decode independently from their own
         // physical offsets — the property seqfile splits rely on.
-        let mut w = BlockWriter::new(Vec::new(), ShuffleCompression::Dict.codec(), None);
+        let mut w = BlockWriter::new(Vec::new(), ShuffleCompression::Auto, None);
         w.write_all(b"first segment, repeated: aaaaaaaaaa").unwrap();
         w.flush_block().unwrap();
         let boundary = w.written_bytes() as usize;
@@ -1115,7 +1064,7 @@ mod tests {
         let faults = Arc::new(IoFaults::new().with_fault(IoSite::BlockWrite, 1));
         let mut w = BlockWriter::new(
             Vec::new(),
-            ShuffleCompression::Raw.codec(),
+            ShuffleCompression::Raw,
             Some(Arc::clone(&faults)),
         );
         // First frame passes, second injects.
@@ -1123,7 +1072,7 @@ mod tests {
         let err = w.write_all(&vec![2u8; DEFAULT_BLOCK_SIZE]).unwrap_err();
         assert!(err.to_string().contains("block-write"));
 
-        let mut ok = BlockWriter::new(Vec::new(), ShuffleCompression::Raw.codec(), None);
+        let mut ok = BlockWriter::new(Vec::new(), ShuffleCompression::Raw, None);
         ok.write_all(&vec![3u8; DEFAULT_BLOCK_SIZE]).unwrap();
         ok.flush().unwrap();
         let framed = ok.into_inner().unwrap();
@@ -1182,5 +1131,73 @@ mod tests {
         }
         assert_eq!(ShuffleCompression::parse("gzip"), None);
         assert_eq!(ShuffleCompression::default(), ShuffleCompression::None);
+    }
+
+    /// One frame of `raw` under `tag`, compressed by `codec`.
+    fn frame_with(tag: u8, codec: &dyn BlockCodec, raw: &[u8]) -> Vec<u8> {
+        let mut comp = Vec::new();
+        codec.compress(raw, &mut comp);
+        let mut out = Vec::new();
+        write_frame(&mut out, tag, raw.len(), &comp).unwrap();
+        out
+    }
+
+    #[test]
+    fn auto_frame_is_never_longer_than_either_candidate() {
+        let mut x = 0x2545F4914F6CDD1Du64;
+        let noise: Vec<u8> = (0..DEFAULT_BLOCK_SIZE)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 56) as u8
+            })
+            .collect();
+        let mut blocks = payloads();
+        blocks.push(noise);
+        for p in blocks {
+            // One block per stream, so the writer emits one frame.
+            let block = &p[..p.len().min(DEFAULT_BLOCK_SIZE)];
+            let mut w = BlockWriter::new(Vec::new(), ShuffleCompression::Auto, None);
+            w.write_all(block).unwrap();
+            let auto = w.into_inner().unwrap();
+            let dict = frame_with(TAG_DICT, &DictBlock, block);
+            let delta = frame_with(TAG_DELTA, &DeltaVarint, block);
+            if block.is_empty() {
+                assert!(auto.is_empty(), "an empty block emits no frame");
+                continue;
+            }
+            assert!(
+                auto.len() <= dict.len().min(delta.len()),
+                "{} bytes: auto {} vs dict {} / delta {}",
+                block.len(),
+                auto.len(),
+                dict.len(),
+                delta.len()
+            );
+        }
+    }
+
+    #[test]
+    fn single_codec_streams_still_decode() {
+        // Streams written before `auto` framed every block with one
+        // codec (`--codec dict` or `--codec delta`); frames name their
+        // codec, so they decode unchanged.
+        let payload = b"key-00042\tvalue ".repeat(5000);
+        for (tag, codec) in [
+            (TAG_DICT, &DictBlock as &dyn BlockCodec),
+            (TAG_DELTA, &DeltaVarint),
+        ] {
+            let framed: Vec<u8> = payload
+                .chunks(DEFAULT_BLOCK_SIZE)
+                .flat_map(|block| frame_with(tag, codec, block))
+                .collect();
+            assert!(framed.len() < payload.len(), "tag {tag} frames compress");
+            let mut back = Vec::new();
+            BlockReader::new(framed.as_slice(), true, None)
+                .read_to_end(&mut back)
+                .unwrap();
+            assert_eq!(back, payload, "tag {tag}");
+        }
     }
 }

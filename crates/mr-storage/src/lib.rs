@@ -10,8 +10,6 @@
 //!   records, so a range scan replaces the original file;
 //! * [`colfile`] — projected copies storing only analyzer-proven-used
 //!   fields (§1, App. D Table 4);
-//! * [`colgroups`] — the §2.1 column-group extension: one file per
-//!   field group, so a single layout serves many projections;
 //! * [`delta`] — zig-zag varint delta encoding of integer fields
 //!   (App. C/D, Table 5);
 //! * [`dict`] — dictionary compression with direct operation on codes
@@ -21,14 +19,12 @@
 //!   path; Hadoop's `IFile` analog);
 //! * [`blockcodec`] — the pluggable block-compression layer under the
 //!   streaming formats (runfile, seqfile): CRC'd, length-prefixed
-//!   codec frames with raw / dictionary / delta implementations;
-//! * [`trained`] — per-corpus trained LZW seed dictionaries: train
-//!   once on the first spill's bytes, commit first-trainer-wins,
-//!   reference by content hash from the columnar (v2) run layout;
+//!   frames, each the smallest of a dictionary, a delta and a stored
+//!   encoding of its block;
 //! * [`blockindex`] — the 4096-record block grid the row files share:
 //!   footer block-index validation, split planning, and the per-block
 //!   encoder the parallel index builds drive;
-//! * [`rowcodec`] / [`varint`] — the shared codecs;
+//! * [`rowcodec`] / [`varint`] / [`hex`] — the shared codecs;
 //! * [`fault`] — deterministic IO fault injection for the run/seq
 //!   readers and writers (and the block-frame layer), driving the
 //!   engine's task-retry tests.
@@ -43,25 +39,22 @@ pub mod blockcodec;
 pub mod blockindex;
 pub mod btree;
 pub mod colfile;
-pub mod colgroups;
 pub mod delta;
 pub mod dict;
 pub mod error;
 pub mod fault;
+pub mod hex;
 pub mod rowcodec;
 pub mod runfile;
 pub mod seqfile;
-pub mod trained;
 pub mod varint;
 
 pub use blockcodec::{BlockCodec, BlockReader, BlockWriter, ShuffleCompression};
 pub use btree::{BTreeIndex, BTreeScanner, BTreeStats, BTreeWriter, ScanBound};
 pub use colfile::{write_projected, ProjectedFile};
-pub use colgroups::{write_column_groups, ColumnGroupReader, ColumnGroups};
 pub use delta::{DeltaFileReader, DeltaFileWriter};
 pub use dict::{DictFileReader, DictFileWriter, Dictionary};
 pub use error::{Result, StorageError};
 pub use fault::{IoFaults, IoSite};
 pub use runfile::{RunFileReader, RunFileStats, RunFileWriter, RunScratch};
 pub use seqfile::{write_seqfile, SeqFileMeta, SeqFileReader, SeqFileWriter, Split};
-pub use trained::{DictTrainer, TrainedDict};

@@ -8,54 +8,21 @@
 //! [`rowcodec::encode_value`](crate::rowcodec::encode_value)) behind a
 //! varint length frame, so a reader can stream pairs without loading
 //! the run — Hadoop's `IFile`, with its block compression provided by
-//! the [`blockcodec`](crate::blockcodec) layer.
-//!
-//! Two layouts share one reader (dispatch is by magic):
-//!
-//! **v1 — interleaved** (`MRRN1`):
+//! the [`blockcodec`](crate::blockcodec) layer:
 //!
 //! ```text
 //! magic "MRRN1"
 //! codec u8                                ← 0 = raw stream, else the
-//!                                           block-frame codec tag
+//!                                           block-frame stream tag
 //! pair stream:
 //!   [varint pair_len, encode_value(key) ++ encode_value(value)]*
 //! ```
 //!
 //! With codec 0 the pair stream follows the header directly; otherwise
-//! it is cut into CRC'd block frames (see `docs/FORMATS.md`).
-//!
-//! **v2 — columnar** (`MRRN2`, the trained-dictionary layout): keys
-//! and values travel as *separate* block streams. The key stream is
-//! **front-coded** — sorted runs put each key next to its nearest
-//! neighbour, so the shared prefix is elided and repeated keys
-//! collapse to two bytes — while the value stream starts from a
-//! shared trained LZW dictionary named by content hash in the header:
-//!
-//! ```text
-//! magic "MRRN2"
-//! codec u8        ← always TAG_TRAINED (4)
-//! dict_hash u64 LE
-//! group*:
-//!   key frame     ← raw: [varint shared, varint suffix_len,
-//!                         suffix bytes]*   (front-coded
-//!                         encode_value(key); `shared` counts bytes
-//!                         reused from the previous key, restarting
-//!                         at 0 each group)
-//!   value frame   ← raw: [varint value_len, encode_value(value)]*
-//! ```
-//!
-//! Each frame is a standard self-describing block frame (best of
-//! stride-delta / trained-LZW / stored per frame), and a group's two
-//! frames decode to the same number of entries — a mismatch is typed
-//! corruption. Readers resolve `dict_hash` through the process-wide
-//! registry or a `shuffle.dict` beside (or one level above) the run
-//! (see [`crate::trained`]), so merge, compaction, and
-//! process-backend workers still need no job configuration.
-//!
-//! The record layer is identical either way — compression happens
-//! strictly below it, and a reader discovers everything from the
-//! header.
+//! it is cut into CRC'd block frames (see `docs/FORMATS.md`), each
+//! naming its own codec, so a reader discovers everything from the
+//! header and the frames. Compression happens strictly below the
+//! record layer.
 //!
 //! Runs are process-local temp files with the lifetime of one job, so
 //! there is no footer: end-of-file at a frame boundary is end-of-run,
@@ -68,27 +35,16 @@ use std::sync::Arc;
 
 use mr_ir::value::Value;
 
-use crate::blockcodec::{
-    read_frame_into, write_frame, BlockCodec, BlockReader, BlockWriter, DeltaVarint,
-    ShuffleCompression, DEFAULT_BLOCK_SIZE, TAG_DELTA, TAG_STORED, TAG_TRAINED,
-};
+use crate::blockcodec::{BlockReader, BlockWriter, ShuffleCompression};
 use crate::error::{Result, StorageError};
 use crate::fault::{IoFaults, IoSite};
 use crate::rowcodec::{decode_value, encode_value};
-use crate::trained::{self, TrainedDict};
-use crate::varint::{decode_u64, encode_u64, read_u64_from};
+use crate::varint::{encode_u64, read_u64_from};
 
 const MAGIC: &[u8; 5] = b"MRRN1";
-const MAGIC2: &[u8; 5] = b"MRRN2";
 
-/// Header bytes before the v1 pair stream: magic + codec tag. Also the
-/// per-file constant in the v1-equivalent `raw_bytes` accounting both
-/// layouts report, so compression ratios compare across layouts.
+/// Header bytes before the pair stream: magic + codec tag.
 const HEADER_LEN: u64 = 6;
-
-/// Header bytes of a columnar run: magic + codec tag + dictionary
-/// hash.
-const HEADER2_LEN: u64 = 14;
 
 /// Upper bound on one framed pair; larger lengths are treated as
 /// corruption rather than allocated.
@@ -110,19 +66,10 @@ pub struct RunScratch {
     frame: Vec<u8>,
     /// Varint length staging.
     lenbuf: Vec<u8>,
-    /// The block writer's open-block buffer (the key stream of the
-    /// open group, in the columnar layout).
+    /// The block writer's open-block buffer.
     block: Vec<u8>,
     /// The block writer's compressed-frame buffer.
     comp: Vec<u8>,
-    /// The value stream of the open group (columnar layout only).
-    aux: Vec<u8>,
-    /// Second compressed-frame candidate for the best-of choice
-    /// (columnar layout only).
-    comp2: Vec<u8>,
-    /// Previous encoded key of the open group, for front-coding
-    /// (columnar layout only).
-    prev: Vec<u8>,
 }
 
 impl RunScratch {
@@ -137,9 +84,6 @@ impl RunScratch {
             + self.lenbuf.capacity()
             + self.block.capacity()
             + self.comp.capacity()
-            + self.aux.capacity()
-            + self.comp2.capacity()
-            + self.prev.capacity()
     }
 }
 
@@ -149,30 +93,20 @@ pub struct RunFileStats {
     /// Pairs written.
     pub pairs: u64,
     /// Logical bytes the record layer produced (header + varint pair
-    /// frames) — the file size a codec-free v1 run would have. The
-    /// columnar layout reports the same v1-equivalent figure, so
-    /// ratios stay comparable across layouts.
+    /// frames) — the file size a codec-free run would have.
     pub raw_bytes: u64,
     /// Physical bytes on disk. Equal to `raw_bytes` without a codec;
     /// smaller when compression worked.
     pub file_bytes: u64,
 }
 
-/// Writes one sorted run of `(key, value)` pairs — interleaved (v1)
-/// or columnar trained-dictionary (v2) layout, chosen at creation.
+/// Writes one sorted run of `(key, value)` pairs.
 pub struct RunFileWriter {
-    kind: WriterKind,
-}
-
-enum WriterKind {
-    V1 {
-        out: BlockWriter<BufWriter<File>>,
-        pairs: u64,
-        frame: Vec<u8>,
-        lenbuf: Vec<u8>,
-        faults: Option<Arc<IoFaults>>,
-    },
-    V2(ColumnarWriter),
+    out: BlockWriter<BufWriter<File>>,
+    pairs: u64,
+    frame: Vec<u8>,
+    lenbuf: Vec<u8>,
+    faults: Option<Arc<IoFaults>>,
 }
 
 impl RunFileWriter {
@@ -206,23 +140,12 @@ impl RunFileWriter {
     /// recycled [`RunScratch`] so writing the run allocates no fresh
     /// buffers. Pair with [`finish_reclaim`](Self::finish_reclaim) to
     /// get the scratch back.
-    ///
-    /// [`ShuffleCompression::DictTrained`] is rejected here: the
-    /// columnar layout needs the shared dictionary, which only
-    /// [`create_trained_pooled`](Self::create_trained_pooled) can
-    /// supply.
     pub fn create_pooled(
         path: impl AsRef<Path>,
         compression: ShuffleCompression,
         faults: Option<Arc<IoFaults>>,
         mut scratch: RunScratch,
     ) -> Result<RunFileWriter> {
-        if compression == ShuffleCompression::DictTrained {
-            return Err(StorageError::Schema(
-                "dict-trained runs need a dictionary: use RunFileWriter::create_trained_pooled"
-                    .into(),
-            ));
-        }
         let mut file = BufWriter::new(File::create(path)?);
         file.write_all(MAGIC)?;
         file.write_all(&[compression.stream_tag()])?;
@@ -230,73 +153,35 @@ impl RunFileWriter {
         scratch.lenbuf.clear();
         let out = BlockWriter::with_buffers(
             file,
-            compression.codec(),
+            compression,
             faults.clone(),
             scratch.block,
             scratch.comp,
         );
         Ok(RunFileWriter {
-            kind: WriterKind::V1 {
-                out,
-                pairs: 0,
-                frame: scratch.frame,
-                lenbuf: scratch.lenbuf,
-                faults,
-            },
-        })
-    }
-
-    /// Create `path` in the columnar trained-dictionary layout (v2):
-    /// the header records `dict`'s content hash, sorted keys go
-    /// through the stride-delta codec, values through the trained LZW
-    /// seed (best-of per frame). The dictionary is registered
-    /// process-wide so same-process readers resolve it without
-    /// touching the filesystem.
-    pub fn create_trained(path: impl AsRef<Path>, dict: Arc<TrainedDict>) -> Result<RunFileWriter> {
-        RunFileWriter::create_trained_pooled(path, dict, None, RunScratch::new())
-    }
-
-    /// [`create_trained`](Self::create_trained) with fault counting
-    /// and recycled scratch, mirroring
-    /// [`create_pooled`](Self::create_pooled).
-    pub fn create_trained_pooled(
-        path: impl AsRef<Path>,
-        dict: Arc<TrainedDict>,
-        faults: Option<Arc<IoFaults>>,
-        scratch: RunScratch,
-    ) -> Result<RunFileWriter> {
-        trained::register(&dict);
-        Ok(RunFileWriter {
-            kind: WriterKind::V2(ColumnarWriter::create(path, dict, faults, scratch)?),
+            out,
+            pairs: 0,
+            frame: scratch.frame,
+            lenbuf: scratch.lenbuf,
+            faults,
         })
     }
 
     /// Append one pair. Callers are responsible for feeding pairs in
     /// sorted order — the file records whatever order it is given.
     pub fn append(&mut self, key: &Value, value: &Value) -> Result<()> {
-        match &mut self.kind {
-            WriterKind::V1 {
-                out,
-                pairs,
-                frame,
-                lenbuf,
-                faults,
-            } => {
-                if let Some(f) = faults {
-                    f.check(IoSite::RunWrite)?;
-                }
-                frame.clear();
-                encode_value(key, frame)?;
-                encode_value(value, frame)?;
-                lenbuf.clear();
-                encode_u64(frame.len() as u64, lenbuf);
-                out.write_all(lenbuf)?;
-                out.write_all(frame)?;
-                *pairs += 1;
-                Ok(())
-            }
-            WriterKind::V2(w) => w.append(key, value),
+        if let Some(f) = &self.faults {
+            f.check(IoSite::RunWrite)?;
         }
+        self.frame.clear();
+        encode_value(key, &mut self.frame)?;
+        encode_value(value, &mut self.frame)?;
+        self.lenbuf.clear();
+        encode_u64(self.frame.len() as u64, &mut self.lenbuf);
+        self.out.write_all(&self.lenbuf)?;
+        self.out.write_all(&self.frame)?;
+        self.pairs += 1;
+        Ok(())
     }
 
     /// Flush and return the pair/byte accounting.
@@ -306,275 +191,41 @@ impl RunFileWriter {
 
     /// [`finish`](Self::finish), additionally handing back the scratch
     /// buffers (capacity intact) for the next run.
-    pub fn finish_reclaim(self) -> Result<(RunFileStats, RunScratch)> {
-        match self.kind {
-            WriterKind::V1 {
-                mut out,
-                pairs,
-                frame,
-                lenbuf,
-                faults: _,
-            } => {
-                out.flush_block()?;
-                let raw_bytes = HEADER_LEN + out.raw_bytes();
-                let file_bytes = HEADER_LEN + out.written_bytes();
-                out.get_mut().flush()?;
-                let (block, comp) = out.take_buffers();
-                Ok((
-                    RunFileStats {
-                        pairs,
-                        raw_bytes,
-                        file_bytes,
-                    },
-                    RunScratch {
-                        frame,
-                        lenbuf,
-                        block,
-                        comp,
-                        aux: Vec::new(),
-                        comp2: Vec::new(),
-                        prev: Vec::new(),
-                    },
-                ))
-            }
-            WriterKind::V2(w) => w.finish_reclaim(),
-        }
-    }
-}
-
-/// The v2 writer: buffers one *group* of pairs as two raw streams
-/// (keys with varint length prefixes, values likewise) and flushes
-/// them as a key frame + value frame pair once the group reaches the
-/// block size.
-struct ColumnarWriter {
-    file: BufWriter<File>,
-    dict: Arc<TrainedDict>,
-    /// Front-coded key stream of the open group:
-    /// `[varint shared][varint suffix_len][suffix]*`, each entry
-    /// eliding the prefix it shares with the previous key in the
-    /// group (sorted runs share long prefixes, and repeated keys
-    /// collapse to two bytes).
-    keys: Vec<u8>,
-    /// Raw value stream of the open group: `[varint vlen][value]*`.
-    vals: Vec<u8>,
-    /// Previous encoded key of the open group (front-coding context).
-    prev: Vec<u8>,
-    frame: Vec<u8>,
-    lenbuf: Vec<u8>,
-    comp: Vec<u8>,
-    comp2: Vec<u8>,
-    pairs: u64,
-    group_pairs: u64,
-    raw_bytes: u64,
-    written_bytes: u64,
-    faults: Option<Arc<IoFaults>>,
-}
-
-impl ColumnarWriter {
-    fn create(
-        path: impl AsRef<Path>,
-        dict: Arc<TrainedDict>,
-        faults: Option<Arc<IoFaults>>,
-        mut scratch: RunScratch,
-    ) -> Result<ColumnarWriter> {
-        let mut file = BufWriter::new(File::create(path)?);
-        file.write_all(MAGIC2)?;
-        file.write_all(&[TAG_TRAINED])?;
-        file.write_all(&dict.dict_hash().to_le_bytes())?;
-        scratch.frame.clear();
-        scratch.lenbuf.clear();
-        scratch.block.clear();
-        scratch.comp.clear();
-        scratch.aux.clear();
-        scratch.comp2.clear();
-        scratch.prev.clear();
-        Ok(ColumnarWriter {
-            file,
-            dict,
-            keys: scratch.block,
-            vals: scratch.aux,
-            prev: scratch.prev,
-            frame: scratch.frame,
-            lenbuf: scratch.lenbuf,
-            comp: scratch.comp,
-            comp2: scratch.comp2,
-            pairs: 0,
-            group_pairs: 0,
-            raw_bytes: HEADER_LEN,
-            written_bytes: HEADER2_LEN,
-            faults,
-        })
-    }
-
-    fn append(&mut self, key: &Value, value: &Value) -> Result<()> {
-        if let Some(f) = &self.faults {
-            f.check(IoSite::RunWrite)?;
-        }
-        self.frame.clear();
-        encode_value(key, &mut self.frame)?;
-        let klen = self.frame.len();
-        // Front-code against the previous key of the group: emit only
-        // the suffix past the longest shared prefix.
-        let shared = self
-            .prev
-            .iter()
-            .zip(self.frame.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        self.lenbuf.clear();
-        encode_u64(shared as u64, &mut self.lenbuf);
-        encode_u64((klen - shared) as u64, &mut self.lenbuf);
-        self.keys.extend_from_slice(&self.lenbuf);
-        self.keys.extend_from_slice(&self.frame[shared..]);
-        std::mem::swap(&mut self.prev, &mut self.frame);
-
-        self.frame.clear();
-        encode_value(value, &mut self.frame)?;
-        let vlen = self.frame.len();
-        self.lenbuf.clear();
-        encode_u64(vlen as u64, &mut self.lenbuf);
-        self.vals.extend_from_slice(&self.lenbuf);
-        self.vals.extend_from_slice(&self.frame);
-
-        // v1-equivalent raw accounting: what one interleaved varint
-        // pair frame would have cost.
-        self.lenbuf.clear();
-        encode_u64((klen + vlen) as u64, &mut self.lenbuf);
-        self.raw_bytes += (self.lenbuf.len() + klen + vlen) as u64;
-
-        self.pairs += 1;
-        self.group_pairs += 1;
-        if self.keys.len() + self.vals.len() >= DEFAULT_BLOCK_SIZE {
-            self.flush_group()?;
-        }
-        Ok(())
-    }
-
-    fn flush_group(&mut self) -> Result<()> {
-        if self.group_pairs == 0 {
-            return Ok(());
-        }
-        if let Some(f) = &self.faults {
-            f.check(IoSite::BlockWrite)?;
-        }
-        // Key frame: front-coding already stripped shared prefixes,
-        // so the trained seed usually wins on the suffix stream — but
-        // numeric key runs still favour stride-delta, so take the
-        // best of both per frame.
-        self.written_bytes += emit_best_frame(
-            &mut self.file,
-            &self.keys,
-            &self.dict,
-            &mut self.comp,
-            &mut self.comp2,
-        )?;
-        // Value frame: the trained seed's home turf — but the columnar
-        // value stream is strictly periodic (`[varint len][value]`
-        // entries, fixed-width for numeric payloads), so stride-delta
-        // can beat the seed on entropy-dense values the dictionary
-        // cannot learn. Best of both here too.
-        self.written_bytes += emit_best_frame(
-            &mut self.file,
-            &self.vals,
-            &self.dict,
-            &mut self.comp,
-            &mut self.comp2,
-        )?;
-        self.keys.clear();
-        self.vals.clear();
-        // Groups decode independently: front-coding restarts, so the
-        // first key of the next group is emitted in full.
-        self.prev.clear();
-        self.group_pairs = 0;
-        Ok(())
-    }
-
-    fn finish_reclaim(mut self) -> Result<(RunFileStats, RunScratch)> {
-        self.flush_group()?;
-        self.file.flush()?;
+    pub fn finish_reclaim(mut self) -> Result<(RunFileStats, RunScratch)> {
+        self.out.flush_block()?;
+        let stats = RunFileStats {
+            pairs: self.pairs,
+            raw_bytes: HEADER_LEN + self.out.raw_bytes(),
+            file_bytes: HEADER_LEN + self.out.written_bytes(),
+        };
+        self.out.get_mut().flush()?;
+        let (block, comp) = self.out.take_buffers();
         Ok((
-            RunFileStats {
-                pairs: self.pairs,
-                raw_bytes: self.raw_bytes,
-                file_bytes: self.written_bytes,
-            },
+            stats,
             RunScratch {
                 frame: self.frame,
                 lenbuf: self.lenbuf,
-                block: self.keys,
-                comp: self.comp,
-                aux: self.vals,
-                comp2: self.comp2,
-                prev: self.prev,
+                block,
+                comp,
             },
         ))
     }
 }
 
-/// Compress `raw` with both the trained seed and the stride-delta
-/// codec, emit whichever candidate is smallest — falling back to a
-/// stored frame when nothing shrinks — and return the bytes written.
-fn emit_best_frame<W: Write>(
-    out: &mut W,
-    raw: &[u8],
-    dict: &TrainedDict,
-    comp: &mut Vec<u8>,
-    comp2: &mut Vec<u8>,
-) -> Result<u64> {
-    comp.clear();
-    dict.compress(raw, comp);
-    let mut tag = TAG_TRAINED;
-    let mut best_len = comp.len();
-    comp2.clear();
-    DeltaVarint.compress(raw, comp2);
-    if comp2.len() < best_len {
-        tag = TAG_DELTA;
-        best_len = comp2.len();
-    }
-    let written = if best_len >= raw.len() {
-        write_frame(out, TAG_STORED, raw.len(), raw)?
-    } else if tag == TAG_DELTA {
-        write_frame(out, TAG_DELTA, raw.len(), comp2)?
-    } else {
-        write_frame(out, TAG_TRAINED, raw.len(), comp)?
-    };
-    Ok(written)
-}
-
-/// Streams the pairs of one run back in file order. The layout (v1
-/// interleaved vs v2 columnar) is sniffed from the magic, and a v2
-/// run's dictionary is resolved by the hash in its header — readers
-/// never need the writing job's configuration.
+/// Streams the pairs of one run back in file order. Whether the stream
+/// is framed comes from the header and each frame names its codec, so
+/// readers never need the writing job's configuration.
 pub struct RunFileReader {
-    kind: ReaderKind,
+    input: BlockReader<BufReader<File>>,
+    buf: Vec<u8>,
     path: PathBuf,
     pairs_read: u64,
     faults: Option<Arc<IoFaults>>,
 }
 
-enum ReaderKind {
-    V1 {
-        input: BlockReader<BufReader<File>>,
-        buf: Vec<u8>,
-    },
-    V2 {
-        input: BufReader<File>,
-        dict: Arc<TrainedDict>,
-        keys: Vec<u8>,
-        kpos: usize,
-        vals: Vec<u8>,
-        vpos: usize,
-        comp: Vec<u8>,
-        /// Previous decoded key bytes (front-coding context; reset at
-        /// every group boundary).
-        prev: Vec<u8>,
-    },
-}
-
 impl RunFileReader {
-    /// Open `path` and check the magic; the codec (and, for columnar
-    /// runs, the dictionary) comes from the header, so compressed and
-    /// raw runs open the same way.
+    /// Open `path` and check the magic; the codec comes from the
+    /// header, so compressed and raw runs open the same way.
     pub fn open(path: impl AsRef<Path>) -> Result<RunFileReader> {
         RunFileReader::open_with_faults(path, None)
     }
@@ -588,41 +239,14 @@ impl RunFileReader {
     ) -> Result<RunFileReader> {
         let path = path.as_ref().to_path_buf();
         let mut file = BufReader::with_capacity(READ_BUF, File::open(&path)?);
-        let mut magic = [0u8; 5];
-        file.read_exact(&mut magic)?;
-        let kind = if &magic == MAGIC {
-            let mut codec = [0u8; 1];
-            file.read_exact(&mut codec)?;
-            ReaderKind::V1 {
-                input: BlockReader::new(file, codec[0] != 0, faults.clone()),
-                buf: Vec::new(),
-            }
-        } else if &magic == MAGIC2 {
-            let mut rest = [0u8; 9];
-            file.read_exact(&mut rest)?;
-            if rest[0] != TAG_TRAINED {
-                return Err(StorageError::corrupt(
-                    "runfile",
-                    format!("unsupported columnar codec tag {}", rest[0]),
-                ));
-            }
-            let dict_hash = u64::from_le_bytes(rest[1..].try_into().expect("8 bytes"));
-            let dict = trained::resolve(&path, dict_hash)?;
-            ReaderKind::V2 {
-                input: file,
-                dict,
-                keys: Vec::new(),
-                kpos: 0,
-                vals: Vec::new(),
-                vpos: 0,
-                comp: Vec::new(),
-                prev: Vec::new(),
-            }
-        } else {
+        let mut header = [0u8; HEADER_LEN as usize];
+        file.read_exact(&mut header)?;
+        if &header[..5] != MAGIC {
             return Err(StorageError::corrupt("runfile", "bad magic"));
-        };
+        }
         Ok(RunFileReader {
-            kind,
+            input: BlockReader::new(file, header[5] != 0, faults.clone()),
+            buf: Vec::new(),
             path,
             pairs_read: 0,
             faults,
@@ -643,203 +267,26 @@ impl RunFileReader {
         if let Some(f) = &self.faults {
             f.check(IoSite::RunRead)?;
         }
-        let next = match &mut self.kind {
-            ReaderKind::V1 { input, buf } => read_one_v1(input, buf)?,
-            ReaderKind::V2 {
-                input,
-                dict,
-                keys,
-                kpos,
-                vals,
-                vpos,
-                comp,
-                prev,
-            } => read_one_v2(
-                input,
-                dict,
-                keys,
-                kpos,
-                vals,
-                vpos,
-                comp,
-                prev,
-                &self.faults,
-            )?,
-        };
-        if next.is_some() {
-            self.pairs_read += 1;
-        }
-        Ok(next)
-    }
-}
-
-fn read_one_v1(
-    input: &mut BlockReader<BufReader<File>>,
-    buf: &mut Vec<u8>,
-) -> Result<Option<(Value, Value)>> {
-    // Frame length varint; EOF before its first byte is a clean
-    // end-of-run.
-    let Some((len, _)) = read_u64_from(input)? else {
-        return Ok(None);
-    };
-    if len > MAX_PAIR_LEN {
-        return Err(StorageError::corrupt(
-            "runfile",
-            "frame length implausibly large",
-        ));
-    }
-    buf.resize(len as usize, 0);
-    input.read_exact(buf)?;
-    let (key, n) = decode_value(buf)?;
-    let (value, m) = decode_value(&buf[n..])?;
-    if n + m != buf.len() {
-        return Err(StorageError::corrupt("runfile", "frame length mismatch"));
-    }
-    Ok(Some((key, value)))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn read_one_v2(
-    input: &mut BufReader<File>,
-    dict: &TrainedDict,
-    keys: &mut Vec<u8>,
-    kpos: &mut usize,
-    vals: &mut Vec<u8>,
-    vpos: &mut usize,
-    comp: &mut Vec<u8>,
-    prev: &mut Vec<u8>,
-    faults: &Option<Arc<IoFaults>>,
-) -> Result<Option<(Value, Value)>> {
-    if *kpos == keys.len() {
-        // Group boundary: both streams must exhaust together.
-        if *vpos != vals.len() {
-            return Err(StorageError::corrupt(
-                "runfile",
-                "columnar streams disagree on pair count",
-            ));
-        }
-        if let Some(f) = faults {
-            f.check(IoSite::BlockRead)?;
-        }
-        // Key frame; a clean EOF here is the end of the run.
-        let Some((ktag, kraw)) = read_frame_into(input, comp)? else {
+        // Frame length varint; EOF before its first byte is a clean
+        // end-of-run.
+        let Some((len, _)) = read_u64_from(&mut self.input)? else {
             return Ok(None);
         };
-        decode_columnar_frame(ktag, comp, kraw as usize, dict, keys)?;
-        if let Some(f) = faults {
-            f.check(IoSite::BlockRead)?;
-        }
-        // Value frame; EOF between a group's frames is corruption.
-        let Some((vtag, vraw)) = read_frame_into(input, comp)? else {
+        if len > MAX_PAIR_LEN {
             return Err(StorageError::corrupt(
                 "runfile",
-                "columnar run ends between a group's key and value frames",
+                "frame length implausibly large",
             ));
-        };
-        decode_columnar_frame(vtag, comp, vraw as usize, dict, vals)?;
-        *kpos = 0;
-        *vpos = 0;
-        // Front-coding restarts per group, mirroring the writer.
-        prev.clear();
-        if keys.is_empty() {
-            return Err(StorageError::corrupt("runfile", "empty columnar group"));
         }
-    }
-    let key = next_key_entry(keys, kpos, prev)?;
-    if *vpos >= vals.len() {
-        return Err(StorageError::corrupt(
-            "runfile",
-            "columnar streams disagree on pair count",
-        ));
-    }
-    let (value, _) = next_entry(vals, vpos, "value")?;
-    Ok(Some((key, value)))
-}
-
-/// Decode one front-coded key entry
-/// (`[varint shared][varint suffix_len][suffix]`) from a raw columnar
-/// key stream, advancing `pos` and leaving the full encoded key in
-/// `prev` for the next entry.
-fn next_key_entry(stream: &[u8], pos: &mut usize, prev: &mut Vec<u8>) -> Result<Value> {
-    let (shared64, used) = decode_u64(&stream[*pos..])?;
-    *pos += used;
-    let (suffix64, used) = decode_u64(&stream[*pos..])?;
-    *pos += used;
-    if shared64 > prev.len() as u64 {
-        return Err(StorageError::corrupt(
-            "runfile",
-            "key shares more bytes than the previous key has",
-        ));
-    }
-    if shared64 + suffix64 > MAX_PAIR_LEN {
-        return Err(StorageError::corrupt(
-            "runfile",
-            "key length implausibly large",
-        ));
-    }
-    let suffix_len = suffix64 as usize;
-    let suffix = stream
-        .get(*pos..*pos + suffix_len)
-        .ok_or_else(|| StorageError::corrupt("runfile", "key stream truncated"))?;
-    *pos += suffix_len;
-    prev.truncate(shared64 as usize);
-    prev.extend_from_slice(suffix);
-    let (key, n) = decode_value(prev)?;
-    if n != prev.len() {
-        return Err(StorageError::corrupt(
-            "runfile",
-            "key entry length mismatch",
-        ));
-    }
-    Ok(key)
-}
-
-/// Decode one `[varint len][encode_value]` entry from a raw columnar
-/// stream, advancing `pos`.
-fn next_entry(stream: &[u8], pos: &mut usize, what: &str) -> Result<(Value, usize)> {
-    let (len64, used) = decode_u64(&stream[*pos..])?;
-    *pos += used;
-    if len64 > MAX_PAIR_LEN {
-        return Err(StorageError::corrupt(
-            "runfile",
-            format!("{what} length implausibly large"),
-        ));
-    }
-    let len = len64 as usize;
-    let bytes = stream
-        .get(*pos..*pos + len)
-        .ok_or_else(|| StorageError::corrupt("runfile", format!("{what} stream truncated")))?;
-    let (value, n) = decode_value(bytes)?;
-    if n != len {
-        return Err(StorageError::corrupt(
-            "runfile",
-            format!("{what} length mismatch"),
-        ));
-    }
-    *pos += len;
-    Ok((value, len))
-}
-
-/// Decompress one columnar frame payload into `out` (cleared first).
-fn decode_columnar_frame(
-    tag: u8,
-    comp: &[u8],
-    raw_len: usize,
-    dict: &TrainedDict,
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    out.clear();
-    match tag {
-        TAG_STORED => {
-            out.extend_from_slice(comp);
-            Ok(())
+        self.buf.resize(len as usize, 0);
+        self.input.read_exact(&mut self.buf)?;
+        let (key, n) = decode_value(&self.buf)?;
+        let (value, m) = decode_value(&self.buf[n..])?;
+        if n + m != self.buf.len() {
+            return Err(StorageError::corrupt("runfile", "frame length mismatch"));
         }
-        TAG_TRAINED => dict.decompress(comp, raw_len, out),
-        TAG_DELTA => DeltaVarint.decompress(comp, raw_len, out),
-        other => Err(StorageError::corrupt(
-            "runfile",
-            format!("unexpected codec tag {other} in columnar run"),
-        )),
+        self.pairs_read += 1;
+        Ok(Some((key, value)))
     }
 }
 
@@ -854,7 +301,6 @@ impl Iterator for RunFileReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trained::DictTrainer;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("mr-runfile-tests");
@@ -871,48 +317,30 @@ mod tests {
         ]
     }
 
-    /// A dictionary trained the way the engine trains: on the encoded
-    /// pair bytes themselves.
-    fn trained_for(pairs: &[(Value, Value)]) -> Arc<TrainedDict> {
-        let mut t = DictTrainer::new();
-        let mut buf = Vec::new();
+    fn write_run(path: &Path, codec: ShuffleCompression, pairs: &[(Value, Value)]) -> RunFileStats {
+        let mut w = RunFileWriter::create_with(path, codec, None).unwrap();
         for (k, v) in pairs {
-            buf.clear();
-            encode_value(k, &mut buf).unwrap();
-            encode_value(v, &mut buf).unwrap();
-            t.observe(&buf);
+            w.append(k, v).unwrap();
         }
-        Arc::new(t.train())
+        w.finish().unwrap()
     }
 
-    fn writer_for(
-        path: &Path,
-        codec: ShuffleCompression,
-        pairs: &[(Value, Value)],
-    ) -> RunFileWriter {
-        if codec == ShuffleCompression::DictTrained {
-            RunFileWriter::create_trained(path, trained_for(pairs)).unwrap()
-        } else {
-            RunFileWriter::create_with(path, codec, None).unwrap()
-        }
+    fn read_run(path: &Path) -> Vec<(Value, Value)> {
+        RunFileReader::open(path)
+            .unwrap()
+            .map(|p| p.unwrap())
+            .collect()
     }
 
     #[test]
     fn roundtrip_mixed_values() {
         let path = tmp("roundtrip");
         let pairs = mixed_pairs();
-        let mut w = RunFileWriter::create(&path).unwrap();
-        for (k, v) in &pairs {
-            w.append(k, v).unwrap();
-        }
-        let stats = w.finish().unwrap();
+        let stats = write_run(&path, ShuffleCompression::None, &pairs);
         assert_eq!(stats.pairs, 4);
         assert_eq!(stats.file_bytes, std::fs::metadata(&path).unwrap().len());
         assert_eq!(stats.raw_bytes, stats.file_bytes, "no codec, no shrink");
-
-        let rd = RunFileReader::open(&path).unwrap();
-        let back: Vec<(Value, Value)> = rd.map(|p| p.unwrap()).collect();
-        assert_eq!(back, pairs);
+        assert_eq!(read_run(&path), pairs);
     }
 
     #[test]
@@ -920,22 +348,14 @@ mod tests {
         for codec in ShuffleCompression::ALL {
             let path = tmp(&format!("codec-{codec}"));
             let pairs = mixed_pairs();
-            let mut w = writer_for(&path, codec, &pairs);
-            for (k, v) in &pairs {
-                w.append(k, v).unwrap();
-            }
-            let stats = w.finish().unwrap();
+            let stats = write_run(&path, codec, &pairs);
             assert_eq!(stats.pairs, 4, "{codec}");
             assert_eq!(
                 stats.file_bytes,
                 std::fs::metadata(&path).unwrap().len(),
                 "{codec}"
             );
-            let back: Vec<(Value, Value)> = RunFileReader::open(&path)
-                .unwrap()
-                .map(|p| p.unwrap())
-                .collect();
-            assert_eq!(back, pairs, "{codec}");
+            assert_eq!(read_run(&path), pairs, "{codec}");
         }
     }
 
@@ -953,39 +373,21 @@ mod tests {
         let mut sizes = std::collections::HashMap::new();
         for codec in ShuffleCompression::ALL {
             let path = tmp(&format!("shrink-{codec}"));
-            let mut w = writer_for(&path, codec, &pairs);
-            for (k, v) in &pairs {
-                w.append(k, v).unwrap();
-            }
-            let stats = w.finish().unwrap();
-            let back: Vec<(Value, Value)> = RunFileReader::open(&path)
-                .unwrap()
-                .map(|p| p.unwrap())
-                .collect();
-            assert_eq!(back, pairs, "{codec}");
+            let stats = write_run(&path, codec, &pairs);
+            assert_eq!(read_run(&path), pairs, "{codec}");
             sizes.insert(codec, (stats.raw_bytes, stats.file_bytes));
         }
         let (raw, none_file) = sizes[&ShuffleCompression::None];
         assert_eq!(raw, none_file);
-        let (_, dict_file) = sizes[&ShuffleCompression::Dict];
-        let (_, delta_file) = sizes[&ShuffleCompression::Delta];
-        assert!(dict_file * 3 < raw, "dict {dict_file} vs raw {raw}");
-        assert!(delta_file * 2 < raw, "delta {delta_file} vs raw {raw}");
-        // The whole point of the trained columnar layout: it beats the
-        // cold per-frame dictionary on spill-shaped data.
-        let (trained_raw, trained_file) = sizes[&ShuffleCompression::DictTrained];
-        assert_eq!(trained_raw, raw, "v1-equivalent raw accounting");
-        assert!(
-            trained_file < dict_file,
-            "trained {trained_file} vs cold dict {dict_file}"
-        );
+        let (_, auto_file) = sizes[&ShuffleCompression::Auto];
+        assert!(auto_file * 3 < raw, "auto {auto_file} vs raw {raw}");
     }
 
     #[test]
     fn empty_run() {
         for codec in ShuffleCompression::ALL {
             let path = tmp(&format!("empty-{codec}"));
-            let stats = writer_for(&path, codec, &[]).finish().unwrap();
+            let stats = write_run(&path, codec, &[]);
             assert_eq!(stats.pairs, 0);
             assert_eq!(RunFileReader::open(&path).unwrap().count(), 0);
         }
@@ -998,117 +400,90 @@ mod tests {
         assert!(RunFileReader::open(&path).is_err());
     }
 
+    fn sweep_pairs() -> Vec<(Value, Value)> {
+        (0..6i64)
+            .map(|i| (Value::str("key"), Value::Int(i)))
+            .collect()
+    }
+
+    /// The bytes of a small run per codec, compressible enough that
+    /// `auto` frames it with a codec rather than storing it.
+    fn sweep_runs(name: &str) -> Vec<(ShuffleCompression, Vec<u8>)> {
+        ShuffleCompression::ALL
+            .into_iter()
+            .map(|codec| {
+                let path = tmp(&format!("{name}-{codec}"));
+                write_run(&path, codec, &sweep_pairs());
+                let bytes = std::fs::read(&path).unwrap();
+                if codec == ShuffleCompression::Auto {
+                    assert_ne!(bytes[HEADER_LEN as usize], 5, "auto must compress");
+                }
+                (codec, bytes)
+            })
+            .collect()
+    }
+
+    /// Open and drain `bytes` as a run: the pairs read, or the first
+    /// error. A panic fails the test; the reader consumes at least one
+    /// byte per pair or frame, so it cannot hang.
+    fn drain(name: &str, bytes: &[u8]) -> std::result::Result<Vec<(Value, Value)>, StorageError> {
+        let path = tmp(name);
+        std::fs::write(&path, bytes).unwrap();
+        RunFileReader::open(&path)?.collect()
+    }
+
     #[test]
     fn truncation_inside_frame_detected() {
-        let pairs = vec![(Value::str("key"), Value::str("a long enough value"))];
-        for codec in [
-            ShuffleCompression::None,
-            ShuffleCompression::Dict,
-            ShuffleCompression::DictTrained,
-        ] {
-            let path = tmp(&format!("trunc-{codec}"));
-            let mut w = writer_for(&path, codec, &pairs);
-            for (k, v) in &pairs {
-                w.append(k, v).unwrap();
+        // Cut the run at every byte offset. Each cut yields a prefix of
+        // the pairs or a typed error; under a framed codec every cut
+        // inside the (single) frame is an error.
+        let pairs = sweep_pairs();
+        for (codec, bytes) in sweep_runs("trunc-src") {
+            for cut in 0..bytes.len() {
+                let got = drain(&format!("trunc-{codec}"), &bytes[..cut]);
+                match got {
+                    Ok(read) => {
+                        assert!(pairs.starts_with(&read), "{codec} cut {cut}");
+                        assert!(
+                            !codec.is_framed() || cut <= HEADER_LEN as usize,
+                            "{codec}: cut {cut} inside the frame read cleanly"
+                        );
+                    }
+                    Err(e) if codec.is_framed() && cut > HEADER_LEN as usize => {
+                        assert!(
+                            matches!(e, StorageError::Corrupt { .. }),
+                            "{codec} cut {cut}: {e}"
+                        );
+                    }
+                    Err(_) => {}
+                }
             }
-            w.finish().unwrap();
-            let bytes = std::fs::read(&path).unwrap();
-            std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-            let mut rd = RunFileReader::open(&path).unwrap();
-            assert!(rd.next().unwrap().is_err(), "{codec}");
         }
     }
 
     #[test]
     fn corrupt_compressed_frame_is_typed_not_garbage() {
-        for codec in [ShuffleCompression::Dict, ShuffleCompression::DictTrained] {
-            let pairs: Vec<(Value, Value)> = (0..2000i64)
-                .map(|i| (Value::Int(i / 100), Value::str("vvvvvvvv")))
-                .collect();
-            let path = tmp(&format!("corrupt-frame-{codec}"));
-            let mut w = writer_for(&path, codec, &pairs);
-            for (k, v) in &pairs {
-                w.append(k, v).unwrap();
-            }
-            w.finish().unwrap();
-            let mut bytes = std::fs::read(&path).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x10;
-            std::fs::write(&path, &bytes).unwrap();
-            let mut saw_error = false;
-            match RunFileReader::open(&path) {
-                // A flip inside the v2 header hash fails at open time.
-                Err(e) => {
-                    assert!(matches!(e, StorageError::Corrupt { .. }), "{e}");
-                    saw_error = true;
-                }
-                Ok(rd) => {
-                    for item in rd {
-                        match item {
-                            Ok(_) => {}
-                            Err(e) => {
-                                assert!(matches!(e, StorageError::Corrupt { .. }), "{e}");
-                                saw_error = true;
-                                break;
-                            }
-                        }
+        // Flip every bit of the run. Each flip yields pairs or a typed
+        // error; under a framed codec every flip inside the frame is
+        // `Corrupt`, never wrong pairs.
+        for (codec, bytes) in sweep_runs("flip-src") {
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let got = drain(&format!("flip-{codec}"), &flipped);
+                if codec.is_framed() && bit / 8 >= HEADER_LEN as usize {
+                    match got {
+                        Err(StorageError::Corrupt { .. }) => {}
+                        other => panic!("{codec}: flip of bit {bit} gave {other:?}"),
                     }
                 }
             }
-            assert!(
-                saw_error,
-                "{codec}: a flipped bit must fail the CRC, not pass through"
-            );
         }
-    }
-
-    #[test]
-    fn columnar_header_hash_mismatch_is_typed() {
-        let pairs = mixed_pairs();
-        let path = tmp("hash-mismatch");
-        let mut w = writer_for(&path, ShuffleCompression::DictTrained, &pairs);
-        for (k, v) in &pairs {
-            w.append(k, v).unwrap();
-        }
-        w.finish().unwrap();
-        // Flip a bit inside the header's dictionary hash: the reader
-        // must refuse at open (unknown hash, no artifact) — typed.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = RunFileReader::open(&path).err().expect("must refuse");
-        assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
-    }
-
-    #[test]
-    fn columnar_groups_cut_at_block_size() {
-        // Enough pairs to span several groups; exercises group refill.
-        let pairs: Vec<(Value, Value)> = (0..30_000i64)
-            .map(|i| (Value::Int(i / 10), Value::str(format!("value-{}", i % 97))))
-            .collect();
-        let path = tmp("columnar-groups");
-        let mut w = writer_for(&path, ShuffleCompression::DictTrained, &pairs);
-        for (k, v) in &pairs {
-            w.append(k, v).unwrap();
-        }
-        let stats = w.finish().unwrap();
-        assert_eq!(stats.pairs, 30_000);
-        assert!(stats.file_bytes < stats.raw_bytes);
-        assert_eq!(stats.file_bytes, std::fs::metadata(&path).unwrap().len());
-        let mut rd = RunFileReader::open(&path).unwrap();
-        let mut count = 0usize;
-        for item in &mut rd {
-            let (k, v) = item.unwrap();
-            assert_eq!((k, v), pairs[count], "pair {count}");
-            count += 1;
-        }
-        assert_eq!(count, 30_000);
-        assert_eq!(rd.pairs_read(), 30_000);
     }
 
     #[test]
     fn large_run_streams() {
-        for codec in [ShuffleCompression::None, ShuffleCompression::Delta] {
+        for codec in [ShuffleCompression::None, ShuffleCompression::Auto] {
             let path = tmp(&format!("large-{codec}"));
             let mut w = RunFileWriter::create_with(&path, codec, None).unwrap();
             for i in 0..10_000i64 {
@@ -1126,14 +501,5 @@ mod tests {
             assert_eq!(count, 10_000);
             assert_eq!(rd.pairs_read(), 10_000);
         }
-    }
-
-    #[test]
-    fn create_pooled_rejects_dict_trained() {
-        let path = tmp("reject-trained");
-        let err = RunFileWriter::create_with(&path, ShuffleCompression::DictTrained, None)
-            .err()
-            .expect("dict-trained without a dictionary must be rejected");
-        assert!(matches!(err, StorageError::Schema(_)), "{err}");
     }
 }

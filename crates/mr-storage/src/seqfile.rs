@@ -139,17 +139,8 @@ impl SeqFileWriter {
         codec: ShuffleCompression,
         faults: Option<Arc<IoFaults>>,
     ) -> Result<SeqFileWriter> {
-        if codec == ShuffleCompression::DictTrained {
-            // The trained columnar layout is a shuffle-run format; a
-            // schema-carrying input file has no dictionary to
-            // reference, so reject rather than write an unreadable
-            // header.
-            return Err(StorageError::Schema(
-                "seqfiles do not support the dict-trained shuffle codec".into(),
-            ));
-        }
         let mut file = BufWriter::new(File::create(path)?);
-        let framed = codec != ShuffleCompression::None;
+        let framed = codec.is_framed();
         let mut data_start = MAGIC.len() as u64;
         if framed {
             file.write_all(MAGIC_COMPRESSED)?;
@@ -166,7 +157,7 @@ impl SeqFileWriter {
         file.write_all(&header)?;
         data_start += (lenbuf.len() + header.len()) as u64;
         Ok(SeqFileWriter {
-            out: BlockWriter::new(file, codec.codec(), faults.clone()),
+            out: BlockWriter::new(file, codec, faults.clone()),
             pending: SeqBlockEncoder::new(&schema, FieldBinding::identity(&schema)),
             schema,
             framed,
@@ -495,6 +486,7 @@ pub fn write_seqfile_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blockcodec::{read_frame_into, TAG_DELTA, TAG_DICT};
     use mr_ir::record::record;
     use mr_ir::schema::FieldType;
     use mr_ir::value::Value;
@@ -581,20 +573,74 @@ mod tests {
         let records = make_records(&s, 500);
         for codec in ShuffleCompression::ALL {
             let path = tmp(&format!("comp-roundtrip-{codec}"));
-            if codec == ShuffleCompression::DictTrained {
-                // A shuffle-run-only codec: seqfiles reject it, typed.
-                let err = write_seqfile_with(&path, Arc::clone(&s), codec, records.clone())
-                    .expect_err("seqfile must reject dict-trained");
-                assert!(matches!(err, StorageError::Schema(_)), "{err}");
-                continue;
-            }
             let n = write_seqfile_with(&path, Arc::clone(&s), codec, records.clone()).unwrap();
             assert_eq!(n, 500);
             let meta = SeqFileMeta::open(&path).unwrap();
-            assert_eq!(meta.framed, codec != ShuffleCompression::None, "{codec}");
+            assert_eq!(meta.framed, codec.is_framed(), "{codec}");
             assert_eq!(meta.record_count, 500);
             let back: Vec<Record> = meta.read_all().unwrap().map(|r| r.unwrap()).collect();
             assert_eq!(back, records, "{codec}");
+        }
+    }
+
+    /// The tags of the frames in a framed seqfile's row region.
+    fn frame_tags(bytes: &[u8], data_start: u64) -> Vec<u8> {
+        let tail = bytes.len() - 13;
+        let footer_len = u64::from_le_bytes(bytes[tail..tail + 8].try_into().unwrap());
+        let mut rows = &bytes[data_start as usize..tail - footer_len as usize];
+        let mut comp = Vec::new();
+        let mut tags = Vec::new();
+        while let Some((tag, _)) = read_frame_into(&mut rows, &mut comp).unwrap() {
+            tags.push(tag);
+        }
+        tags
+    }
+
+    #[test]
+    fn single_codec_seqfiles_still_decode() {
+        // `generate --codec dict|delta` framed every block with one
+        // codec and wrote that codec's tag into the header. On rows
+        // where `auto` picks the same codec for every frame, its file
+        // is that file but for the header tag, which is patched back.
+        let s = schema();
+        let n = BLOCK_RECORDS as usize * 2 + 5;
+        let hosts = ["a", "bb", "ccc", "dddd", "eeeee"];
+        let dict_rows: Vec<Record> = (0..n)
+            .map(|i| {
+                let url = format!("http://{}.example.com/{}", hosts[i % 5], hosts[i % 3]);
+                record(&s, vec![url.into(), Value::Int((i % 4) as i64)])
+            })
+            .collect();
+        let delta_rows: Vec<Record> = (0..n)
+            .map(|i| {
+                let rank = Value::Int(1_000_000_000 + 3 * i as i64);
+                record(&s, vec!["http://site/x".into(), rank])
+            })
+            .collect();
+        for (tag, rows) in [(TAG_DICT, dict_rows), (TAG_DELTA, delta_rows)] {
+            let path = tmp(&format!("single-codec-{tag}"));
+            write_seqfile_with(
+                &path,
+                Arc::clone(&s),
+                ShuffleCompression::Auto,
+                rows.clone(),
+            )
+            .unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            let data_start = SeqFileMeta::open(&path).unwrap().data_start;
+            let tags = frame_tags(&bytes, data_start);
+            assert!(tags.len() > 2 && tags.iter().all(|&t| t == tag), "{tags:?}");
+            bytes[MAGIC.len()] = tag;
+            std::fs::write(&path, &bytes).unwrap();
+            let meta = SeqFileMeta::open(&path).unwrap();
+            assert!(meta.framed);
+            let back: Vec<Record> = meta.read_all().unwrap().map(|r| r.unwrap()).collect();
+            assert_eq!(back, rows, "tag {tag}");
+            let mut split_rows = 0;
+            for sp in meta.splits(3) {
+                split_rows += meta.read_split(&sp).unwrap().count();
+            }
+            assert_eq!(split_rows, n, "tag {tag}");
         }
     }
 
@@ -603,7 +649,7 @@ mod tests {
         let s = schema();
         let n = (BLOCK_RECORDS * 3 + 77) as usize;
         let records = make_records(&s, n);
-        for codec in [ShuffleCompression::Dict, ShuffleCompression::Delta] {
+        for codec in [ShuffleCompression::Raw, ShuffleCompression::Auto] {
             let path = tmp(&format!("comp-splits-{codec}"));
             write_seqfile_with(&path, Arc::clone(&s), codec, records.clone()).unwrap();
             let meta = SeqFileMeta::open(&path).unwrap();
@@ -642,18 +688,18 @@ mod tests {
             })
             .collect();
         let plain_path = tmp("comp-shrink-plain");
-        let dict_path = tmp("comp-shrink-dict");
+        let auto_path = tmp("comp-shrink-auto");
         write_seqfile(&plain_path, Arc::clone(&s), records.clone()).unwrap();
         write_seqfile_with(
-            &dict_path,
+            &auto_path,
             Arc::clone(&s),
-            ShuffleCompression::Dict,
+            ShuffleCompression::Auto,
             records,
         )
         .unwrap();
         let plain = std::fs::metadata(&plain_path).unwrap().len();
-        let dict = std::fs::metadata(&dict_path).unwrap().len();
-        assert!(dict * 3 < plain, "dict {dict} vs plain {plain}");
+        let auto = std::fs::metadata(&auto_path).unwrap().len();
+        assert!(auto * 3 < plain, "auto {auto} vs plain {plain}");
     }
 
     #[test]
@@ -781,7 +827,7 @@ mod tests {
         assert!(w.append_block(&short, n).is_err(), "after a partial block");
 
         let mut w =
-            SeqFileWriter::create_with_codec(tmp("append-block-3"), s, ShuffleCompression::Dict)
+            SeqFileWriter::create_with_codec(tmp("append-block-3"), s, ShuffleCompression::Auto)
                 .unwrap();
         let err = w.append_block(&short, n).unwrap_err();
         assert!(matches!(err, StorageError::Schema(_)), "{err}");

@@ -267,7 +267,7 @@ use mr_storage::seqfile::write_seqfile_with;
 #[test]
 fn block_read_fault_fires_inside_compressed_run() {
     let path = tmp("io-block-read");
-    let mut w = RunFileWriter::create_with(&path, ShuffleCompression::Dict, None).unwrap();
+    let mut w = RunFileWriter::create_with(&path, ShuffleCompression::Auto, None).unwrap();
     for i in 0..50i64 {
         w.append(&Value::Int(i / 10), &Value::str("payload"))
             .unwrap();
@@ -292,7 +292,7 @@ fn block_read_fault_fires_inside_compressed_run() {
 fn block_write_fault_fails_compressed_run_write() {
     let path = tmp("io-block-write");
     let faults = Arc::new(IoFaults::new().with_fault(IoSite::BlockWrite, 0));
-    let mut w = RunFileWriter::create_with(&path, ShuffleCompression::Delta, Some(faults)).unwrap();
+    let mut w = RunFileWriter::create_with(&path, ShuffleCompression::Auto, Some(faults)).unwrap();
     // Fill past one block so a frame must be emitted mid-append.
     let big = "x".repeat(4096);
     let mut failed = false;
@@ -314,7 +314,7 @@ fn corrupt_compressed_seqfile_frame_is_typed() {
     let records: Vec<_> = (0..2000)
         .map(|i| record(&s, vec![format!("row{}", i % 5).into(), Value::Int(i)]))
         .collect();
-    write_seqfile_with(&path, Arc::clone(&s), ShuffleCompression::Dict, records).unwrap();
+    write_seqfile_with(&path, Arc::clone(&s), ShuffleCompression::Auto, records).unwrap();
 
     let meta = SeqFileMeta::open(&path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
@@ -354,7 +354,7 @@ fn compressed_seqfile_survives_random_prefix_corruption() {
     let records: Vec<_> = (0..300)
         .map(|i| record(&s, vec![format!("r{i}").into(), Value::Int(i)]))
         .collect();
-    write_seqfile_with(&path, Arc::clone(&s), ShuffleCompression::Delta, records).unwrap();
+    write_seqfile_with(&path, Arc::clone(&s), ShuffleCompression::Auto, records).unwrap();
     let valid = std::fs::read(&path).unwrap();
     for cut in [7usize, 9, 30, valid.len() / 2, valid.len() - 5] {
         let mut mangled = valid.clone();

@@ -310,14 +310,14 @@ use std::io::{Read, Write};
 /// of `chunk` bytes — adversarial write boundaries must not leak into
 /// the decoded stream.
 fn frame_roundtrip(codec: ShuffleCompression, payload: &[u8], chunk: usize) -> Vec<u8> {
-    let mut w = BlockWriter::new(Vec::new(), codec.codec(), None);
+    let mut w = BlockWriter::new(Vec::new(), codec, None);
     for piece in payload.chunks(chunk.max(1)) {
         w.write_all(piece).unwrap();
     }
     w.flush().unwrap();
     let framed = w.into_inner().unwrap();
     let mut back = Vec::new();
-    BlockReader::new(framed.as_slice(), codec.codec().is_some(), None)
+    BlockReader::new(framed.as_slice(), codec.is_framed(), None)
         .read_to_end(&mut back)
         .unwrap();
     back
@@ -350,9 +350,7 @@ proptest! {
         let unit: Vec<u8> = (0..period).map(|i| (seed.wrapping_mul(i as u64 + 1) >> 32) as u8).collect();
         let mut payload = unit.repeat(reps);
         payload.drain(..phase.min(payload.len()));
-        for codec in [ShuffleCompression::Dict, ShuffleCompression::Delta] {
-            prop_assert_eq!(&frame_roundtrip(codec, &payload, 8192), &payload, "{}", codec);
-        }
+        prop_assert_eq!(&frame_roundtrip(ShuffleCompression::Auto, &payload, 8192), &payload);
     }
 
     /// The raw codec trait round-trips directly at block granularity,
@@ -362,12 +360,12 @@ proptest! {
     fn codec_trait_roundtrips_blocks(payload in proptest::collection::vec(any::<u8>(), 0..5_000)) {
         use mr_storage::blockcodec::{DeltaVarint, DictBlock, Raw};
         let codecs: [&dyn BlockCodec; 3] = [&Raw, &DictBlock, &DeltaVarint];
-        for codec in codecs {
+        for (i, codec) in codecs.into_iter().enumerate() {
             let mut comp = Vec::new();
             codec.compress(&payload, &mut comp);
             let mut back = Vec::new();
             codec.decompress(&comp, payload.len(), &mut back).unwrap();
-            prop_assert_eq!(&back, &payload, "{}", codec.name());
+            prop_assert_eq!(&back, &payload, "codec {}", i);
         }
     }
 
@@ -381,7 +379,7 @@ proptest! {
         flip_seed in any::<usize>(),
         bit in 0u8..8,
     ) {
-        let mut w = BlockWriter::new(Vec::new(), ShuffleCompression::Dict.codec(), None);
+        let mut w = BlockWriter::new(Vec::new(), ShuffleCompression::Auto, None);
         w.write_all(&payload).unwrap();
         w.flush().unwrap();
         let mut framed = w.into_inner().unwrap();
@@ -399,102 +397,5 @@ proptest! {
                 );
             }
         }
-    }
-}
-
-// ---- trained dictionaries ------------------------------------------------
-
-use mr_storage::trained::{DictTrainer, TrainedDict};
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Dictionaries trained on arbitrary corpora at arbitrary sampling
-    /// caps decode every frame they encode — including payloads the
-    /// trainer never saw.
-    #[test]
-    fn trained_dict_roundtrips_any_corpus_and_payload(
-        corpus in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..600), 0..12),
-        cap in 1usize..4_096,
-        payload in proptest::collection::vec(any::<u8>(), 0..3_000),
-    ) {
-        let mut trainer = DictTrainer::with_sample_cap(cap);
-        for chunk in &corpus {
-            trainer.observe(chunk);
-        }
-        let dict = trainer.train();
-
-        let mut comp = Vec::new();
-        dict.compress(&payload, &mut comp);
-        let mut back = Vec::new();
-        dict.decompress(&comp, payload.len(), &mut back).unwrap();
-        prop_assert_eq!(&back, &payload);
-
-        // Corpus-shaped payloads too — the case the seed actually helps.
-        let corpus_payload: Vec<u8> = corpus.concat();
-        comp.clear();
-        dict.compress(&corpus_payload, &mut comp);
-        back.clear();
-        dict.decompress(&comp, corpus_payload.len(), &mut back).unwrap();
-        prop_assert_eq!(&back, &corpus_payload);
-    }
-
-    /// The serialized artifact round-trips exactly: identical hashes,
-    /// identical bytes, identical frames from both copies.
-    #[test]
-    fn trained_artifact_roundtrip_preserves_identity(
-        corpus in proptest::collection::vec(any::<u8>(), 0..4_000),
-        payload in proptest::collection::vec(any::<u8>(), 0..500),
-    ) {
-        let mut trainer = DictTrainer::new();
-        trainer.observe(&corpus);
-        let dict = trainer.train();
-        let bytes = dict.to_bytes();
-        let reloaded = TrainedDict::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(reloaded.dict_hash(), dict.dict_hash());
-        prop_assert_eq!(reloaded.corpus_hash(), dict.corpus_hash());
-        prop_assert_eq!(reloaded.to_bytes(), bytes);
-        let mut a = Vec::new();
-        dict.compress(&payload, &mut a);
-        let mut b = Vec::new();
-        reloaded.compress(&payload, &mut b);
-        prop_assert_eq!(a, b);
-    }
-
-    /// Any single-bit corruption of the artifact is a *typed* Corrupt
-    /// error: the CRC and structural checks never let a damaged
-    /// dictionary load silently.
-    #[test]
-    fn trained_artifact_bitflips_are_typed(
-        corpus in proptest::collection::vec(any::<u8>(), 1..2_000),
-        flip_seed in any::<usize>(),
-        bit in 0u8..8,
-    ) {
-        let mut trainer = DictTrainer::new();
-        trainer.observe(&corpus);
-        let mut bytes = trainer.train().to_bytes();
-        let at = flip_seed % bytes.len();
-        bytes[at] ^= 1 << bit;
-        match TrainedDict::from_bytes(&bytes) {
-            Err(StorageError::Corrupt { .. }) => {}
-            Err(e) => prop_assert!(false, "unexpected error type: {e}"),
-            Ok(_) => prop_assert!(false, "corrupt artifact loaded silently"),
-        }
-    }
-
-    /// Sampling caps bound what the trainer *learns*, never what it
-    /// *identifies*: the corpus hash keeps covering bytes past the cap.
-    #[test]
-    fn corpus_hash_covers_bytes_past_the_sample_cap(
-        head in proptest::collection::vec(any::<u8>(), 0..300),
-        tail in proptest::collection::vec(any::<u8>(), 1..300),
-        cap in 1usize..128,
-    ) {
-        let mut with_tail = DictTrainer::with_sample_cap(cap);
-        with_tail.observe(&head);
-        with_tail.observe(&tail);
-        let mut without_tail = DictTrainer::with_sample_cap(cap);
-        without_tail.observe(&head);
-        prop_assert_ne!(with_tail.corpus_hash(), without_tail.corpus_hash());
     }
 }
