@@ -16,7 +16,9 @@
 //! The optimizer may also produce "a potentially-modified copy of the
 //! user's original program" (§2): for direct-operation plans, string
 //! constants compared against a dictionary-compressed field are
-//! rewritten into their dictionary codes.
+//! rewritten into their dictionary codes; for projected plans, reads of
+//! fields the artifact does not store are bound to their type defaults,
+//! so map tasks run on the stored records as they are.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -26,8 +28,9 @@ use mr_analysis::dataflow::ReachingDefs;
 use mr_analysis::ranges::{Endpoint, KeyRange};
 use mr_analysis::{AnalysisReport, SelectOutcome};
 use mr_engine::InputSpec;
+use mr_ir::asm::parse_function;
 use mr_ir::function::{Function, Program};
-use mr_ir::instr::{CmpOp, Instr, ParamId};
+use mr_ir::instr::{CmpOp, Instr, ParamId, Reg};
 use mr_ir::value::Value;
 use mr_storage::btree::ScanBound;
 use mr_storage::dict::DictFileReader;
@@ -169,6 +172,11 @@ pub fn enumerate_plans(
                             continue;
                         }
                     }
+                    let mapper = match projected_fields {
+                        Some(stored) => bind_dropped_fields(program, stored),
+                        None => Some(program.mapper.clone()),
+                    };
+                    let Some(mapper) = mapper else { continue };
                     let ranges = plan.ranges.iter().map(range_to_bounds).collect();
                     let mut applied = vec![format!("selection(index on {key_str})")];
                     if projected_fields.is_some() {
@@ -179,7 +187,7 @@ pub fn enumerate_plans(
                             path: entry.index_path.clone(),
                             ranges,
                         },
-                        mapper: program.mapper.clone(),
+                        mapper,
                         applied,
                         index: Some(entry.clone()),
                         combine: !config.no_combine,
@@ -198,37 +206,44 @@ pub fn enumerate_plans(
                 fields,
             } = &entry.kind
             {
-                if proj.used_fields.iter().all(|f| kept.contains(f)) {
-                    plans.push(ExecutionDescriptor {
-                        input: InputSpec::Delta {
-                            path: entry.index_path.clone(),
-                            widen_to: Some(Arc::clone(&program.value_schema)),
-                        },
-                        mapper: program.mapper.clone(),
-                        applied: vec![
-                            format!("projection(keep [{}])", kept.join(", ")),
-                            format!("delta-compression([{}])", fields.join(", ")),
-                        ],
-                        index: Some(entry.clone()),
-                        combine: !config.no_combine,
-                    });
+                if !proj.used_fields.iter().all(|f| kept.contains(f)) {
+                    continue;
                 }
+                let Some(mapper) = bind_dropped_fields(program, kept) else {
+                    continue;
+                };
+                plans.push(ExecutionDescriptor {
+                    input: InputSpec::Delta {
+                        path: entry.index_path.clone(),
+                    },
+                    mapper,
+                    applied: vec![
+                        format!("projection(keep [{}])", kept.join(", ")),
+                        format!("delta-compression([{}])", fields.join(", ")),
+                    ],
+                    index: Some(entry.clone()),
+                    combine: !config.no_combine,
+                });
             }
         }
         for entry in &indexes {
             if let IndexKind::Projection { fields } = &entry.kind {
-                if proj.used_fields.iter().all(|f| fields.contains(f)) {
-                    plans.push(ExecutionDescriptor {
-                        input: InputSpec::Projected {
-                            path: entry.index_path.clone(),
-                            source_schema: Arc::clone(&program.value_schema),
-                        },
-                        mapper: program.mapper.clone(),
-                        applied: vec![format!("projection(keep [{}])", fields.join(", "))],
-                        index: Some(entry.clone()),
-                        combine: !config.no_combine,
-                    });
+                if !proj.used_fields.iter().all(|f| fields.contains(f)) {
+                    continue;
                 }
+                let Some(mapper) = bind_dropped_fields(program, fields) else {
+                    continue;
+                };
+                plans.push(ExecutionDescriptor {
+                    input: InputSpec::Projected {
+                        path: entry.index_path.clone(),
+                        source_schema: Arc::clone(&program.value_schema),
+                    },
+                    mapper,
+                    applied: vec![format!("projection(keep [{}])", fields.join(", "))],
+                    index: Some(entry.clone()),
+                    combine: !config.no_combine,
+                });
             }
         }
     }
@@ -278,7 +293,6 @@ pub fn enumerate_plans(
                 plans.push(ExecutionDescriptor {
                     input: InputSpec::Delta {
                         path: entry.index_path.clone(),
-                        widen_to: None,
                     },
                     mapper: program.mapper.clone(),
                     applied: vec![format!("delta-compression([{}])", fields.join(", "))],
@@ -501,6 +515,84 @@ pub fn range_to_bounds(range: &KeyRange) -> (ScanBound, ScanBound) {
     (low, high)
 }
 
+/// Bind a projected plan's mapper to the fields its artifact stores, so
+/// map tasks read the stored records as they are. Each `GetField` of a
+/// declared field the artifact drops becomes a `Const` of the field
+/// type's default (`""`, `0`, `0.0`, `false`): the value a record
+/// widened back to the declared schema held there. The analyzer proved
+/// such reads never reach an emit or an emit-reaching branch, so the
+/// output bytes do not change.
+///
+/// `None` — the plan is not enumerated — when a dropped-field read's
+/// object is not provably the value parameter; when the value record is
+/// copied (a move or a member store) or passed to a library call
+/// (`tuple.get_*` reads fields by name at run time), where its field
+/// reads are not followed; or when the default has no assembler
+/// spelling (the process backend ships mappers as text).
+fn bind_dropped_fields(program: &Program, stored: &[String]) -> Option<Function> {
+    let func = &program.mapper;
+    let value_regs: Vec<Reg> = func
+        .instrs
+        .iter()
+        .filter_map(|instr| match instr {
+            Instr::LoadParam {
+                dst,
+                param: ParamId::Value,
+            } => Some(*dst),
+            _ => None,
+        })
+        .collect();
+    let cfg = Cfg::build(func);
+    let rd = ReachingDefs::compute(func, &cfg);
+    let mut out = func.clone();
+    for (pc, instr) in func.instrs.iter().enumerate() {
+        match instr {
+            Instr::Move { src, .. } | Instr::SetMember { src, .. } if value_regs.contains(src) => {
+                return None
+            }
+            Instr::Call { args, .. } if args.iter().any(|a| value_regs.contains(a)) => return None,
+            Instr::GetField { dst, obj, field }
+                if value_regs.contains(obj) && !stored.contains(field) =>
+            {
+                // A field the declared schema lacks fails on every plan
+                // alike; leave it.
+                let Some(fd) = program.value_schema.field(field) else {
+                    continue;
+                };
+                let val = fd.ty.default_value();
+                if !reads_value_param(func, &cfg, &rd, pc, *obj) || !spellable(&val) {
+                    return None;
+                }
+                out.instrs[pc] = Instr::Const { dst: *dst, val };
+            }
+            _ => {}
+        }
+    }
+    Some(out)
+}
+
+/// `reg` is defined at `pc`, and only by the value-parameter load.
+fn reads_value_param(func: &Function, cfg: &Cfg, rd: &ReachingDefs, pc: usize, reg: Reg) -> bool {
+    let defs = rd.reaching(func, cfg, pc, reg);
+    !defs.is_empty()
+        && defs.into_iter().all(|d| {
+            matches!(
+                func.instrs[d],
+                Instr::LoadParam {
+                    param: ParamId::Value,
+                    ..
+                }
+            )
+        })
+}
+
+/// Whether `val` survives the `to_asm` → `parse_function` round trip
+/// (`Bytes` has no literal).
+fn spellable(val: &Value) -> bool {
+    let src = format!("func f(key, value) {{\n  r0 = const {val}\n  ret\n}}\n");
+    matches!(parse_function(&src), Ok(f) if matches!(&f.instrs[0], Instr::Const { val: v, .. } if v == val))
+}
+
 /// Produce the "potentially-modified copy of the user's original
 /// program": rewrite string constants that are equality-compared against
 /// a dictionary-compressed field into their integer codes. Constants
@@ -532,16 +624,7 @@ fn rewrite_dict_constants(
                 .iter()
                 .try_fold(None::<String>, |acc, &d| match &func.instrs[d] {
                     Instr::GetField { obj, field, .. } if dict_fields.contains(field) => {
-                        let from_value = rd.reaching(func, &cfg, d, *obj).into_iter().all(|od| {
-                            matches!(
-                                func.instrs[od],
-                                Instr::LoadParam {
-                                    param: ParamId::Value,
-                                    ..
-                                }
-                            )
-                        });
-                        if !from_value {
+                        if !reads_value_param(func, &cfg, &rd, d, *obj) {
                             return Err(());
                         }
                         match &acc {
@@ -626,6 +709,92 @@ mod tests {
         let (lo, hi) = range_to_bounds(&r);
         assert_eq!(lo, ScanBound::Excl(Value::Int(1)));
         assert_eq!(hi, ScanBound::Unbounded);
+    }
+
+    /// `k` kept, `x` of type `ty` dropped; the mapper logs `x` and
+    /// emits `k`.
+    fn logs_dropped(ty: FieldType, read_x: &str) -> Program {
+        let schema = Schema::new("V", vec![("k", FieldType::Str), ("x", ty)]).into_arc();
+        let src = format!(
+            "func map(key, value) {{\n  member prev = 0\n  r0 = param value\n{read_x}\n  \
+             effect log(r2)\n  r3 = field r0.k\n  emit r3, r3\n  ret\n}}\n"
+        );
+        let program = Program::new("p", parse_function(&src).unwrap(), schema);
+        let proj = mr_analysis::project::find_project(&program);
+        assert_eq!(
+            proj.descriptor().map(|d| d.dropped_fields.clone()),
+            Some(vec!["x".to_string()]),
+            "the analyzer drops `x`, so a projected plan is considered"
+        );
+        program
+    }
+
+    const READ_X: &str = "  r2 = field r0.x";
+
+    #[test]
+    fn bound_defaults_round_trip_for_every_accepted_type() {
+        for ty in [
+            FieldType::Bool,
+            FieldType::Int,
+            FieldType::Long,
+            FieldType::Double,
+            FieldType::Str,
+        ] {
+            let program = logs_dropped(ty, READ_X);
+            let bound = bind_dropped_fields(&program, &["k".to_string()])
+                .unwrap_or_else(|| panic!("{ty}: dropped read not bound"));
+            assert_eq!(
+                bound.instrs[1],
+                Instr::Const {
+                    dst: Reg(2),
+                    val: ty.default_value()
+                },
+                "{ty}"
+            );
+            let shipped = parse_function(&mr_ir::printer::to_asm(&bound)).unwrap();
+            assert_eq!(
+                shipped, bound,
+                "{ty}: the bound mapper survives the text wire"
+            );
+        }
+    }
+
+    #[test]
+    fn dropped_bytes_read_declines() {
+        let program = logs_dropped(FieldType::Bytes, READ_X);
+        assert!(bind_dropped_fields(&program, &["k".to_string()]).is_none());
+    }
+
+    #[test]
+    fn dropped_read_off_a_member_declines() {
+        // The dropped field is read off the record loaded back from a
+        // member, or off a copy of it.
+        for read_x in [
+            "  member prev = r0\n  r1 = member prev\n  r2 = field r1.x",
+            "  r1 = r0\n  r2 = field r1.x",
+        ] {
+            let program = logs_dropped(FieldType::Str, read_x);
+            assert!(bind_dropped_fields(&program, &["k".to_string()]).is_none());
+        }
+        // The read's register is the parameter's on one path only: the
+        // full scan fails on the other, so no constant may stand in.
+        let program = logs_dropped(
+            FieldType::Str,
+            "  r9 = field r0.k\n  br r9, keep, swap\nswap:\n  r0 = const 1\nkeep:\n  r2 = field r0.x",
+        );
+        assert!(bind_dropped_fields(&program, &["k".to_string()]).is_none());
+    }
+
+    #[test]
+    fn record_reaching_a_call_declines() {
+        // `tuple.get_str` reads the field by name at run time, where a
+        // stored record lacks it.
+        let program = logs_dropped(
+            FieldType::Str,
+            "  r1 = const \"x\"\n  r2 = call tuple.get_str(r0, r1)",
+        );
+        assert!(bind_dropped_fields(&program, &["k".to_string()]).is_none());
+        assert!(bind_dropped_fields(&program, &["k".to_string(), "x".to_string()]).is_none());
     }
 
     #[test]

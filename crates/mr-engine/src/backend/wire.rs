@@ -171,17 +171,9 @@ fn input_json(spec: &InputSpec) -> Result<Json> {
             ("path", path_json(path)?),
             ("schema", Json::str(schema_hex(source_schema))),
         ]),
-        InputSpec::Delta { path, widen_to } => Json::obj([
-            ("kind", Json::str("delta")),
-            ("path", path_json(path)?),
-            (
-                "widen",
-                match widen_to {
-                    Some(s) => Json::str(schema_hex(s)),
-                    None => Json::Null,
-                },
-            ),
-        ]),
+        InputSpec::Delta { path } => {
+            Json::obj([("kind", Json::str("delta")), ("path", path_json(path)?)])
+        }
         InputSpec::Dict { path } => {
             Json::obj([("kind", Json::str("dict")), ("path", path_json(path)?)])
         }
@@ -211,16 +203,7 @@ fn input_from_json(j: &Json) -> Result<InputSpec> {
             path,
             source_schema: schema_from_hex(str_field(j, "schema")?)?,
         }),
-        "delta" => Ok(InputSpec::Delta {
-            path,
-            widen_to: match j.get("widen") {
-                Some(Json::Null) | None => None,
-                Some(w) => Some(schema_from_hex(
-                    w.as_str()
-                        .ok_or_else(|| bad("delta widen schema is not a string"))?,
-                )?),
-            },
-        }),
+        "delta" => Ok(InputSpec::Delta { path }),
         "dict" => Ok(InputSpec::Dict { path }),
         other => Err(bad(format!("unknown input kind `{other}`"))),
     }
@@ -769,6 +752,20 @@ mod tests {
             }
             other => panic!("wrong input decoded: {other:?}"),
         }
+    }
+
+    #[test]
+    fn delta_input_round_trips_as_a_path() {
+        let mut job = wire_job();
+        job.inputs[0].input = InputSpec::Delta {
+            path: "/tmp/a.delta".into(),
+        };
+        let payload = encode_job(&job, Path::new("/tmp/d"), 0).unwrap();
+        let wire = decode_job(&payload).unwrap();
+        assert!(matches!(
+            &wire.inputs[0].input,
+            InputSpec::Delta { path } if path == Path::new("/tmp/a.delta")
+        ));
     }
 
     #[test]

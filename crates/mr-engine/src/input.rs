@@ -5,10 +5,16 @@
 //! Step 3). `SeqFile` is what "standard Hadoop" uses; the others are the
 //! Manimal-optimized paths — including the B+Tree range format, "the
 //! modifications to support B+Tree-indexed input formats".
+//!
+//! Every split yields its records **as stored**: a projected file's
+//! records carry the projected schema, not the declared one. The
+//! optimizer binds a mapper's reads of fields an artifact does not store
+//! to constants at plan time, so no record is ever widened back.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use mr_ir::record::Record;
 use mr_ir::schema::Schema;
 use mr_ir::value::Value;
 use mr_storage::btree::{BTreeIndex, BTreeScanner, ScanBound};
@@ -32,29 +38,28 @@ pub enum InputSpec {
     /// one of the ranges are read. Each range is cut into up to `hint`
     /// splits over disjoint runs of whole leaves, so an indexed selection
     /// keeps every map worker busy. Keys are the original input keys
-    /// stored with the entries.
+    /// stored with the entries; records carry the index's stored schema
+    /// (projected, for a selection+projection index).
     BTreeRanges {
         /// The index path.
         path: PathBuf,
         /// Ranges to scan (disjoint, sorted).
         ranges: Vec<(ScanBound, ScanBound)>,
     },
-    /// Projected file, widened back to the declared schema.
+    /// Projected file, read as a sequence file: records carry the
+    /// projected schema.
     Projected {
         /// The projected file path.
         path: PathBuf,
-        /// The wide schema the map function declares.
+        /// The declared (wide) schema of the map function's value
+        /// parameter. Reading does not use it.
         source_schema: Arc<Schema>,
     },
-    /// Delta-compressed file (sequential; single split). When the file
-    /// was also projected, `widen_to` carries the declared wide schema
-    /// so map sees its full parameter type (dropped fields read as
-    /// defaults the analyzer proved unobserved).
+    /// Delta-compressed file, projected or not; records carry the
+    /// file's stored schema.
     Delta {
         /// The file path.
         path: PathBuf,
-        /// Widen records back to this schema, if projected.
-        widen_to: Option<Arc<Schema>>,
     },
     /// Dictionary-compressed file (sequential; map sees integer codes
     /// in place of compressed strings).
@@ -84,7 +89,7 @@ impl InputSpec {
         io: Option<&Arc<IoFaults>>,
     ) -> Result<Vec<SplitReader>> {
         match self {
-            InputSpec::SeqFile { path } => {
+            InputSpec::SeqFile { path } | InputSpec::Projected { path, .. } => {
                 let meta = SeqFileMeta::open(path)?;
                 let splits = meta.splits(hint.max(1));
                 let mut out = Vec::with_capacity(splits.len());
@@ -109,33 +114,13 @@ impl InputSpec {
                 }
                 Ok(out)
             }
-            InputSpec::Projected {
-                path,
-                source_schema,
-            } => {
-                let meta = SeqFileMeta::open(path)?;
-                let splits = meta.splits(hint.max(1));
-                let mut out = Vec::with_capacity(splits.len());
-                let mut first_record = 0u64;
-                for sp in splits {
-                    let records = sp.records;
-                    out.push(SplitReader::Widened {
-                        reader: meta.read_split_with_faults(&sp, io.cloned())?,
-                        next_key: first_record,
-                        target: private_schema(source_schema),
-                    });
-                    first_record += records;
-                }
-                Ok(out)
-            }
-            InputSpec::Delta { path, widen_to } => {
+            InputSpec::Delta { path } => {
                 let meta = DeltaFileMeta::open(path)?;
                 let mut out = Vec::new();
                 for (off, before, records) in meta.splits(hint.max(1)) {
                     out.push(SplitReader::Delta {
                         reader: meta.read_split(off, records)?,
                         next_key: before,
-                        widen_to: widen_to.as_ref().map(private_schema),
                     });
                 }
                 Ok(out)
@@ -160,34 +145,14 @@ impl InputSpec {
             }
         }
     }
-
-    /// The schema map tasks will observe from this input.
-    pub fn observed_schema(&self) -> Result<Arc<Schema>> {
-        match self {
-            InputSpec::SeqFile { path } => Ok(Arc::clone(&SeqFileMeta::open(path)?.schema)),
-            InputSpec::BTreeRanges { path, .. } => Ok(Arc::clone(BTreeIndex::open(path)?.schema())),
-            InputSpec::Projected { source_schema, .. } => Ok(Arc::clone(source_schema)),
-            InputSpec::Delta { path, widen_to } => match widen_to {
-                Some(s) => Ok(Arc::clone(s)),
-                None => Ok(Arc::clone(DeltaFileReader::open(path)?.schema())),
-            },
-            InputSpec::Dict { path } => Ok(Arc::clone(DictFileReader::open(path)?.schema())),
-        }
-    }
 }
 
-/// A split reader's own copy of a schema. Every record a reader yields
-/// holds a handle on its schema, so a schema shared by the splits of one
-/// file has its reference count written by every map thread several
-/// times per record — the cache line bounces, and two threads widening
-/// a projected file ran slower than one.
-fn private_schema(shared: &Arc<Schema>) -> Arc<Schema> {
-    Arc::new(Schema::clone(shared))
-}
-
-/// One split's record stream.
+/// One split's record stream. Each reader holds a private copy of its
+/// file's schema (made by the storage layer's split openers), so the
+/// schema handle every record clones is never shared between map
+/// threads.
 pub enum SplitReader {
-    /// Sequence-file split.
+    /// Sequence-file split (plain or projected).
     Seq {
         /// Underlying reader.
         reader: SeqFileReader,
@@ -199,23 +164,12 @@ pub enum SplitReader {
         /// Underlying scanner.
         scanner: BTreeScanner,
     },
-    /// Projected file widened to the declared schema.
-    Widened {
-        /// Underlying reader.
-        reader: SeqFileReader,
-        /// Next synthetic record key.
-        next_key: u64,
-        /// Wide schema.
-        target: Arc<Schema>,
-    },
     /// Delta-compressed stream.
     Delta {
         /// Underlying reader.
         reader: DeltaFileReader,
         /// Next synthetic record key.
         next_key: u64,
-        /// Widen records back to this schema, if projected.
-        widen_to: Option<Arc<Schema>>,
     },
     /// Dictionary-compressed stream.
     Dict {
@@ -232,11 +186,24 @@ impl SplitReader {
         match self {
             SplitReader::Seq { reader, .. } => reader.bytes_read(),
             SplitReader::BTree { scanner } => scanner.bytes_read(),
-            SplitReader::Widened { reader, .. } => reader.bytes_read(),
             SplitReader::Delta { reader, .. } => reader.bytes_read(),
             SplitReader::Dict { reader, .. } => reader.bytes_read(),
         }
     }
+}
+
+/// Number a positional record: the split's next key, then advance it.
+fn positional(
+    rec: Option<mr_storage::Result<Record>>,
+    next_key: &mut u64,
+) -> Option<Result<(Value, Value)>> {
+    let rec = rec?;
+    let key = *next_key;
+    *next_key += 1;
+    Some(
+        rec.map(|r| (Value::Int(key as i64), Value::from(r)))
+            .map_err(EngineError::from),
+    )
 }
 
 impl Iterator for SplitReader {
@@ -244,15 +211,7 @@ impl Iterator for SplitReader {
 
     fn next(&mut self) -> Option<Self::Item> {
         match self {
-            SplitReader::Seq { reader, next_key } => {
-                let rec = reader.next()?;
-                let key = *next_key;
-                *next_key += 1;
-                Some(
-                    rec.map(|r| (Value::Int(key as i64), Value::from(r)))
-                        .map_err(EngineError::from),
-                )
-            }
+            SplitReader::Seq { reader, next_key } => positional(reader.next(), next_key),
             SplitReader::BTree { scanner } => {
                 let entry = scanner.next()?;
                 Some(
@@ -261,52 +220,8 @@ impl Iterator for SplitReader {
                         .map_err(EngineError::from),
                 )
             }
-            SplitReader::Widened {
-                reader,
-                next_key,
-                target,
-            } => {
-                let rec = reader.next()?;
-                let key = *next_key;
-                *next_key += 1;
-                Some(
-                    rec.map(|r| {
-                        (
-                            Value::Int(key as i64),
-                            Value::from(r.project_to(Arc::clone(target))),
-                        )
-                    })
-                    .map_err(EngineError::from),
-                )
-            }
-            SplitReader::Delta {
-                reader,
-                next_key,
-                widen_to,
-            } => {
-                let rec = reader.next()?;
-                let key = *next_key;
-                *next_key += 1;
-                Some(
-                    rec.map(|r| {
-                        let r = match widen_to {
-                            Some(s) => r.project_to(Arc::clone(s)),
-                            None => r,
-                        };
-                        (Value::Int(key as i64), Value::from(r))
-                    })
-                    .map_err(EngineError::from),
-                )
-            }
-            SplitReader::Dict { reader, next_key } => {
-                let rec = reader.next()?;
-                let key = *next_key;
-                *next_key += 1;
-                Some(
-                    rec.map(|r| (Value::Int(key as i64), Value::from(r)))
-                        .map_err(EngineError::from),
-                )
-            }
+            SplitReader::Delta { reader, next_key } => positional(reader.next(), next_key),
+            SplitReader::Dict { reader, next_key } => positional(reader.next(), next_key),
         }
     }
 }
@@ -359,6 +274,36 @@ mod tests {
         }
         ranks.sort_unstable();
         assert_eq!(ranks, (0..500).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn projected_input_yields_stored_records() {
+        let wide = schema();
+        let stored = Arc::new(wide.project(&["rank".to_string()]));
+        let path = tmp("projected");
+        let records: Vec<_> = (0..50)
+            .map(|i| record(&stored, vec![Value::Int(i)]))
+            .collect();
+        write_seqfile(&path, Arc::clone(&stored), records).unwrap();
+        let spec = InputSpec::Projected {
+            path,
+            source_schema: wide,
+        };
+        for (key, value) in spec
+            .open(2)
+            .unwrap()
+            .into_iter()
+            .flatten()
+            .map(Result::unwrap)
+        {
+            let rec = value.as_record().unwrap();
+            assert_eq!(rec.schema().as_ref(), stored.as_ref());
+            assert_eq!(
+                rec.get("rank").unwrap(),
+                &key,
+                "not widened, still positional"
+            );
+        }
     }
 
     #[test]
@@ -420,14 +365,5 @@ mod tests {
         assert_eq!(two.len(), 2, "a wide range fills the hint");
         assert_eq!(keys(two), (300..2000).collect::<Vec<_>>());
         assert_eq!(keys(spec.open(2).unwrap()), keys(spec.open(1).unwrap()));
-    }
-
-    #[test]
-    fn observed_schema_per_format() {
-        let s = schema();
-        let seq_path = tmp("schema-seq");
-        write_seqfile(&seq_path, Arc::clone(&s), vec![]).unwrap();
-        let spec = InputSpec::SeqFile { path: seq_path };
-        assert_eq!(spec.observed_schema().unwrap().name(), "WebPage");
     }
 }

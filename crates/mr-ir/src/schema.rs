@@ -42,8 +42,10 @@ impl FieldType {
         matches!(self, FieldType::Int | FieldType::Long | FieldType::Double)
     }
 
-    /// The default value used when a projected-away field is
-    /// reconstructed for the interpreter.
+    /// The value a projected-away field reads as: the constant the
+    /// optimizer binds a mapper's read of a dropped field to, and what
+    /// [`Record::project_to`](crate::record::Record::project_to) pads
+    /// with.
     pub fn default_value(&self) -> Value {
         match self {
             FieldType::Bool => Value::Bool(false),

@@ -615,18 +615,33 @@ pub(crate) fn read_frame_into<R: Read>(
     Ok(Some((tag[0], raw_len)))
 }
 
-/// CRC32 (IEEE, reflected — the zlib/Hadoop polynomial) over `bytes`.
+/// CRC32 (IEEE, reflected — the zlib/Hadoop polynomial) over `bytes`,
+/// slice-by-8: eight table lookups fold eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    const T: [[u32; 256]; 8] = crc32_tables();
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xff) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = T[7][(lo & 0xff) as usize]
+            ^ T[6][((lo >> 8) & 0xff) as usize]
+            ^ T[5][((lo >> 16) & 0xff) as usize]
+            ^ T[4][(lo >> 24) as usize]
+            ^ T[3][c[4] as usize]
+            ^ T[2][c[5] as usize]
+            ^ T[1][c[6] as usize]
+            ^ T[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ T[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `T[0]` is the bytewise table; `T[k][i]` is the CRC of byte `i`
+/// followed by `k` zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut crc = i as u32;
@@ -639,10 +654,20 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// A [`Write`] adapter that cuts the byte stream into codec frames.
@@ -1122,6 +1147,33 @@ mod tests {
         // The IEEE polynomial's canonical check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_slice_by_8_matches_bytewise() {
+        fn bytewise(bytes: &[u8]) -> u32 {
+            let mut crc = !0u32;
+            for &b in bytes {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 {
+                        (crc >> 1) ^ 0xEDB8_8320
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            !crc
+        }
+        let data: Vec<u8> = (0..1032u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for off in 0..8 {
+            for len in 0..=1024 {
+                let s = &data[off..off + len];
+                assert_eq!(crc32(s), bytewise(s), "offset {off} length {len}");
+            }
+        }
     }
 
     #[test]

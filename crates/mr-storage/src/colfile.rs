@@ -9,10 +9,10 @@
 //! Physically a projected file *is* a sequence file whose schema is the
 //! projection of the original schema onto the used fields; this module
 //! provides the transform (the body of the projection index-generation
-//! job) plus a typed handle that remembers the source schema, so the
-//! execution fabric can hand the map function records padded back to the
-//! declared parameter type (dropped fields read as type defaults, which
-//! is safe because the analyzer proved the program never observes them).
+//! job) plus a typed handle that remembers the source schema and can pad
+//! records back to it (dropped fields read as type defaults). Map tasks
+//! do not use the padding: they read the stored records, with the
+//! mapper's reads of dropped fields bound to those defaults at plan time.
 
 use std::path::Path;
 use std::sync::Arc;

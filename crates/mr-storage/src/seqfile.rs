@@ -385,7 +385,10 @@ impl SeqFileMeta {
         f.seek(SeekFrom::Start(split.offset))?;
         Ok(SeqFileReader {
             input: BlockReader::new(f, self.framed, faults.clone()),
-            schema: Arc::clone(&self.schema),
+            // A copy of its own, not a handle on the meta's: every
+            // record a reader yields clones this `Arc`, and readers of
+            // different splits run on different map threads.
+            schema: Arc::new(Schema::clone(&self.schema)),
             remaining: split.records,
             bytes_read: 0,
             buf: Vec::new(),
