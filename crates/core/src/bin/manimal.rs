@@ -566,6 +566,7 @@ fn run_cmd(rest: &[&String]) -> Result<(), String> {
         "elapsed: {:?}; {}",
         execution.result.elapsed, execution.result.counters
     );
+    print_phases(&execution.result.phases);
     if let Some(ratio) = execution.result.compression_ratio() {
         eprintln!(
             "spill compression: {ratio:.4}x ({} of {} raw bytes written)",
@@ -708,8 +709,18 @@ fn join_cmd(rest: &[&String]) -> Result<(), String> {
         "elapsed: {:?}; {}",
         execution.result.elapsed, execution.result.counters
     );
+    print_phases(&execution.result.phases);
     print_rows(&execution.result.output);
     Ok(())
+}
+
+/// The job's phase spans on one stderr line; `shuffle` is attributed
+/// time that overlaps `map` and `reduce`.
+fn print_phases(p: &mr_engine::PhaseTimings) {
+    eprintln!(
+        "phases: setup {:?}, map {:?}, reduce {:?}, output {:?} (shuffle {:?} attributed)",
+        p.setup, p.map, p.reduce, p.output, p.shuffle
+    );
 }
 
 fn print_rows(rows: &[(mr_ir::Value, mr_ir::Value)]) {

@@ -290,9 +290,14 @@ impl Manimal {
     ///   [`Builtin::JoinTagged`] reducer emits the per-key cross
     ///   product. Join stages never combine — dispatch rejects a
     ///   configured combiner with a typed error.
-    /// - [`JoinPlan::Broadcast`]: every map task loads the whole build
-    ///   side as a hash table (the side input) and emits joined pairs
-    ///   directly; the reduce phase is a plain identity pass.
+    /// - [`JoinPlan::Broadcast`]: the whole build side is loaded once
+    ///   per job (once per worker process) into a hash table, one split
+    ///   per core, and every map task probes it with one lookup per
+    ///   probe key, emitting joined pairs directly; the reduce phase is
+    ///   a plain identity pass. The output sort that equalises the two
+    ///   plans runs per key group in the reduce loop, then once over
+    ///   the concatenated partitions — a stable sort whose first pass
+    ///   only presorts contiguous segments, so it cannot move a byte.
     pub fn execute_join(&self, join: &JoinJob) -> Result<Execution> {
         let (inputs, reducer): (Vec<InputBinding>, Arc<dyn ReducerFactory>) = match join.plan {
             JoinPlan::Repartition => (

@@ -244,26 +244,38 @@ fn map_split(
     Ok(())
 }
 
+/// Stably sort output pairs by key, then value — the order
+/// [`JobConfig::sort_output`](crate::job::JobConfig::sort_output) asks
+/// for. The grouping loop applies it to each group's emitted pairs and
+/// the output assembly to the concatenated partitions; see the
+/// [`join`](crate::join) module docs for why the first cannot change
+/// what the second produces.
+pub(crate) fn sort_pairs(pairs: &mut [(Value, Value)]) {
+    pairs.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+}
+
 /// Merge one reduce attempt's sorted `streams` — ties break by stream
 /// index, so runs go in spill order with any resident tail last — and
-/// reduce them one key group at a time into `out`. The merged stream
-/// fails when about to yield pair `fire_at` (the fault plan's reduce
-/// site for `partition`, `attempt`). One stream, or none, skips the
-/// merge state. Returns the group count.
+/// reduce them one key group at a time into `out`, sorting each group's
+/// emitted pairs when `sort_output` is set. The merged stream fails
+/// when about to yield pair `fire_at` (the fault plan's reduce site for
+/// `partition`, `attempt`). One stream, or none, skips the merge state.
+/// Returns the group count.
 pub(crate) fn merge_reduce(
     mut streams: Vec<RunStream>,
     fire_at: Option<u64>,
     partition: usize,
     attempt: usize,
     reducer: &mut dyn Reducer,
+    sort_output: bool,
     out: &mut Vec<(Value, Value)>,
 ) -> Result<u64> {
     if streams.len() <= 1 {
         let gate = FaultGate::new(StreamPairs(streams.pop()), fire_at, partition, attempt);
-        reduce_groups(gate, reducer, out)
+        reduce_groups(gate, reducer, sort_output, out)
     } else {
         let gate = FaultGate::new(LoserTree::new(streams)?, fire_at, partition, attempt);
-        reduce_groups(gate, reducer, out)
+        reduce_groups(gate, reducer, sort_output, out)
     }
 }
 
@@ -271,13 +283,16 @@ pub(crate) fn merge_reduce(
 /// group at a time — only the current group's values are ever held, so
 /// the partition is never materialized. With a combiner active the
 /// reducer is the [`make_reducer`] wrapper that merges the group's
-/// partials and finishes them (combine site 3). Returns the group
-/// count.
+/// partials and finishes them (combine site 3). With `sort_output`, a
+/// group that emitted more than one pair has them [`sort_pairs`]-ed in
+/// place, so the partition's output reaches the final sort as sorted
+/// runs. Returns the group count.
 ///
 /// [`make_reducer`]: crate::combine::CombineStrategy::make_reducer
 fn reduce_groups(
     mut pairs: impl Iterator<Item = Result<(Value, Value)>>,
     reducer: &mut dyn Reducer,
+    sort_output: bool,
     out: &mut Vec<(Value, Value)>,
 ) -> Result<u64> {
     let mut groups = 0u64;
@@ -292,7 +307,11 @@ fn reduce_groups(
             }
         };
         groups += 1;
+        let emitted = out.len();
         reducer.reduce(&key, &values, out)?;
+        if sort_output && out.len() > emitted + 1 {
+            sort_pairs(&mut out[emitted..]);
+        }
         values.clear();
     }
     Ok(groups)

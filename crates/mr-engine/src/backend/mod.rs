@@ -39,6 +39,7 @@ use mr_ir::value::Value;
 use mr_storage::fault::IoFaults;
 
 use crate::allocstats;
+use crate::attempt::sort_pairs;
 use crate::counters::Counters;
 use crate::error::{EngineError, Result};
 use crate::input::SplitReader;
@@ -109,11 +110,13 @@ pub(crate) fn dispatch(job: &JobConfig) -> Result<JobResult> {
     // Process-wide, so it attributes cleanly only when one job runs at
     // a time — exactly how the hot-path bench uses it.
     let (alloc_count0, alloc_bytes0) = allocstats::totals();
-    let (partitions, phases) = match &job.backend {
+    let (partitions, mut phases) = match &job.backend {
         BackendSpec::Local => run_job_local(&run)?,
         BackendSpec::Process(cfg) => process::run(&run, cfg)?,
     };
+    let output_start = Instant::now();
     let (output, output_files) = assemble_output(job, partitions)?;
+    phases.output = output_start.elapsed();
     let (alloc_count1, alloc_bytes1) = allocstats::totals();
     let counters = &run.counters;
     Counters::add(
@@ -141,22 +144,23 @@ type Output = (Vec<(Value, Value)>, Vec<PathBuf>);
 /// partitions concatenated in order (then sorted by key and value if
 /// the job asks); in a text directory, one `part-NNNNN` file of
 /// `key\tvalue` lines per partition, unless the reduce attempts
-/// already streamed them there.
+/// already streamed them there. Under `sort_output` the reduce loop
+/// already sorted every key group's pairs, so the stable sort here
+/// merges presorted runs (see [`crate::join`] for why that cannot
+/// change a byte).
 fn assemble_output(job: &JobConfig, partitions: Partitions) -> Result<Output> {
     let parts = match partitions {
         Partitions::Files(files) => return Ok((Vec::new(), files)),
         Partitions::Pairs(parts) => parts,
     };
-    let by_key_then_value =
-        |a: &(Value, Value), b: &(Value, Value)| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1));
     match &job.output {
         OutputSpec::InMemory => {
-            let mut output = Vec::new();
+            let mut output = Vec::with_capacity(parts.iter().map(Vec::len).sum());
             for mut part in parts {
                 output.append(&mut part);
             }
             if job.sort_output {
-                output.sort_by(by_key_then_value);
+                sort_pairs(&mut output);
             }
             Ok((output, Vec::new()))
         }
@@ -165,7 +169,7 @@ fn assemble_output(job: &JobConfig, partitions: Partitions) -> Result<Output> {
             let mut files = Vec::with_capacity(parts.len());
             for (p, mut pairs) in parts.into_iter().enumerate() {
                 if job.sort_output {
-                    pairs.sort_by(by_key_then_value);
+                    sort_pairs(&mut pairs);
                 }
                 let path = dir.join(format!("part-{p:05}"));
                 let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);

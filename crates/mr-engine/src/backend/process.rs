@@ -691,6 +691,7 @@ pub(super) fn run(run: &JobRun<'_>, cfg: &ProcessCfg) -> Result<(Partitions, Pha
     listener.set_nonblocking(true)?;
 
     let shuffle_nanos = AtomicU64::new(0);
+    let map_start = Instant::now();
     let sched = Sched::new(
         map_meta,
         num_reducers,
@@ -741,9 +742,11 @@ pub(super) fn run(run: &JobRun<'_>, cfg: &ProcessCfg) -> Result<(Partitions, Pha
     let map_done = st.map_done_at.unwrap_or_else(Instant::now);
     let reduce_done = st.reduce_done_at.unwrap_or_else(Instant::now);
     let phases = PhaseTimings {
-        map: map_done.duration_since(start),
+        setup: map_start.duration_since(start),
+        map: map_done.duration_since(map_start),
         shuffle: Duration::from_nanos(shuffle_nanos.load(Ordering::Relaxed)),
         reduce: reduce_done.duration_since(map_done),
+        output: Duration::ZERO,
     };
     Ok((Partitions::Pairs(partitions), phases))
 }

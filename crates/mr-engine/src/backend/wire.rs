@@ -104,6 +104,12 @@ fn str_field<'a>(j: &'a Json, key: &str) -> Result<&'a str> {
         .ok_or_else(|| bad(format!("missing string field `{key}`")))
 }
 
+fn bool_field(j: &Json, key: &str) -> Result<bool> {
+    j.get(key)
+        .and_then(Json::as_bool)
+        .ok_or_else(|| bad(format!("missing or non-boolean field `{key}`")))
+}
+
 fn path_field(j: &Json, key: &str) -> Result<PathBuf> {
     Ok(PathBuf::from(str_field(j, key)?))
 }
@@ -227,6 +233,9 @@ pub(crate) struct WireJob {
     pub shuffle_buffer_bytes: Option<usize>,
     /// Spill-run codec.
     pub compression: ShuffleCompression,
+    /// [`JobConfig::sort_output`]: reduce attempts sort each key
+    /// group's emitted pairs.
+    pub sort_output: bool,
     /// Map-side combiner (by-name builtin), if any.
     pub combiner: Option<Arc<dyn Combiner>>,
     /// Record-level fault schedule (the worker consults map/reduce
@@ -309,6 +318,7 @@ pub(crate) fn encode_job(job: &JobConfig, job_dir: &Path, slow_ms: u64) -> Resul
             },
         ),
         ("compression", Json::str(job.shuffle_compression.name())),
+        ("sort_output", Json::Bool(job.sort_output)),
         ("combiner", combiner),
         (
             "fault",
@@ -404,6 +414,7 @@ pub(crate) fn decode_job(payload: &[u8]) -> Result<WireJob> {
             ShuffleCompression::parse(name)
                 .ok_or_else(|| bad(format!("unknown shuffle codec `{name}`")))?
         },
+        sort_output: bool_field(&j, "sort_output")?,
         combiner,
         fault,
         reducer,
@@ -735,6 +746,7 @@ mod tests {
         assert_eq!(wire.compression, ShuffleCompression::Auto);
         assert_eq!(wire.combiner.as_deref().map(Combiner::name), Some("sum"));
         assert_eq!(wire.slow_ms, 7);
+        assert!(wire.sort_output);
         assert_eq!(wire.inputs.len(), 2);
         let fault = wire.fault.unwrap();
         assert_eq!(fault.map_fault(0, 0), Some(5));
@@ -766,6 +778,35 @@ mod tests {
             &wire.inputs[0].input,
             InputSpec::Delta { path } if path == Path::new("/tmp/a.delta")
         ));
+    }
+
+    #[test]
+    fn sort_output_round_trips_and_must_be_a_bool() {
+        let mut job = wire_job();
+        for sort in [true, false] {
+            job.sort_output = sort;
+            let wire = decode_job(&encode_job(&job, Path::new("/tmp/d"), 0).unwrap()).unwrap();
+            assert_eq!(wire.sort_output, sort);
+        }
+        let payload = encode_job(&job, Path::new("/tmp/d"), 0).unwrap();
+        let Json::Obj(fields) = parse_payload(&payload).unwrap() else {
+            panic!("job payload is not an object")
+        };
+        for bad_value in [Some(Json::str("true")), Some(Json::Int(1)), None] {
+            let mut fields = fields.clone();
+            fields.retain(|(k, _)| k != "sort_output");
+            if let Some(v) = bad_value {
+                fields.push(("sort_output".into(), v));
+            }
+            let payload = Json::Obj(fields).to_string_compact();
+            let err = decode_job(payload.as_bytes())
+                .err()
+                .expect("must not decode");
+            assert!(
+                matches!(err, EngineError::Storage(_)) && err.to_string().contains("sort_output"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

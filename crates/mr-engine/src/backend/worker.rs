@@ -218,7 +218,15 @@ fn run_reduce_attempt(job: &WireJob, env: &ShuffleEnv, assign: &ReduceAssign) ->
     }
     let mut reducer = env.combine.make_reducer(&job.reducer);
     let mut out = Vec::new();
-    let groups = merge_reduce(streams, fire_at, p, attempt, reducer.as_mut(), &mut out)?;
+    let groups = merge_reduce(
+        streams,
+        fire_at,
+        p,
+        attempt,
+        reducer.as_mut(),
+        job.sort_output,
+        &mut out,
+    )?;
 
     let out_path = dir.path().join("out");
     let mut w = RunFileWriter::create(&out_path)?;

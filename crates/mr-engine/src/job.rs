@@ -159,8 +159,13 @@ pub struct JobConfig {
     pub output: OutputSpec,
     /// Map-side worker threads (also the input-split hint).
     pub map_parallelism: usize,
-    /// Sort the final in-memory output by key (stable across plans, for
-    /// equivalence checks).
+    /// Sort the final output by key, then value (stable across plans,
+    /// for equivalence checks). The reduce loop sorts each key group's
+    /// emitted pairs as it goes, on both backends, and the output
+    /// assembly stably sorts the concatenated partitions (per part file
+    /// for text output) — by then a merge of presorted runs. Presorting
+    /// contiguous segments stably cannot change a stable sort's result,
+    /// so the bytes are those of the one final sort.
     pub sort_output: bool,
     /// Shuffle memory budget in bytes. `None` (the default) keeps every
     /// emitted pair resident — the seed behaviour, fine for

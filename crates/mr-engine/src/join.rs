@@ -16,9 +16,24 @@
 //! * **Broadcast hash join** — a single probe-side binding carries
 //!   [`JoinSide::Broadcast`] naming the build input and its mapper; the
 //!   whole build side is loaded once per job into a shared hash table
-//!   and every map task probes it inline, emitting already-joined
-//!   pairs. The reducer is plain [`Builtin::Identity`]; no build rows
-//!   cross the shuffle at all.
+//!   ([`BroadcastTable`], one pass per split on every core) and every
+//!   map task probes it inline — one hash lookup per emitted probe key
+//!   — emitting already-joined pairs. The reducer is plain
+//!   [`Builtin::Identity`]; no build rows cross the shuffle at all.
+//!
+//! Both plans' jobs set [`JobConfig::sort_output`], and that sort is
+//! what makes their outputs byte-identical: the plans emit the same
+//! pairs in different orders. The sort happens in two places that are
+//! one stable sort by `(key, value)`. The reduce grouping loop sorts
+//! each key group's emitted pairs as the group is reduced (a Zipf-hot
+//! key's ties are sorted where they are already contiguous, on the
+//! reduce threads), and the final assembly stably sorts the
+//! concatenated partitions — by then a merge of presorted runs. The
+//! pre-sort cannot move a byte: a stable sort orders pairs by the
+//! comparator and breaks exact ties by position, and stably sorting a
+//! contiguous segment first changes neither the comparator's verdicts
+//! nor the relative position of two tied pairs, even when a reducer
+//! emits keys other than its group key.
 //!
 //! The wrapping happens at task-planning time on *both* backends
 //! ([`effective_factories`]): the job's bindings keep the raw mapper
@@ -38,16 +53,19 @@
 //! [`Builtin::JoinTagged`]: crate::reducer::Builtin::JoinTagged
 //! [`Builtin::Identity`]: crate::reducer::Builtin::Identity
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use mr_ir::function::Function;
 use mr_ir::value::Value;
 
 use crate::error::{EngineError, Result};
-use crate::input::InputSpec;
-use crate::job::{InputBinding, JobConfig};
+use crate::input::{InputSpec, SplitReader};
+use crate::job::{available_parallelism, InputBinding, JobConfig};
 use crate::mapper::{IrMapper, MapStats, Mapper, MapperFactory};
 use crate::reducer::Builtin;
 
@@ -149,29 +167,99 @@ pub fn reduce_tagged_group(
 }
 
 /// A broadcast build side loaded into memory: join key → build
-/// payloads in build-input order. Ordered so iteration (and therefore
-/// any diagnostics walking it) is deterministic.
-pub type BroadcastTable = BTreeMap<Value, Vec<Value>>;
+/// payloads in build-input order. Hashed under the shuffle's fixed-key
+/// SipHash (the hasher behind [`partition`](crate::partition::partition)),
+/// so equal keys — `Int(2)` and `Double(2.0)` included — find the same
+/// entry. The table is only ever looked up, never iterated, so its
+/// order cannot reach the output. A key with one payload (the common
+/// case: a build side keyed by its primary key) stores it inline, so
+/// loading allocates no per-key list.
+#[derive(Default)]
+pub struct BroadcastTable {
+    map: HashMap<Value, Payloads, BuildHasherDefault<DefaultHasher>>,
+}
 
-/// Load a broadcast build side by running its mapper over the whole
-/// build input in a single deterministic pass. Called once per job
-/// (local backend) or once per worker process, never per task or per
-/// retry.
-pub fn load_broadcast_table(spec: &BroadcastSpec) -> Result<Arc<BroadcastTable>> {
-    let mut table = BroadcastTable::new();
-    let mut mapper = IrMapper::new(Arc::clone(&spec.mapper));
-    let mut emits = Vec::new();
-    for reader in spec.input.open(1)? {
-        for pair in reader {
-            let (k, v) = pair?;
-            emits.clear();
-            mapper.map(&k, &v, &mut emits)?;
-            for (jk, payload) in emits.drain(..) {
-                table.entry(jk).or_default().push(payload);
-            }
+/// One key's build payloads, in build-input order.
+enum Payloads {
+    One(Value),
+    Many(Vec<Value>),
+}
+
+impl BroadcastTable {
+    /// The build payloads joined to `key`, in build-input order (empty
+    /// when no build row has that key).
+    pub fn get(&self, key: &Value) -> &[Value] {
+        match self.map.get(key) {
+            None => &[],
+            Some(Payloads::One(v)) => std::slice::from_ref(v),
+            Some(Payloads::Many(vs)) => vs,
         }
     }
-    Ok(Arc::new(table))
+
+    /// Append `payload` after `key`'s earlier payloads.
+    fn push(&mut self, key: Value, payload: Value) {
+        match self.map.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(Payloads::One(payload));
+            }
+            Entry::Occupied(mut e) => e.get_mut().push(payload),
+        }
+    }
+}
+
+impl Payloads {
+    fn push(&mut self, payload: Value) {
+        match self {
+            Payloads::Many(vs) => vs.push(payload),
+            Payloads::One(first) => *self = Payloads::Many(vec![std::mem::take(first), payload]),
+        }
+    }
+}
+
+/// Load a broadcast build side by running its mapper over the whole
+/// build input, one split per core. Called once per job (local
+/// backend) or once per worker process, never per task or per retry.
+pub fn load_broadcast_table(spec: &BroadcastSpec) -> Result<Arc<BroadcastTable>> {
+    load_table(spec, available_parallelism()).map(Arc::new)
+}
+
+/// [`load_broadcast_table`] over `splits` splits: each split's
+/// `(join_key, payload)` pairs are collected in input order on a thread
+/// of their own, then the table is sized once for all of them and
+/// filled split by split — so each key's payloads keep build-input
+/// order whatever the split count.
+fn load_table(spec: &BroadcastSpec, splits: usize) -> Result<BroadcastTable> {
+    let readers = spec.input.open(splits)?;
+    let parts: Vec<Result<Vec<(Value, Value)>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = readers
+            .into_iter()
+            .map(|reader| scope.spawn(|| map_split(spec, reader)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("broadcast load thread panicked"))
+            .collect()
+    });
+    let parts = parts.into_iter().collect::<Result<Vec<_>>>()?;
+    let pairs = parts.iter().map(Vec::len).sum();
+    let mut table = BroadcastTable {
+        map: HashMap::with_capacity_and_hasher(pairs, Default::default()),
+    };
+    for (key, payload) in parts.into_iter().flatten() {
+        table.push(key, payload);
+    }
+    Ok(table)
+}
+
+/// Run the build mapper over one split, in input order.
+fn map_split(spec: &BroadcastSpec, reader: SplitReader) -> Result<Vec<(Value, Value)>> {
+    let mut mapper = IrMapper::new(Arc::clone(&spec.mapper));
+    let mut pairs = Vec::new();
+    for pair in reader {
+        let (k, v) = pair?;
+        mapper.map(&k, &v, &mut pairs)?;
+    }
+    Ok(pairs)
 }
 
 /// Tags every value the inner mapper emits ([`JoinSide::Build`] /
@@ -229,10 +317,8 @@ impl Mapper for BroadcastMapper {
         self.buf.clear();
         let stats = self.inner.map(key, value, &mut self.buf)?;
         for (k, pv) in self.buf.drain(..) {
-            if let Some(builds) = self.table.get(&k) {
-                for bv in builds {
-                    out.push((k.clone(), joined_value(bv.clone(), pv.clone())));
-                }
+            for bv in self.table.get(&k) {
+                out.push((k.clone(), joined_value(bv.clone(), pv.clone())));
             }
         }
         Ok(stats)
@@ -408,9 +494,17 @@ mod tests {
         let dir = std::env::temp_dir().join("mr-engine-join-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("bcast-{}", std::process::id()));
+        // Four sequence-file blocks; keys `a` and `b` repeat in every
+        // one, `c` only in the last.
+        let rows = 3 * mr_storage::blockindex::BLOCK_RECORDS as i64 + 10;
+        let key = |v: i64| match v {
+            v if v == rows - 1 => "c",
+            v if v % 3 == 0 => "a",
+            _ => "b",
+        };
         let mut w = SeqFileWriter::create(&path, Arc::clone(&schema)).unwrap();
-        for (k, v) in [("a", 1), ("b", 2), ("a", 3)] {
-            w.append(&record(&schema, vec![k.into(), Value::Int(v)]))
+        for v in 0..rows {
+            w.append(&record(&schema, vec![key(v).into(), Value::Int(v)]))
                 .unwrap();
         }
         w.finish().unwrap();
@@ -419,13 +513,21 @@ mod tests {
             input: InputSpec::SeqFile { path: path.clone() },
             mapper: Arc::new(key_value_mapper()),
         };
-        let table = load_broadcast_table(&spec).unwrap();
-        assert_eq!(
-            table.get(&Value::str("a")),
-            Some(&vec![Value::Int(1), Value::Int(3)]),
-            "payloads keep build-input order"
-        );
-        assert_eq!(table.get(&Value::str("b")), Some(&vec![Value::Int(2)]));
+        let in_order = |k: &str| -> Vec<Value> {
+            (0..rows).filter(|&v| key(v) == k).map(Value::Int).collect()
+        };
+        for splits in [1, 2, 4] {
+            let table = load_table(&spec, splits).unwrap();
+            assert_eq!(spec.input.open(splits).unwrap().len(), splits);
+            for k in ["a", "b", "c"] {
+                assert_eq!(
+                    table.get(&Value::str(k)),
+                    in_order(k),
+                    "payloads keep build-input order across {splits} splits"
+                );
+            }
+            assert!(table.get(&Value::str("z")).is_empty());
+        }
         std::fs::remove_file(&path).ok();
     }
 }

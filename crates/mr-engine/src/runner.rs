@@ -89,20 +89,28 @@ use crate::spill::{write_sorted_run, ShuffleBucket, ShuffleEnv, SpillDir, SpillR
 /// Where a job's time went, for bench tables that need to attribute
 /// spill cost.
 ///
-/// `map` and `reduce` are wall-clock spans of their phases (`map`
-/// includes map-side spill writes; `reduce` includes the merge).
-/// `shuffle` is *attributed* time — the total spent sorting buffers and
-/// writing spill runs, summed across worker threads — so it overlaps
-/// the other two and the three fields need not add up to
-/// [`JobResult::elapsed`].
+/// `setup`, `map`, `reduce` and `output` are consecutive wall-clock
+/// spans: `setup` plans the map tasks and loads any broadcast build
+/// table (before the map phase starts), `map` includes map-side spill
+/// writes, `reduce` includes the merge and the per-group output sort,
+/// and `output` assembles the committed partitions into the job's
+/// output (the final sort under [`JobConfig::sort_output`]). Together
+/// they account for [`JobResult::elapsed`] up to the job bracket's
+/// bookkeeping. `shuffle` is *attributed* time — the total spent
+/// sorting buffers and writing spill runs, summed across worker threads
+/// — so it overlaps `map` and `reduce`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
+    /// Wall-clock span of task planning and broadcast-table loading.
+    pub setup: Duration,
     /// Wall-clock span of the map phase.
     pub map: Duration,
     /// Cumulative cross-thread time sorting and writing shuffle runs.
     pub shuffle: Duration,
     /// Wall-clock span of the merge + reduce phase.
     pub reduce: Duration,
+    /// Wall-clock span of assembling (and finally sorting) the output.
+    pub output: Duration,
 }
 
 /// What a finished job hands back.
@@ -518,6 +526,7 @@ pub fn run_job(job: &JobConfig) -> Result<JobResult> {
 /// Returns each partition's reduce output (or the part files it
 /// streamed) for [`crate::backend`] to assemble.
 pub(crate) fn run_job_local(run: &JobRun<'_>) -> Result<(Partitions, PhaseTimings)> {
+    let setup_start = Instant::now();
     let job = run.job;
     let num_reducers = run.num_reducers;
     let counters: &Counters = &run.counters;
@@ -654,12 +663,21 @@ pub(crate) fn run_job_local(run: &JobRun<'_>) -> Result<(Partitions, PhaseTiming
                     let mut reducer = env.combine.make_reducer(&job.reducer);
                     let mut out: Vec<(Value, Value)> = Vec::new();
                     let Some(dir) = &streaming_dir else {
-                        let groups =
-                            merge_reduce(streams, fire_at, p, attempt, reducer.as_mut(), &mut out)?;
+                        let groups = merge_reduce(
+                            streams,
+                            fire_at,
+                            p,
+                            attempt,
+                            reducer.as_mut(),
+                            job.sort_output,
+                            &mut out,
+                        )?;
                         return Ok((groups, out.len() as u64, out));
                     };
+                    // A streaming destination exists only for unsorted output.
                     let mut sink = TextSink::create(reducer, dir, p, attempt)?;
-                    let groups = merge_reduce(streams, fire_at, p, attempt, &mut sink, &mut out)?;
+                    let groups =
+                        merge_reduce(streams, fire_at, p, attempt, &mut sink, false, &mut out)?;
                     let (path, written) = sink.finish()?;
                     *part_paths[p].lock() = Some(path);
                     Ok((groups, written, out))
@@ -696,9 +714,11 @@ pub(crate) fn run_job_local(run: &JobRun<'_>) -> Result<(Partitions, PhaseTiming
         ),
     };
     let phases = PhaseTimings {
+        setup: map_start.duration_since(setup_start),
         map: map_elapsed,
         shuffle: Duration::from_nanos(env.shuffle_nanos.load(Ordering::Relaxed)),
         reduce: reduce_elapsed,
+        output: Duration::ZERO,
     };
     // The budget's spill directory drops on return: run files are gone
     // before the output is declared done.
@@ -793,7 +813,45 @@ mod tests {
         assert_eq!(result.counters.spill_count, 0);
         assert_eq!(result.counters.task_retries, 0);
         assert_eq!(result.counters.map_task_failures, 0);
-        assert!(result.phases.map + result.phases.reduce <= result.elapsed);
+        let p = result.phases;
+        assert!(p.setup + p.map + p.reduce + p.output <= result.elapsed);
+    }
+
+    #[test]
+    fn broadcast_table_load_is_setup_time() {
+        let emit_url = || {
+            parse_function(
+                r#"
+                func map(key, value) {
+                  r0 = param value
+                  r1 = field r0.url
+                  emit r1, r0
+                  ret
+                }
+                "#,
+            )
+            .unwrap()
+        };
+        let build = write_pages("bcast-build", 50);
+        let probe = write_pages("bcast-probe", 200);
+        let mut job = JobConfig::ir_job(
+            "bcast",
+            InputSpec::SeqFile { path: probe },
+            emit_url(),
+            Builtin::Identity,
+        );
+        job.inputs[0].join = Some(crate::join::JoinSide::Broadcast(
+            crate::join::BroadcastSpec {
+                input: InputSpec::SeqFile { path: build },
+                mapper: Arc::new(emit_url()),
+            },
+        ));
+        let result = run_job(&job).unwrap();
+        // Ten urls, five build rows each, twenty probe rows each.
+        assert_eq!(result.output.len(), 10 * 5 * 20);
+        let p = result.phases;
+        assert!(p.setup > Duration::ZERO, "the table load is setup time");
+        assert!(p.setup + p.map + p.reduce + p.output <= result.elapsed);
     }
 
     #[test]

@@ -585,6 +585,97 @@ fn worker_killed_mid_join_reduce_both_plans() {
     }
 }
 
+/// A Zipf(1)-like key index in `0..keys` for row `i`: log-uniform, so
+/// index 0 draws about as many rows as the whole upper half.
+fn zipf_key(i: usize, keys: usize) -> usize {
+    let x = (i as u64).wrapping_mul(2_654_435_761) % 1_000_003;
+    let idx = (keys as f64).powf(x as f64 / 1_000_003.0) as usize;
+    idx.saturating_sub(1).min(keys - 1)
+}
+
+/// Broadcast ≡ repartition when the build side's join keys repeat
+/// across sequence-file blocks — so a table loaded one split per
+/// thread must concatenate each key's payloads in split order — and
+/// the probe side is Zipf-skewed: the same bytes resident and spilled,
+/// on the local and the process backend.
+#[test]
+fn broadcast_matches_repartition_with_duplicate_build_keys() {
+    let name = "dup-build";
+    let bs = build_schema();
+    // Three full blocks and a partial one; every key lands in each.
+    let build: Vec<Record> = (0..3 * 4096 + 100)
+        .map(|i| {
+            record(
+                &bs,
+                vec![format!("u{}", i % 1500).into(), Value::Int(i as i64)],
+            )
+        })
+        .collect();
+    let build_path = tmp(&format!("{name}-build"));
+    write_seqfile(&build_path, bs, build).unwrap();
+    let ps = probe_schema();
+    let probe: Vec<Record> = (0..1500)
+        .map(|i| {
+            record(
+                &ps,
+                vec![
+                    format!("u{}", zipf_key(i, 2000)).into(),
+                    format!("10.0.{}.{}", i / 250, i % 250).into(),
+                ],
+            )
+        })
+        .collect();
+    let probe_path = tmp(&format!("{name}-probe"));
+    write_seqfile(&probe_path, ps, probe).unwrap();
+    let parent = tmp(&format!("{name}-spills"));
+    std::fs::create_dir_all(&parent).unwrap();
+
+    let reference = run_job(&join_job(
+        &build_path,
+        &probe_path,
+        true,
+        &parent,
+        BackendSpec::Local,
+    ))
+    .unwrap();
+    assert!(
+        reference.output.len() > 1500,
+        "degenerate join: {} rows",
+        reference.output.len()
+    );
+    for backend in [BackendSpec::Local, process(2, false)] {
+        for budget in [None, Some(1 << 14)] {
+            for repartition in [true, false] {
+                let mut j = join_job(
+                    &build_path,
+                    &probe_path,
+                    repartition,
+                    &parent,
+                    backend.clone(),
+                );
+                j.shuffle_buffer_bytes = budget;
+                let got = run_job(&j).unwrap();
+                let what = format!(
+                    "{} on {backend:?}, budget {budget:?}",
+                    if repartition {
+                        "repartition"
+                    } else {
+                        "broadcast"
+                    }
+                );
+                assert!(
+                    got.output == reference.output,
+                    "{what} changed the join output"
+                );
+                if budget.is_some() {
+                    assert!(got.counters.spill_count > 0, "{what} never spilled");
+                }
+            }
+        }
+    }
+    assert_clean(&parent);
+}
+
 /// A combiner configured on a join stage is rejected with the typed
 /// `CombinerRejected` — on both backends, before any task runs — never
 /// silently folded across tagged-union values.

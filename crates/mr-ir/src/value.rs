@@ -194,8 +194,15 @@ impl Ord for Value {
             // predicate `v.rank > 1.5` behaves sensibly on int fields.
             (Int(a), Double(b)) => (*a as f64).total_cmp(b),
             (Double(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Str(a), Str(b)) if Arc::ptr_eq(a, b) => Ordering::Equal,
             (Str(a), Str(b)) => a.cmp(b),
             (Bytes(a), Bytes(b)) => a.cmp(b),
+            // One shared allocation is one value, and a total order
+            // is reflexive: skip the walk (a broadcast join's joined
+            // values all hold their key's build payload by `Arc`).
+            (List(a), List(b)) if Arc::ptr_eq(a, b) => Ordering::Equal,
+            (Map(a), Map(b)) if Arc::ptr_eq(a, b) => Ordering::Equal,
+            (Record(a), Record(b)) if Arc::ptr_eq(a, b) => Ordering::Equal,
             (List(a), List(b)) => a.cmp(b),
             (Map(a), Map(b)) => a.iter().cmp(b.iter()),
             (Record(a), Record(b)) => a.values().cmp(b.values()),
