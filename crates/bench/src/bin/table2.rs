@@ -182,7 +182,6 @@ fn main() {
             combiner: None,
             max_task_attempts: 1,
             fault_plan: None,
-            spill_writer_threads: 1,
             buffer_pool: None,
             backend: Default::default(),
         };

@@ -11,7 +11,6 @@
 //!                 [--baseline] [--safe-mode]      # Steps 2+3
 //!                 [--shuffle-buffer BYTES]        # external shuffle budget
 //!                 [--shuffle-codec CODEC]         # compress spill runs
-//!                 [--spill-writer-threads N]      # background spill writers (0 = inline)
 //!                 [--no-combine]                  # disable map-side combining
 //!                 [--max-task-attempts N]         # task-level retries
 //!                 [--fault-spec SPEC]             # deterministic fault drill
@@ -29,7 +28,6 @@ use std::sync::Arc;
 
 use manimal::{choose_join_plan, Builtin, FaultPlan, Manimal, ShuffleCompression};
 use mr_engine::BackendSpec;
-use mr_ir::asm::parse_function;
 use mr_ir::Program;
 use mr_storage::fault::IoSite;
 use mr_storage::seqfile::SeqFileMeta;
@@ -57,23 +55,90 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     let cmd = it.next().map(String::as_str).unwrap_or("help");
     let rest: Vec<&String> = it.collect();
-    match cmd {
-        "generate" => generate(&rest),
-        "cat" => cat(&rest),
-        "analyze" => analyze_cmd(&rest),
-        "build" => build(&rest),
-        "run" => run_cmd(&rest),
-        "join" => join_cmd(&rest),
-        "serve" => serve_cmd(&rest),
-        "submit" => submit_cmd(&rest),
-        "stats" => stats_cmd(&rest),
-        "shutdown" => shutdown_cmd(&rest),
-        "help" | "--help" | "-h" => {
-            print!("{}", HELP);
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`; try `manimal help`")),
+    if matches!(cmd, "help" | "--help" | "-h") {
+        print!("{}", HELP);
+        return Ok(());
     }
+    let (handler, flags) =
+        command(cmd).ok_or_else(|| format!("unknown command `{cmd}`; try `manimal help`"))?;
+    let pos = positionals(&rest, flags).map_err(|e| e.to_string())?;
+    handler(&pos, &rest)
+}
+
+/// A subcommand body: its positional arguments, then every argument
+/// (for flag lookups).
+type Handler = fn(&[&str], &[&String]) -> Result<(), String>;
+
+/// Every subcommand's handler and flag table: the flags it accepts,
+/// with a trailing `=` on those that take a value.
+fn command(name: &str) -> Option<(Handler, &'static str)> {
+    Some(match name {
+        "generate" => (
+            generate,
+            "--pages= --content= --visits= --seed= --codec= --notify=",
+        ),
+        "cat" => (cat, "--limit="),
+        "analyze" => (analyze_cmd, "--work="),
+        "build" => (build, "--work="),
+        "run" => (
+            run_cmd,
+            "--work= --reducer= --reduce-ir= --baseline --safe-mode --no-combine \
+             --shuffle-buffer= --shuffle-codec= --max-task-attempts= --fault-spec= --backend=",
+        ),
+        "join" => (
+            join_cmd,
+            "--work= --join-plan= --broadcast-budget= --date-lo= --date-hi= --dag \
+             --shuffle-buffer= --shuffle-codec= --max-task-attempts= --fault-spec= --backend=",
+        ),
+        "serve" => (
+            serve_cmd,
+            "--work= --max-running= --queue-cap= --cache-bytes=",
+        ),
+        "submit" => (
+            submit_cmd,
+            "--remote= --reducer= --reduce-ir= --baseline --build",
+        ),
+        "stats" => (stats_cmd, ""),
+        "shutdown" => (shutdown_cmd, ""),
+        _ => return None,
+    })
+}
+
+/// Whether `flag` takes a value under the flag table `flags`, or
+/// `None` when the table does not list it.
+fn takes_value(flags: &str, flag: &str) -> Option<bool> {
+    flags
+        .split_whitespace()
+        .find_map(|f| match f.strip_suffix('=') {
+            Some(name) => (name == flag).then_some(true),
+            None => (f == flag).then_some(false),
+        })
+}
+
+/// The arguments that are neither a flag nor a flag's value, in order.
+/// A `--flag` missing from `flags`, or a value flag with nothing after
+/// it, is a usage error naming it.
+fn positionals<'a>(rest: &[&'a String], flags: &str) -> Result<Vec<&'a str>, CliError> {
+    let mut pos = Vec::new();
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            pos.push(arg.as_str());
+            continue;
+        }
+        match takes_value(flags, arg) {
+            None => {
+                return Err(CliError::Usage(format!(
+                    "unknown flag `{arg}`; try `manimal help`"
+                )))
+            }
+            Some(true) if args.next().is_none() => {
+                return Err(CliError::Usage(format!("{arg} expects a value")))
+            }
+            Some(_) => {}
+        }
+    }
+    Ok(pos)
 }
 
 const HELP: &str = "\
@@ -91,7 +156,6 @@ manimal — automatic optimization for MapReduce programs
                   [--reduce-ir REDUCE.mrasm]
                   [--baseline] [--safe-mode] [--shuffle-buffer BYTES]
                   [--shuffle-codec none|raw|auto]
-                  [--spill-writer-threads N]
                   [--no-combine] [--max-task-attempts N]
                   [--fault-spec SPEC]
                   [--backend local|process|process:N]
@@ -117,9 +181,7 @@ generate takes the same values and writes the block-compressed
 seqfile variant. Output is byte-identical under every codec.
 
 shuffle: --shuffle-buffer caps the resident shuffle and spills the
-excess to sorted runs; --spill-writer-threads N overlaps run writing
-with mapping (default 1 = double-buffered, 0 = write inline on the
-map thread). Output is identical for every thread count.
+excess to sorted runs, each written on the map thread that filled it.
 
 reducers: sum, count, max, min, identity, first, sum-drop-key
 (sum/count/max/min/sum-drop-key declare map-side combiners, engaged
@@ -205,7 +267,6 @@ fn conflict(flag: &str, against: &str, why: &str) -> CliError {
 struct RunKnobs<'a> {
     shuffle_buffer: Option<usize>,
     codec: ShuffleCompression,
-    spill_writer_threads: usize,
     backend: &'a BackendSpec,
     fault: Option<&'a FaultPlan>,
 }
@@ -236,14 +297,6 @@ fn validate_run_knobs(knobs: &RunKnobs<'_>) -> Result<(), CliError> {
                 &format!("--fault-spec io:{}:…", site.name()),
                 "--shuffle-codec none",
                 "block sites fire per compressed frame; pick a codec",
-            ));
-        }
-        if matches!(site, IoSite::RunWrite | IoSite::BlockWrite) && knobs.spill_writer_threads == 0
-        {
-            return Err(conflict(
-                &format!("--fault-spec io:{}:…", site.name()),
-                "--spill-writer-threads 0",
-                "writer sites target the background spill writers; inline spilling has none",
             ));
         }
     }
@@ -279,6 +332,36 @@ fn validate_run_knobs(knobs: &RunKnobs<'_>) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Set the shuffle, retry, backend and fault flags `run` and `join`
+/// share, refusing contradictory combinations before anything runs.
+fn set_job_knobs(manimal: &mut Manimal, rest: &[&String]) -> Result<(), String> {
+    if let Some(bytes) = flag_value(rest, "--shuffle-buffer") {
+        manimal.shuffle_buffer_bytes = Some(
+            bytes
+                .parse::<usize>()
+                .map_err(|_| format!("--shuffle-buffer: `{bytes}` is not a byte count"))?,
+        );
+    }
+    manimal.shuffle_compression = parse_codec(rest, "--shuffle-codec")?;
+    manimal.max_task_attempts = parse_num(rest, "--max-task-attempts", 1)?.max(1);
+    manimal.backend = parse_backend(rest).map_err(|e| e.to_string())?;
+    if let Some(spec) = flag_value(rest, "--fault-spec") {
+        let plan = FaultPlan::from_spec(spec).map_err(|e| format!("--fault-spec: {e}"))?;
+        eprintln!(
+            "fault plan: {plan} (tasks may run up to {} attempts)",
+            manimal.max_task_attempts
+        );
+        manimal.fault_plan = Some(Arc::new(plan));
+    }
+    validate_run_knobs(&RunKnobs {
+        shuffle_buffer: manimal.shuffle_buffer_bytes,
+        codec: manimal.shuffle_compression,
+        backend: &manimal.backend,
+        fault: manimal.fault_plan.as_deref(),
+    })
+    .map_err(|e| e.to_string())
+}
+
 fn parse_backend(rest: &[&String]) -> Result<BackendSpec, CliError> {
     match flag_value(rest, "--backend") {
         None => Ok(BackendSpec::Local),
@@ -297,16 +380,9 @@ fn flag_present(rest: &[&String], name: &str) -> bool {
     rest.iter().any(|a| *a == name)
 }
 
-fn positional<'a>(rest: &'a [&String], idx: usize) -> Result<&'a str, String> {
-    rest.iter()
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| {
-            // Skip values that follow a --flag.
-            let pos = rest.iter().position(|b| b == *a).expect("present");
-            pos == 0 || !rest[pos - 1].starts_with("--")
-        })
-        .nth(idx)
-        .map(|s| s.as_str())
+fn positional<'a>(pos: &[&'a str], idx: usize) -> Result<&'a str, String> {
+    pos.get(idx)
+        .copied()
         .ok_or_else(|| format!("missing positional argument #{}", idx + 1))
 }
 
@@ -327,9 +403,9 @@ fn parse_codec(rest: &[&String], name: &str) -> Result<ShuffleCompression, Strin
     }
 }
 
-fn generate(rest: &[&String]) -> Result<(), String> {
-    let kind = positional(rest, 0)?;
-    let out = positional(rest, 1)?;
+fn generate(pos: &[&str], rest: &[&String]) -> Result<(), String> {
+    let kind = positional(pos, 0)?;
+    let out = positional(pos, 1)?;
     let codec = parse_codec(rest, "--codec")?;
     match kind {
         "webpages" => {
@@ -394,8 +470,8 @@ fn absolute(path: &str) -> PathBuf {
     })
 }
 
-fn cat(rest: &[&String]) -> Result<(), String> {
-    let path = positional(rest, 0)?;
+fn cat(pos: &[&str], rest: &[&String]) -> Result<(), String> {
+    let path = positional(pos, 0)?;
     let limit = parse_num(rest, "--limit", 10)?;
     let meta = SeqFileMeta::open(path).map_err(|e| e.to_string())?;
     println!(
@@ -415,11 +491,7 @@ fn cat(rest: &[&String]) -> Result<(), String> {
 
 fn load_program(prog_path: &str, input: &str) -> Result<Program, String> {
     let src = std::fs::read_to_string(prog_path).map_err(|e| format!("read {prog_path}: {e}"))?;
-    let func = parse_function(&src).map_err(|e| format!("{prog_path}: {e}"))?;
-    mr_ir::verify::verify(&func).map_err(|errs| {
-        let lines: Vec<String> = errs.iter().map(|e| format!("  {e}")).collect();
-        format!("{prog_path} failed verification:\n{}", lines.join("\n"))
-    })?;
+    let func = manimal::parse_verified(&src, prog_path)?;
     let meta = SeqFileMeta::open(input).map_err(|e| e.to_string())?;
     let name = Path::new(prog_path)
         .file_stem()
@@ -439,9 +511,9 @@ fn workdir(rest: &[&String], input: &str) -> PathBuf {
         })
 }
 
-fn analyze_cmd(rest: &[&String]) -> Result<(), String> {
-    let prog_path = positional(rest, 0)?;
-    let input = positional(rest, 1)?;
+fn analyze_cmd(pos: &[&str], rest: &[&String]) -> Result<(), String> {
+    let prog_path = positional(pos, 0)?;
+    let input = positional(pos, 1)?;
     let program = load_program(prog_path, input)?;
     let manimal = Manimal::new(workdir(rest, input)).map_err(|e| e.to_string())?;
     let submission = manimal.submit(&program, input);
@@ -457,9 +529,9 @@ fn analyze_cmd(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn build(rest: &[&String]) -> Result<(), String> {
-    let prog_path = positional(rest, 0)?;
-    let input = positional(rest, 1)?;
+fn build(pos: &[&str], rest: &[&String]) -> Result<(), String> {
+    let prog_path = positional(pos, 0)?;
+    let input = positional(pos, 1)?;
     let program = load_program(prog_path, input)?;
     let manimal = Manimal::new(workdir(rest, input)).map_err(|e| e.to_string())?;
     let submission = manimal.submit(&program, input);
@@ -481,22 +553,9 @@ fn build(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn reducer_of(name: &str) -> Result<Builtin, String> {
-    Ok(match name {
-        "sum" => Builtin::Sum,
-        "count" => Builtin::Count,
-        "max" => Builtin::Max,
-        "min" => Builtin::Min,
-        "identity" => Builtin::Identity,
-        "first" => Builtin::First,
-        "sum-drop-key" => Builtin::SumDropKey,
-        other => return Err(format!("unknown reducer `{other}`")),
-    })
-}
-
-fn run_cmd(rest: &[&String]) -> Result<(), String> {
-    let prog_path = positional(rest, 0)?;
-    let input = positional(rest, 1)?;
+fn run_cmd(pos: &[&str], rest: &[&String]) -> Result<(), String> {
+    let prog_path = positional(pos, 0)?;
+    let input = positional(pos, 1)?;
     let program = load_program(prog_path, input)?;
     // The reduce side: a builtin by name, or a compiled IR reduce whose
     // combiner-safety the analyzer proves (Step 1 for reduce()).
@@ -504,49 +563,20 @@ fn run_cmd(rest: &[&String]) -> Result<(), String> {
         if let Some(reduce_path) = flag_value(rest, "--reduce-ir") {
             let src = std::fs::read_to_string(reduce_path)
                 .map_err(|e| format!("read {reduce_path}: {e}"))?;
-            let func = parse_function(&src).map_err(|e| format!("{reduce_path}: {e}"))?;
-            mr_ir::verify::verify(&func).map_err(|errs| {
-                let lines: Vec<String> = errs.iter().map(|e| format!("  {e}")).collect();
-                format!("{reduce_path} failed verification:\n{}", lines.join("\n"))
-            })?;
+            let func = manimal::parse_verified(&src, reduce_path)?;
             let (factory, outcome) = manimal::ir_reducer(func, &program);
             eprintln!("reduce analysis: {outcome}");
             factory
         } else {
-            Arc::new(reducer_of(
-                flag_value(rest, "--reducer").unwrap_or("count"),
-            )?)
+            let name = flag_value(rest, "--reducer").unwrap_or("count");
+            let builtin = manimal::service::builtin_reducer(name)
+                .map_err(|_| format!("unknown reducer `{name}`"))?;
+            Arc::new(builtin)
         };
     let mut manimal = Manimal::new(workdir(rest, input)).map_err(|e| e.to_string())?;
     manimal.optimizer.safe_mode = flag_present(rest, "--safe-mode");
     manimal.optimizer.no_combine = flag_present(rest, "--no-combine");
-    if let Some(bytes) = flag_value(rest, "--shuffle-buffer") {
-        manimal.shuffle_buffer_bytes = Some(
-            bytes
-                .parse::<usize>()
-                .map_err(|_| format!("--shuffle-buffer: `{bytes}` is not a byte count"))?,
-        );
-    }
-    manimal.shuffle_compression = parse_codec(rest, "--shuffle-codec")?;
-    manimal.spill_writer_threads = parse_num(rest, "--spill-writer-threads", 1)?;
-    manimal.max_task_attempts = parse_num(rest, "--max-task-attempts", 1)?.max(1);
-    manimal.backend = parse_backend(rest).map_err(|e| e.to_string())?;
-    if let Some(spec) = flag_value(rest, "--fault-spec") {
-        let plan = manimal::FaultPlan::from_spec(spec).map_err(|e| format!("--fault-spec: {e}"))?;
-        eprintln!(
-            "fault plan: {plan} (tasks may run up to {} attempts)",
-            manimal.max_task_attempts
-        );
-        manimal.fault_plan = Some(Arc::new(plan));
-    }
-    validate_run_knobs(&RunKnobs {
-        shuffle_buffer: manimal.shuffle_buffer_bytes,
-        codec: manimal.shuffle_compression,
-        spill_writer_threads: manimal.spill_writer_threads,
-        backend: &manimal.backend,
-        fault: manimal.fault_plan.as_deref(),
-    })
-    .map_err(|e| e.to_string())?;
+    set_job_knobs(&mut manimal, rest)?;
     let submission = manimal.submit(&program, input);
 
     let execution = if flag_present(rest, "--baseline") {
@@ -588,9 +618,9 @@ fn run_cmd(rest: &[&String]) -> Result<(), String> {
 /// on the tagged-union join fabric, either as a single job or (with
 /// `--dag`) as a two-stage [`manimal::JobDag`] whose join stage reuses
 /// the indexes stage 1 registered.
-fn join_cmd(rest: &[&String]) -> Result<(), String> {
-    let rankings = positional(rest, 0)?;
-    let visits = positional(rest, 1)?;
+fn join_cmd(pos: &[&str], rest: &[&String]) -> Result<(), String> {
+    let rankings = positional(pos, 0)?;
+    let visits = positional(pos, 1)?;
     let force = match flag_value(rest, "--join-plan") {
         None | Some("auto") => None,
         Some(v) => Some(manimal::JoinPlan::parse(v).ok_or_else(|| {
@@ -611,29 +641,7 @@ fn join_cmd(rest: &[&String]) -> Result<(), String> {
     let date_hi = parse_num(rest, "--date-hi", defaults.date_end as usize)? as i64;
 
     let mut manimal = Manimal::new(workdir(rest, rankings)).map_err(|e| e.to_string())?;
-    if let Some(bytes) = flag_value(rest, "--shuffle-buffer") {
-        manimal.shuffle_buffer_bytes = Some(
-            bytes
-                .parse::<usize>()
-                .map_err(|_| format!("--shuffle-buffer: `{bytes}` is not a byte count"))?,
-        );
-    }
-    manimal.shuffle_compression = parse_codec(rest, "--shuffle-codec")?;
-    manimal.spill_writer_threads = parse_num(rest, "--spill-writer-threads", 1)?;
-    manimal.max_task_attempts = parse_num(rest, "--max-task-attempts", 1)?.max(1);
-    manimal.backend = parse_backend(rest).map_err(|e| e.to_string())?;
-    if let Some(spec) = flag_value(rest, "--fault-spec") {
-        let plan = manimal::FaultPlan::from_spec(spec).map_err(|e| format!("--fault-spec: {e}"))?;
-        manimal.fault_plan = Some(Arc::new(plan));
-    }
-    validate_run_knobs(&RunKnobs {
-        shuffle_buffer: manimal.shuffle_buffer_bytes,
-        codec: manimal.shuffle_compression,
-        spill_writer_threads: manimal.spill_writer_threads,
-        backend: &manimal.backend,
-        fault: manimal.fault_plan.as_deref(),
-    })
-    .map_err(|e| e.to_string())?;
+    set_job_knobs(&mut manimal, rest)?;
 
     let rankings_prog = pavlo::benchmark3_rankings_mapper();
     let visits_prog = pavlo::benchmark3_visits_mapper(date_lo, date_hi);
@@ -733,8 +741,8 @@ fn print_rows(rows: &[(mr_ir::Value, mr_ir::Value)]) {
     }
 }
 
-fn serve_cmd(rest: &[&String]) -> Result<(), String> {
-    let socket = positional(rest, 0)?;
+fn serve_cmd(pos: &[&str], rest: &[&String]) -> Result<(), String> {
+    let socket = positional(pos, 0)?;
     let mut cfg = manimal::ServiceConfig::new(
         socket,
         flag_value(rest, "--work").unwrap_or("manimald-work"),
@@ -755,9 +763,9 @@ fn serve_cmd(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn submit_cmd(rest: &[&String]) -> Result<(), String> {
-    let prog_path = positional(rest, 0)?;
-    let input = positional(rest, 1)?;
+fn submit_cmd(pos: &[&str], rest: &[&String]) -> Result<(), String> {
+    let prog_path = positional(pos, 0)?;
+    let input = positional(pos, 1)?;
     let socket = flag_value(rest, "--remote")
         .ok_or("submit needs --remote SOCKET (for local execution use `manimal run`)")?;
     let program_asm =
@@ -808,15 +816,15 @@ fn submit_cmd(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn stats_cmd(rest: &[&String]) -> Result<(), String> {
-    let socket = positional(rest, 0)?;
+fn stats_cmd(pos: &[&str], _rest: &[&String]) -> Result<(), String> {
+    let socket = positional(pos, 0)?;
     let mut client = manimal::ServiceClient::connect(socket).map_err(|e| e.to_string())?;
     print!("{}", client.stats().map_err(|e| e.to_string())?);
     Ok(())
 }
 
-fn shutdown_cmd(rest: &[&String]) -> Result<(), String> {
-    let socket = positional(rest, 0)?;
+fn shutdown_cmd(pos: &[&str], _rest: &[&String]) -> Result<(), String> {
+    let socket = positional(pos, 0)?;
     let mut client = manimal::ServiceClient::connect(socket).map_err(|e| e.to_string())?;
     client.shutdown().map_err(|e| e.to_string())?;
     eprintln!("daemon at {socket} acknowledged shutdown; draining in-flight jobs");
@@ -832,7 +840,6 @@ mod tests {
         RunKnobs {
             shuffle_buffer: Some(1024),
             codec: ShuffleCompression::None,
-            spill_writer_threads: 1,
             backend,
             fault,
         }
@@ -855,29 +862,6 @@ mod tests {
         let backend = BackendSpec::Local;
         let mut k = knobs(None, &backend);
         k.shuffle_buffer = None;
-        k.spill_writer_threads = 0;
-        assert_eq!(validate_run_knobs(&k), Ok(()));
-    }
-
-    #[test]
-    fn writer_site_faults_reject_inline_spilling() {
-        let backend = BackendSpec::Local;
-        for spec in ["io:run-write:0", "io:block-write:2"] {
-            let fault = plan(spec);
-            let mut k = knobs(Some(&fault), &backend);
-            k.spill_writer_threads = 0;
-            k.codec = ShuffleCompression::Raw;
-            let err = validate_run_knobs(&k).unwrap_err();
-            assert!(
-                matches!(&err, CliError::Conflict { against, .. }
-                    if against == "--spill-writer-threads 0"),
-                "{spec}: {err}"
-            );
-        }
-        // Read-side sites are fine without writer threads.
-        let fault = plan("io:run-read:0");
-        let mut k = knobs(Some(&fault), &backend);
-        k.spill_writer_threads = 0;
         assert_eq!(validate_run_knobs(&k), Ok(()));
     }
 
@@ -980,5 +964,75 @@ mod tests {
         let bad = vec!["--backend".to_string(), "cluster".to_string()];
         let err = parse_backend(&args(&bad)).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
+    }
+
+    fn strings(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn parse(cmd: &str, args: &[&str]) -> Result<Vec<String>, CliError> {
+        let args = strings(args);
+        let rest: Vec<&String> = args.iter().collect();
+        let pos = positionals(&rest, command(cmd).unwrap().1)?;
+        Ok(strings(&pos))
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_by_name() {
+        for (cmd, bad) in [
+            ("run", "--shufle-buffer"),
+            ("run", "--spill-writer-threads"),
+            ("join", "--spill-writer-threads"),
+            ("cat", "--bogus-flag"),
+        ] {
+            let err = parse(cmd, &["b2.mrasm", "v.seq", bad, "1"]).unwrap_err();
+            assert_eq!(
+                err,
+                CliError::Usage(format!("unknown flag `{bad}`; try `manimal help`"))
+            );
+        }
+        let err = parse("run", &["b2.mrasm", "v.seq", "--shuffle-buffer"]).unwrap_err();
+        assert_eq!(
+            err,
+            CliError::Usage("--shuffle-buffer expects a value".into())
+        );
+        // A flag's value is never a positional, even when it repeats one.
+        let args = [
+            "--work",
+            "w",
+            "b2.mrasm",
+            "--baseline",
+            "v.seq",
+            "--reducer",
+            "v.seq",
+        ];
+        assert_eq!(parse("run", &args).unwrap(), ["b2.mrasm", "v.seq"]);
+    }
+
+    #[test]
+    fn every_flag_in_the_usage_text_parses() {
+        // The usage block is the help text's second paragraph; a line
+        // naming `manimal CMD` opens a subcommand, continuation lines
+        // add flags to it, and `#` starts a comment.
+        let (mut cmd, mut checked) = ("", 0);
+        for line in HELP.split("\n\n").nth(1).unwrap().lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("manimal ") {
+                cmd = rest.split_whitespace().next().unwrap();
+            }
+            let line = line.split('#').next().unwrap();
+            for flag in line.split([' ', '[', ']']).filter(|w| w.starts_with("--")) {
+                let takes = takes_value(command(cmd).unwrap().1, flag);
+                let mut args = vec!["a", flag];
+                match takes {
+                    Some(true) => args.push("1"),
+                    Some(false) => {}
+                    None => panic!("`manimal {cmd}` refuses {flag}"),
+                }
+                args.push("b");
+                assert_eq!(parse(cmd, &args).unwrap(), ["a", "b"], "{cmd} {flag}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 30, "only {checked} flags found in the usage text");
     }
 }

@@ -22,7 +22,7 @@
 
 use std::path::{Path, PathBuf};
 
-use mr_json::Json;
+use mr_json::{Json, JsonError};
 use parking_lot::Mutex;
 
 use mr_ir::value::Value;
@@ -229,45 +229,22 @@ struct CatalogFile {
 // externally-tagged representation of these types so existing catalog
 // files keep working if the workspace later moves to real serde.
 
-fn decode_err(what: &str) -> ManimalError {
-    ManimalError::Catalog(format!("catalog decode: {what}"))
-}
+/// The decoders below read JSON only, so they fail with a
+/// [`JsonError`]; [`CatalogFile::parse`] maps it to a catalog error
+/// once.
+type Decoded<T> = std::result::Result<T, JsonError>;
 
-fn field<'j>(j: &'j Json, key: &str) -> Result<&'j Json> {
-    j.get(key)
-        .ok_or_else(|| decode_err(&format!("missing field `{key}`")))
-}
-
-fn string_field(j: &Json, key: &str) -> Result<String> {
-    Ok(field(j, key)?
-        .as_str()
-        .ok_or_else(|| decode_err(&format!("field `{key}` is not a string")))?
-        .to_string())
-}
-
-fn string_array(j: &Json, what: &str) -> Result<Vec<String>> {
-    j.as_arr()
-        .ok_or_else(|| decode_err(&format!("{what} is not an array")))?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| decode_err(&format!("{what} element is not a string")))
-        })
-        .collect()
-}
-
-fn opt_string_array(j: &Json, key: &str) -> Result<Option<Vec<String>>> {
-    match field(j, key)? {
+fn opt_string_array(j: &Json, key: &str) -> Decoded<Option<Vec<String>>> {
+    match j.field(key)? {
         Json::Null => Ok(None),
-        v => Ok(Some(string_array(v, key)?)),
+        _ => j.str_array_field(key).map(Some),
     }
 }
 
-fn variant<'j>(j: &'j Json, what: &str) -> Result<(&'j str, &'j Json)> {
+fn variant<'j>(j: &'j Json, what: &str) -> Decoded<(&'j str, &'j Json)> {
     match j.as_obj() {
         Some([(tag, payload)]) => Ok((tag.as_str(), payload)),
-        _ => Err(decode_err(&format!(
+        _ => Err(JsonError::shape(format!(
             "{what} is not a single-variant object"
         ))),
     }
@@ -282,19 +259,19 @@ impl BoundRepr {
         }
     }
 
-    fn from_json(j: &Json) -> Result<BoundRepr> {
+    fn from_json(j: &Json) -> Decoded<BoundRepr> {
         if j.as_str() == Some("Open") {
             return Ok(BoundRepr::Open);
         }
         let (tag, payload) = variant(j, "bound")?;
         let hex = payload
             .as_str()
-            .ok_or_else(|| decode_err("bound payload is not a string"))?
+            .ok_or_else(|| JsonError::shape("bound payload is not a string"))?
             .to_string();
         match tag {
             "Incl" => Ok(BoundRepr::Incl(hex)),
             "Excl" => Ok(BoundRepr::Excl(hex)),
-            other => Err(decode_err(&format!("unknown bound variant `{other}`"))),
+            other => Err(JsonError::shape(format!("unknown bound variant `{other}`"))),
         }
     }
 }
@@ -306,10 +283,10 @@ impl RangeRepr {
     }
 
     /// Decode from a JSON value.
-    pub fn from_json(j: &Json) -> Result<RangeRepr> {
+    pub fn from_json(j: &Json) -> std::result::Result<RangeRepr, JsonError> {
         Ok(RangeRepr {
-            low: BoundRepr::from_json(field(j, "low")?)?,
-            high: BoundRepr::from_json(field(j, "high")?)?,
+            low: BoundRepr::from_json(j.field("low")?)?,
+            high: BoundRepr::from_json(j.field("high")?)?,
         })
     }
 }
@@ -365,30 +342,29 @@ impl IndexKind {
         }
     }
 
-    fn from_json(j: &Json) -> Result<IndexKind> {
+    fn from_json(j: &Json) -> Decoded<IndexKind> {
         let (tag, payload) = variant(j, "index kind")?;
         match tag {
             "Selection" => Ok(IndexKind::Selection {
-                key: string_field(payload, "key")?,
-                covered: field(payload, "covered")?
-                    .as_arr()
-                    .ok_or_else(|| decode_err("`covered` is not an array"))?
+                key: payload.str_field("key")?.to_string(),
+                covered: payload
+                    .arr_field("covered")?
                     .iter()
                     .map(RangeRepr::from_json)
-                    .collect::<Result<Vec<_>>>()?,
+                    .collect::<Decoded<Vec<_>>>()?,
                 projected_fields: opt_string_array(payload, "projected_fields")?,
             }),
             "Projection" => Ok(IndexKind::Projection {
-                fields: string_array(field(payload, "fields")?, "fields")?,
+                fields: payload.str_array_field("fields")?,
             }),
             "Delta" => Ok(IndexKind::Delta {
-                fields: string_array(field(payload, "fields")?, "fields")?,
+                fields: payload.str_array_field("fields")?,
                 projected: opt_string_array(payload, "projected")?,
             }),
             "Dict" => Ok(IndexKind::Dict {
-                fields: string_array(field(payload, "fields")?, "fields")?,
+                fields: payload.str_array_field("fields")?,
             }),
-            other => Err(decode_err(&format!("unknown index kind `{other}`"))),
+            other => Err(JsonError::shape(format!("unknown index kind `{other}`"))),
         }
     }
 }
@@ -404,18 +380,13 @@ impl CatalogEntry {
         ]))
     }
 
-    fn from_json(j: &Json) -> Result<CatalogEntry> {
-        let bytes = |key: &str| -> Result<u64> {
-            field(j, key)?
-                .as_u64()
-                .ok_or_else(|| decode_err(&format!("field `{key}` is not a byte count")))
-        };
+    fn from_json(j: &Json) -> Decoded<CatalogEntry> {
         Ok(CatalogEntry {
-            input_path: PathBuf::from(string_field(j, "input_path")?),
-            index_path: PathBuf::from(string_field(j, "index_path")?),
-            kind: IndexKind::from_json(field(j, "kind")?)?,
-            index_bytes: bytes("index_bytes")?,
-            input_bytes: bytes("input_bytes")?,
+            input_path: PathBuf::from(j.str_field("input_path")?),
+            index_path: PathBuf::from(j.str_field("index_path")?),
+            kind: IndexKind::from_json(j.field("kind")?)?,
+            index_bytes: j.u64_field("index_bytes")?,
+            input_bytes: j.u64_field("input_bytes")?,
         })
     }
 }
@@ -433,14 +404,13 @@ impl CatalogFile {
         )]))
     }
 
-    fn from_json(j: &Json) -> Result<CatalogFile> {
+    fn from_json(j: &Json) -> Decoded<CatalogFile> {
         Ok(CatalogFile {
-            entries: field(j, "entries")?
-                .as_arr()
-                .ok_or_else(|| decode_err("`entries` is not an array"))?
+            entries: j
+                .arr_field("entries")?
                 .iter()
                 .map(CatalogEntry::from_json)
-                .collect::<Result<Vec<_>>>()?,
+                .collect::<Decoded<Vec<_>>>()?,
         })
     }
 
@@ -448,6 +418,7 @@ impl CatalogFile {
         let value = mr_json::parse(text)
             .map_err(|e| ManimalError::Catalog(format!("catalog parse: {e}")))?;
         CatalogFile::from_json(&value)
+            .map_err(|e| ManimalError::Catalog(format!("catalog decode: {e}")))
     }
 }
 

@@ -317,7 +317,6 @@ impl IndexGenProgram {
             // attempt would append them twice.
             max_task_attempts: 1,
             fault_plan: None,
-            spill_writer_threads: 1,
             buffer_pool: None,
             backend: Default::default(),
         })?;

@@ -80,3 +80,15 @@ pub use service::{
 pub use submit::{
     DagInput, DagRun, DagStage, Execution, JobDag, JoinJob, Manimal, StageJob, StageRun, Submission,
 };
+
+/// Parse MR-IR assembly and verify it. The error names `what` (a file,
+/// or the payload field it came from) and puts each verifier finding
+/// on its own line.
+pub fn parse_verified(src: &str, what: &str) -> std::result::Result<mr_ir::Function, String> {
+    let func = mr_ir::asm::parse_function(src).map_err(|e| format!("{what}: {e}"))?;
+    mr_ir::verify::verify(&func).map_err(|errs| {
+        let lines: Vec<String> = errs.iter().map(|e| format!("  {e}")).collect();
+        format!("{what} failed verification:\n{}", lines.join("\n"))
+    })?;
+    Ok(func)
+}

@@ -2,10 +2,11 @@
 //!
 //! The daemon's whole value proposition is reuse across submissions:
 //! identical jobs over unchanged inputs should cost a cache lookup, not
-//! a MapReduce run. Entries are keyed by a hash of the full request
-//! (program text, input path, reducer, knobs) and priced by the bytes
-//! of their encoded output, so one huge result can't silently pin the
-//! budget. Eviction is least-recently-used; invalidation drops every
+//! a MapReduce run. Entries are keyed by the full request payload
+//! (program text, input path, reducer, knobs) — the bytes themselves,
+//! not a hash of them, so two requests share an entry only when they
+//! are equal — and priced by the bytes of that key plus their encoded
+//! output, so one huge result can't silently pin the budget. Eviction is least-recently-used; invalidation drops every
 //! entry whose *input file* was regenerated, because a new file under
 //! the same path makes the cached output a lie regardless of recency.
 
@@ -56,7 +57,7 @@ pub struct ResultCache {
     max_bytes: usize,
     bytes: usize,
     tick: u64,
-    slots: HashMap<u64, CacheSlot>,
+    slots: HashMap<Vec<u8>, CacheSlot>,
     evictions: u64,
 }
 
@@ -73,20 +74,20 @@ impl ResultCache {
     }
 
     /// Look up a result, refreshing its recency on a hit.
-    pub fn get(&mut self, key: u64) -> Option<CachedResult> {
+    pub fn get(&mut self, key: &[u8]) -> Option<CachedResult> {
         self.tick += 1;
         let tick = self.tick;
-        self.slots.get_mut(&key).map(|slot| {
+        self.slots.get_mut(key).map(|slot| {
             slot.tick = tick;
             slot.value.clone()
         })
     }
 
     /// Insert a result for `key` over `input`, evicting
-    /// least-recently-used entries until it fits. An entry larger than
-    /// the whole budget is not cached at all.
-    pub fn insert(&mut self, key: u64, input: &Path, value: CachedResult) {
-        let cost = value.cost();
+    /// least-recently-used entries until it fits. An entry (key bytes
+    /// included) larger than the whole budget is not cached at all.
+    pub fn insert(&mut self, key: Vec<u8>, input: &Path, value: CachedResult) {
+        let cost = key.len() + value.cost();
         if cost > self.max_bytes {
             return;
         }
@@ -94,9 +95,10 @@ impl ResultCache {
             self.bytes -= old.cost;
         }
         while self.bytes + cost > self.max_bytes {
-            let Some((&lru, _)) = self.slots.iter().min_by_key(|(_, s)| s.tick) else {
+            let Some((lru, _)) = self.slots.iter().min_by_key(|(_, s)| s.tick) else {
                 break;
             };
+            let lru = lru.clone();
             let evicted = self.slots.remove(&lru).expect("lru key present");
             self.bytes -= evicted.cost;
             self.evictions += 1;
@@ -117,11 +119,11 @@ impl ResultCache {
     /// Drop every entry computed over `input` (the file was
     /// regenerated). Returns how many entries were dropped.
     pub fn invalidate_input(&mut self, input: &Path) -> usize {
-        let doomed: Vec<u64> = self
+        let doomed: Vec<Vec<u8>> = self
             .slots
             .iter()
             .filter(|(_, s)| s.input == input)
-            .map(|(&k, _)| k)
+            .map(|(k, _)| k.clone())
             .collect();
         for k in &doomed {
             let slot = self.slots.remove(k).expect("doomed key present");
@@ -167,32 +169,32 @@ mod tests {
     #[test]
     fn hit_miss_and_cost_accounting() {
         let mut c = ResultCache::new(1024);
-        assert!(c.get(1).is_none());
+        assert!(c.get(&[1]).is_none());
         let r = result("plan", 100);
-        c.insert(1, Path::new("/a"), r.clone());
-        assert_eq!(c.get(1), Some(r.clone()));
+        c.insert(vec![1], Path::new("/a"), r.clone());
+        assert_eq!(c.get(&[1]), Some(r.clone()));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.bytes(), r.cost());
+        assert_eq!(c.bytes(), 1 + r.cost());
     }
 
     #[test]
     fn lru_eviction_prefers_stale_entries() {
         // Budget fits two ~100-byte entries, not three.
         let mut c = ResultCache::new(260);
-        c.insert(1, Path::new("/a"), result("one!", 100));
-        c.insert(2, Path::new("/a"), result("two!", 100));
-        c.get(1); // 1 is now fresher than 2
-        c.insert(3, Path::new("/a"), result("tri!", 100));
-        assert!(c.get(2).is_none(), "LRU entry 2 evicted");
-        assert!(c.get(1).is_some(), "recently-used entry 1 kept");
-        assert!(c.get(3).is_some());
+        c.insert(vec![1], Path::new("/a"), result("one!", 100));
+        c.insert(vec![2], Path::new("/a"), result("two!", 100));
+        c.get(&[1]); // 1 is now fresher than 2
+        c.insert(vec![3], Path::new("/a"), result("tri!", 100));
+        assert!(c.get(&[2]).is_none(), "LRU entry 2 evicted");
+        assert!(c.get(&[1]).is_some(), "recently-used entry 1 kept");
+        assert!(c.get(&[3]).is_some());
         assert_eq!(c.evictions(), 1);
     }
 
     #[test]
     fn oversized_entries_are_not_cached() {
         let mut c = ResultCache::new(64);
-        c.insert(1, Path::new("/a"), result("huge", 1000));
+        c.insert(vec![1], Path::new("/a"), result("huge", 1000));
         assert!(c.is_empty());
         assert_eq!(c.bytes(), 0);
     }
@@ -200,22 +202,44 @@ mod tests {
     #[test]
     fn reinsert_replaces_without_leaking_cost() {
         let mut c = ResultCache::new(1024);
-        c.insert(1, Path::new("/a"), result("v1", 100));
-        c.insert(1, Path::new("/a"), result("v2", 200));
+        c.insert(vec![1], Path::new("/a"), result("v1", 100));
+        c.insert(vec![1], Path::new("/a"), result("v2", 200));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.bytes(), c.get(1).unwrap().cost());
+        assert_eq!(c.bytes(), 1 + c.get(&[1]).unwrap().cost());
     }
 
     #[test]
     fn invalidation_drops_exactly_the_inputs_entries() {
         let mut c = ResultCache::new(4096);
-        c.insert(1, Path::new("/a"), result("a1", 50));
-        c.insert(2, Path::new("/a"), result("a2", 50));
-        c.insert(3, Path::new("/b"), result("b1", 50));
+        c.insert(vec![1], Path::new("/a"), result("a1", 50));
+        c.insert(vec![2], Path::new("/a"), result("a2", 50));
+        c.insert(vec![3], Path::new("/b"), result("b1", 50));
         assert_eq!(c.invalidate_input(Path::new("/a")), 2);
-        assert!(c.get(1).is_none());
-        assert!(c.get(2).is_none());
-        assert!(c.get(3).is_some(), "other inputs untouched");
+        assert!(c.get(&[1]).is_none());
+        assert!(c.get(&[2]).is_none());
+        assert!(c.get(&[3]).is_some(), "other inputs untouched");
         assert_eq!(c.invalidate_input(Path::new("/missing")), 0);
+    }
+
+    #[test]
+    fn distinct_payloads_never_share_an_entry() {
+        // Near misses — one byte apart, or one a prefix of another —
+        // each keep their own entry: a hit compares the whole key.
+        let mut c = ResultCache::new(1 << 20);
+        let keys: Vec<Vec<u8>> = vec![
+            b"payload".to_vec(),
+            b"payloae".to_vec(),
+            b"payload\0".to_vec(),
+            b"payloa".to_vec(),
+            Vec::new(),
+        ];
+        for (i, k) in keys.iter().enumerate() {
+            c.insert(k.clone(), Path::new("/a"), result(&format!("r{i}"), 10));
+        }
+        assert_eq!(c.len(), keys.len());
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(c.get(k).unwrap().plan, format!("r{i}"), "{k:?}");
+        }
+        assert!(c.get(b"payload!").is_none());
     }
 }

@@ -12,7 +12,7 @@ use std::path::Path;
 use mr_engine::backend::protocol::{read_frame, write_frame};
 
 use super::proto::{
-    invalidate_payload, JobReply, JobRequest, Rejection, TAG_ERROR, TAG_INVALIDATE,
+    decode_payload, invalidate_payload, JobReply, JobRequest, Rejection, TAG_ERROR, TAG_INVALIDATE,
     TAG_INVALIDATE_OK, TAG_REJECTED, TAG_RESULT, TAG_SHUTDOWN, TAG_SHUTDOWN_OK, TAG_STATS,
     TAG_STATS_OK, TAG_SUBMIT,
 };
@@ -94,13 +94,7 @@ impl ServiceClient {
                 "unexpected reply tag {tag} to an invalidation"
             )));
         }
-        let text = std::str::from_utf8(&payload)
-            .map_err(|_| ManimalError::Service("invalidate ack is not UTF-8".into()))?;
-        let j = mr_json::parse(text)
-            .map_err(|e| ManimalError::Service(format!("invalidate ack JSON: {e}")))?;
-        j.get("dropped")
-            .and_then(mr_json::Json::as_u64)
-            .ok_or_else(|| ManimalError::Service("invalidate ack missing `dropped`".into()))
+        decode_payload(&payload, "invalidate ack", |j| j.u64_field("dropped"))
     }
 
     /// Ask the daemon to finish in-flight jobs and exit. Returns once

@@ -34,7 +34,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use mr_engine::backend::protocol::{read_frame, write_frame};
-use mr_ir::asm::parse_function;
 use mr_ir::function::Program;
 use mr_json::Json;
 use mr_storage::seqfile::SeqFileMeta;
@@ -47,9 +46,9 @@ use crate::submit::Manimal;
 use admission::{Admission, Admit};
 use cache::{CachedResult, ResultCache};
 use proto::{
-    encode_hex_value, parse_invalidate, JobReply, JobRequest, TAG_ERROR, TAG_INVALIDATE,
-    TAG_INVALIDATE_OK, TAG_REJECTED, TAG_RESULT, TAG_SHUTDOWN, TAG_SHUTDOWN_OK, TAG_STATS,
-    TAG_STATS_OK, TAG_SUBMIT,
+    decode_payload, encode_hex_value, parse_invalidate, JobReply, JobRequest, TAG_ERROR,
+    TAG_INVALIDATE, TAG_INVALIDATE_OK, TAG_REJECTED, TAG_RESULT, TAG_SHUTDOWN, TAG_SHUTDOWN_OK,
+    TAG_STATS, TAG_STATS_OK, TAG_SUBMIT,
 };
 
 pub use client::{ServiceClient, SubmitOutcome};
@@ -190,16 +189,13 @@ impl StatsSnapshot {
 
     /// Decode from a payload.
     pub fn from_payload(payload: &[u8]) -> Result<StatsSnapshot> {
-        let bad = |what: &str| ManimalError::Service(format!("malformed stats payload: {what}"));
-        let text = std::str::from_utf8(payload).map_err(|_| bad("not UTF-8"))?;
-        let j = mr_json::parse(text).map_err(|e| bad(&e.to_string()))?;
         let mut vals = [0u64; 10];
-        for (slot, name) in vals.iter_mut().zip(Self::FIELDS) {
-            *slot = j
-                .get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad(&format!("missing `{name}`")))?;
-        }
+        decode_payload(payload, "stats", |j| {
+            for (slot, name) in vals.iter_mut().zip(Self::FIELDS) {
+                *slot = j.u64_field(name)?;
+            }
+            Ok(())
+        })?;
         let [queued, admitted, rejected, completed, failed, index_builds, index_builds_deduped, cache_hits, cache_misses, invalidations] =
             vals;
         Ok(StatsSnapshot {
@@ -273,35 +269,20 @@ pub struct JobService {
     manimal: Manimal,
     admission: Admission,
     cache: Mutex<ResultCache>,
-    /// In-flight index builds keyed by descriptor hash.
-    builds: Mutex<HashMap<u64, Arc<BuildCell>>>,
+    /// In-flight index builds keyed by their `kind|input|output`
+    /// descriptor.
+    builds: Mutex<HashMap<String, Arc<BuildCell>>>,
     stats: ServiceStats,
     stop: AtomicBool,
 }
 
-/// FNV-1a, the repo's stock content hash for small keys.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The builtin reducer registry shared by the CLI and the daemon.
+/// The builtin reducer registry shared by the CLI and the daemon: every
+/// builtin by its wire name, except the join reducer, which only a
+/// planned join runs.
 pub fn builtin_reducer(name: &str) -> Result<mr_engine::Builtin> {
-    use mr_engine::Builtin;
-    Ok(match name {
-        "sum" => Builtin::Sum,
-        "count" => Builtin::Count,
-        "max" => Builtin::Max,
-        "min" => Builtin::Min,
-        "identity" => Builtin::Identity,
-        "first" => Builtin::First,
-        "sum-drop-key" => Builtin::SumDropKey,
-        other => return Err(ManimalError::Service(format!("unknown reducer `{other}`"))),
-    })
+    mr_engine::Builtin::parse(name)
+        .filter(|b| *b != mr_engine::Builtin::JoinTagged)
+        .ok_or_else(|| ManimalError::Service(format!("unknown reducer `{name}`")))
 }
 
 impl JobService {
@@ -334,14 +315,11 @@ impl JobService {
         if registered {
             return Ok(0);
         }
-        let key = fnv1a(
-            format!(
-                "{}|{}|{}",
-                prog.kind,
-                prog.input.display(),
-                prog.output.display()
-            )
-            .as_bytes(),
+        let key = format!(
+            "{}|{}|{}",
+            prog.kind,
+            prog.input.display(),
+            prog.output.display()
         );
         let (cell, leader) = {
             let mut builds = self.builds.lock().unwrap_or_else(|e| e.into_inner());
@@ -349,7 +327,7 @@ impl JobService {
                 Some(cell) => (Arc::clone(cell), false),
                 None => {
                     let cell = Arc::new(BuildCell::default());
-                    builds.insert(key, Arc::clone(&cell));
+                    builds.insert(key.clone(), Arc::clone(&cell));
                     (cell, true)
                 }
             }
@@ -393,12 +371,12 @@ impl JobService {
             Admit::Granted(slot) => slot,
             Admit::Rejected(r) => return Ok((TAG_REJECTED, r.to_payload())),
         };
-        let key = fnv1a(&req.to_payload()?);
+        let key = req.to_payload()?;
         if let Some(hit) = self
             .cache
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .get(key)
+            .get(&key)
         {
             self.stats.cache_hits.bump();
             let reply = JobReply {
@@ -413,15 +391,8 @@ impl JobService {
         }
         self.stats.cache_misses.bump();
 
-        let func = parse_function(&req.program_asm)
-            .map_err(|e| ManimalError::Service(format!("program: {e}")))?;
-        mr_ir::verify::verify(&func).map_err(|errs| {
-            let lines: Vec<String> = errs.iter().map(|e| format!("  {e}")).collect();
-            ManimalError::Service(format!(
-                "program failed verification:\n{}",
-                lines.join("\n")
-            ))
-        })?;
+        let func =
+            crate::parse_verified(&req.program_asm, "program").map_err(ManimalError::Service)?;
         let meta = SeqFileMeta::open(&req.input)?;
         let program = Program::new(req.name.clone(), func, Arc::clone(&meta.schema));
         let submission = self.manimal.submit(&program, &req.input);
@@ -435,15 +406,8 @@ impl JobService {
 
         let reducer: Arc<dyn mr_engine::ReducerFactory> = match &req.reduce_ir {
             Some(src) => {
-                let func = parse_function(src)
-                    .map_err(|e| ManimalError::Service(format!("reduce ir: {e}")))?;
-                mr_ir::verify::verify(&func).map_err(|errs| {
-                    let lines: Vec<String> = errs.iter().map(|e| format!("  {e}")).collect();
-                    ManimalError::Service(format!(
-                        "reduce ir failed verification:\n{}",
-                        lines.join("\n")
-                    ))
-                })?;
+                let func =
+                    crate::parse_verified(src, "reduce ir").map_err(ManimalError::Service)?;
                 crate::optimizer::ir_reducer(func, &program).0
             }
             None => Arc::new(builtin_reducer(&req.reducer)?),
@@ -689,12 +653,6 @@ mod tests {
             assert!(builtin_reducer(name).is_ok(), "{name}");
         }
         assert!(builtin_reducer("no-such-reducer").is_err());
-    }
-
-    #[test]
-    fn fnv_is_stable_and_key_sensitive() {
-        let a = fnv1a(b"kind|/in|/out");
-        assert_eq!(a, fnv1a(b"kind|/in|/out"), "deterministic");
-        assert_ne!(a, fnv1a(b"kind|/in|/other"), "descriptor-sensitive");
+        assert!(builtin_reducer("join-tagged").is_err(), "joins only");
     }
 }

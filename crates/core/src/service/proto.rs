@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 
 use mr_ir::value::Value;
-use mr_json::Json;
+use mr_json::{Json, JsonError};
 use mr_storage::hex;
 use mr_storage::rowcodec::{decode_value, encode_value};
 
@@ -55,28 +55,17 @@ fn bad(what: &str) -> ManimalError {
     ManimalError::Service(format!("malformed service payload: {what}"))
 }
 
-fn field<'j>(j: &'j Json, key: &str) -> Result<&'j Json> {
-    j.get(key).ok_or_else(|| bad(&format!("missing `{key}`")))
-}
-
-fn string_field(j: &Json, key: &str) -> Result<String> {
-    Ok(field(j, key)?
-        .as_str()
-        .ok_or_else(|| bad(&format!("`{key}` is not a string")))?
-        .to_string())
-}
-
-fn bool_field(j: &Json, key: &str) -> Result<bool> {
-    match field(j, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(bad(&format!("`{key}` is not a bool"))),
-    }
-}
-
-fn u64_field(j: &Json, key: &str) -> Result<u64> {
-    field(j, key)?
-        .as_u64()
-        .ok_or_else(|| bad(&format!("`{key}` is not a count")))
+/// Parse a `what` payload as JSON and read it with `read`: every
+/// failure — bad UTF-8, bad JSON, a missing or mistyped field — is a
+/// malformed-payload service error.
+pub(crate) fn decode_payload<T>(
+    payload: &[u8],
+    what: &str,
+    read: impl FnOnce(&Json) -> std::result::Result<T, JsonError>,
+) -> Result<T> {
+    let text = std::str::from_utf8(payload).map_err(|_| bad(&format!("{what} is not UTF-8")))?;
+    let j = mr_json::parse(text).map_err(|e| bad(&format!("{what} JSON: {e}")))?;
+    read(&j).map_err(|e| bad(&format!("{what}: {e}")))
 }
 
 /// One job submission: the program as MR-IR assembly, the input path
@@ -130,23 +119,16 @@ impl JobRequest {
 
     /// Decode from a payload.
     pub fn from_payload(payload: &[u8]) -> Result<JobRequest> {
-        let text = std::str::from_utf8(payload).map_err(|_| bad("request is not UTF-8"))?;
-        let j = mr_json::parse(text).map_err(|e| bad(&format!("request JSON: {e}")))?;
-        Ok(JobRequest {
-            name: string_field(&j, "name")?,
-            program_asm: string_field(&j, "program_asm")?,
-            input: PathBuf::from(string_field(&j, "input")?),
-            reducer: string_field(&j, "reducer")?,
-            reduce_ir: match field(&j, "reduce_ir")? {
-                Json::Null => None,
-                v => Some(
-                    v.as_str()
-                        .ok_or_else(|| bad("`reduce_ir` is not a string"))?
-                        .to_string(),
-                ),
-            },
-            build_indexes: bool_field(&j, "build_indexes")?,
-            baseline: bool_field(&j, "baseline")?,
+        decode_payload(payload, "request", |j| {
+            Ok(JobRequest {
+                name: j.str_field("name")?.to_string(),
+                program_asm: j.str_field("program_asm")?.to_string(),
+                input: PathBuf::from(j.str_field("input")?),
+                reducer: j.str_field("reducer")?.to_string(),
+                reduce_ir: j.opt_str_field("reduce_ir")?.map(str::to_string),
+                build_indexes: j.bool_field("build_indexes")?,
+                baseline: j.bool_field("baseline")?,
+            })
         })
     }
 }
@@ -203,44 +185,26 @@ impl JobReply {
 
     /// Decode from a payload.
     pub fn from_payload(payload: &[u8]) -> Result<JobReply> {
-        let text = std::str::from_utf8(payload).map_err(|_| bad("reply is not UTF-8"))?;
-        let j = mr_json::parse(text).map_err(|e| bad(&format!("reply JSON: {e}")))?;
-        let applied = field(&j, "applied")?
-            .as_arr()
-            .ok_or_else(|| bad("`applied` is not an array"))?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| bad("`applied` element is not a string"))
+        decode_payload(payload, "reply", |j| {
+            let output_hex = j
+                .arr_field("output")?
+                .iter()
+                .map(|pair| match pair.as_arr() {
+                    Some([k, v]) => match (k.as_str(), v.as_str()) {
+                        (Some(k), Some(v)) => Ok((k.to_string(), v.to_string())),
+                        _ => Err(JsonError::shape("output pair element is not a string")),
+                    },
+                    _ => Err(JsonError::shape("output pair is not a 2-array")),
+                })
+                .collect::<std::result::Result<Vec<_>, _>>()?;
+            Ok(JobReply {
+                plan: j.str_field("plan")?.to_string(),
+                applied: j.str_array_field("applied")?,
+                combiner: j.opt_str_field("combiner")?.map(str::to_string),
+                cache_hit: j.bool_field("cache_hit")?,
+                deduped_builds: j.u64_field("deduped_builds")?,
+                output_hex,
             })
-            .collect::<Result<Vec<_>>>()?;
-        let output_hex = field(&j, "output")?
-            .as_arr()
-            .ok_or_else(|| bad("`output` is not an array"))?
-            .iter()
-            .map(|pair| match pair.as_arr() {
-                Some([k, v]) => match (k.as_str(), v.as_str()) {
-                    (Some(k), Some(v)) => Ok((k.to_string(), v.to_string())),
-                    _ => Err(bad("output pair element is not a string")),
-                },
-                _ => Err(bad("output pair is not a 2-array")),
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(JobReply {
-            plan: string_field(&j, "plan")?,
-            applied,
-            combiner: match field(&j, "combiner")? {
-                Json::Null => None,
-                v => Some(
-                    v.as_str()
-                        .ok_or_else(|| bad("`combiner` is not a string"))?
-                        .to_string(),
-                ),
-            },
-            cache_hit: bool_field(&j, "cache_hit")?,
-            deduped_builds: u64_field(&j, "deduped_builds")?,
-            output_hex,
         })
     }
 
@@ -303,12 +267,12 @@ impl Rejection {
 
     /// Decode from a payload.
     pub fn from_payload(payload: &[u8]) -> Result<Rejection> {
-        let text = std::str::from_utf8(payload).map_err(|_| bad("rejection is not UTF-8"))?;
-        let j = mr_json::parse(text).map_err(|e| bad(&format!("rejection JSON: {e}")))?;
-        Ok(Rejection {
-            queued: u64_field(&j, "queued")?,
-            queue_cap: u64_field(&j, "queue_cap")?,
-            running: u64_field(&j, "running")?,
+        decode_payload(payload, "rejection", |j| {
+            Ok(Rejection {
+                queued: j.u64_field("queued")?,
+                queue_cap: j.u64_field("queue_cap")?,
+                running: j.u64_field("running")?,
+            })
         })
     }
 }
@@ -325,9 +289,9 @@ pub fn invalidate_payload(input: &std::path::Path) -> Result<Vec<u8>> {
 
 /// Decode an invalidation request.
 pub fn parse_invalidate(payload: &[u8]) -> Result<PathBuf> {
-    let text = std::str::from_utf8(payload).map_err(|_| bad("invalidate is not UTF-8"))?;
-    let j = mr_json::parse(text).map_err(|e| bad(&format!("invalidate JSON: {e}")))?;
-    Ok(PathBuf::from(string_field(&j, "input")?))
+    decode_payload(payload, "invalidate", |j| {
+        Ok(PathBuf::from(j.str_field("input")?))
+    })
 }
 
 #[cfg(test)]

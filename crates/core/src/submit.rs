@@ -62,13 +62,6 @@ pub struct Manimal {
     /// jobs are never fault-injected — a failed build must not leave a
     /// registered artifact behind.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Background spill-writer threads per map attempt in every job
-    /// this instance runs
-    /// ([`mr_engine::JobConfig::spill_writer_threads`]): `1` (the
-    /// default) double-buffers spilling, `0` spills synchronously.
-    /// Output is identical at every setting. `manimal run
-    /// --spill-writer-threads` sets it from the CLI.
-    pub spill_writer_threads: usize,
     /// One buffer pool shared by every job this instance runs
     /// ([`mr_engine::JobConfig::buffer_pool`]), so staging buffers and
     /// run-writer scratch stay warm across a plan-comparison sequence.
@@ -124,7 +117,6 @@ impl Manimal {
             shuffle_compression: ShuffleCompression::None,
             max_task_attempts: 1,
             fault_plan: None,
-            spill_writer_threads: 1,
             buffer_pool: BufferPool::new(),
             backend: BackendSpec::default(),
         })
@@ -246,7 +238,6 @@ impl Manimal {
             combiner,
             max_task_attempts: self.max_task_attempts.max(1),
             fault_plan: self.fault_plan.clone(),
-            spill_writer_threads: self.spill_writer_threads,
             buffer_pool: Some(Arc::clone(&self.buffer_pool)),
             backend: self.backend.clone(),
         };
@@ -341,7 +332,6 @@ impl Manimal {
             combiner: None,
             max_task_attempts: self.max_task_attempts.max(1),
             fault_plan: self.fault_plan.clone(),
-            spill_writer_threads: self.spill_writer_threads,
             buffer_pool: Some(Arc::clone(&self.buffer_pool)),
             backend: self.backend.clone(),
         };

@@ -66,7 +66,6 @@ struct EngineCfg {
     parallelism: usize,
     attempts: usize,
     fault: Option<FaultPlan>,
-    writer_threads: usize,
     pool: PoolKind,
     backend: BackendSpec,
 }
@@ -131,7 +130,6 @@ fn engine_cfgs() -> Vec<EngineCfg> {
                         parallelism,
                         attempts: *attempts,
                         fault: fault.clone(),
-                        writer_threads: 1,
                         pool: PoolKind::Fresh,
                         backend: BackendSpec::Local,
                     });
@@ -140,12 +138,10 @@ fn engine_cfgs() -> Vec<EngineCfg> {
         }
     }
     // Hot-path axes, cycled across cells rather than fully crossed (a
-    // full cross product would multiply the sweep ×9 for axes that are
-    // independent of the others by construction): every writer-thread
-    // count and pool kind still meets every codec and fault schedule
-    // somewhere in the grid.
+    // full cross product would multiply the sweep ×3 for an axis that is
+    // independent of the others by construction): every pool kind still
+    // meets every codec and fault schedule somewhere in the grid.
     for (i, cfg) in cfgs.iter_mut().enumerate() {
-        cfg.writer_threads = [0, 1, 4][i % 3];
         cfg.pool = [PoolKind::Fresh, PoolKind::Disabled, PoolKind::Tiny][(i / 3) % 3];
         // The backend axis: every sixth cell re-runs on forked worker
         // processes over the task protocol, so each codec, fault
@@ -191,7 +187,6 @@ fn run_descriptor(
         combiner: None,
         max_task_attempts: cfg.attempts,
         fault_plan: cfg.fault.clone().map(Arc::new),
-        spill_writer_threads: cfg.writer_threads,
         buffer_pool: pool.clone(),
         backend: cfg.backend.clone(),
     };
@@ -253,7 +248,6 @@ fn assert_plan_equivalence(
             parallelism: 1,
             attempts: 1,
             fault: None,
-            writer_threads: 0,
             pool: PoolKind::Fresh,
             backend: BackendSpec::Local,
         },
@@ -509,7 +503,6 @@ fn speculative_execution_cell_matches_baseline() {
         parallelism: 1,
         attempts: 1,
         fault: None,
-        writer_threads: 0,
         pool: PoolKind::Fresh,
         backend: BackendSpec::Local,
     };
@@ -592,7 +585,6 @@ fn run_join_cell(
         combiner: None,
         max_task_attempts: cfg.attempts,
         fault_plan: cfg.fault.clone().map(Arc::new),
-        spill_writer_threads: cfg.writer_threads,
         buffer_pool: pool.clone(),
         backend: cfg.backend.clone(),
     };
@@ -804,7 +796,6 @@ fn key_dist_cfg() -> EngineCfg {
         parallelism: 1,
         attempts: 1,
         fault: None,
-        writer_threads: 1,
         pool: PoolKind::Fresh,
         backend: BackendSpec::Local,
     }

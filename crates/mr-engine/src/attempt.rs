@@ -7,14 +7,15 @@
 //!
 //! * **Map.** [`run_map`] reads one split, maps every record, stages
 //!   the emitted pairs ([`Staging`], combine site 1), drains staging to
-//!   attempt-scoped runs through a [`SpillWriter`] whenever the staging
-//!   cap fills, and rolls the attempt's counters up into an
-//!   attempt-local [`Counters`]. What is still staged at the end of the
-//!   split follows the [`SplitEnd`] policy: the local runner keeps it
-//!   resident for its commit to absorb, a worker spills it (there is no
-//!   cross-process resident tail). The attempt directory is created at
-//!   the first drain that has pairs, so an attempt that never spills
-//!   touches no disk.
+//!   attempt-scoped runs whenever the staging cap fills, and rolls the
+//!   attempt's counters up into an attempt-local [`Counters`]. A drain
+//!   sorts, combines and writes each partition's buffer in place on the
+//!   map thread, then clears it for reuse. What is still staged at the
+//!   end of the split follows the [`SplitEnd`] policy: the local runner
+//!   keeps it resident for its commit to absorb, a worker spills it
+//!   (there is no cross-process resident tail). The attempt directory
+//!   is created at the first drain that has pairs, so an attempt that
+//!   never spills touches no disk.
 //! * **Reduce.** [`merge_reduce`] merges an attempt's sorted streams
 //!   and reduces them one key group at a time, failing where the fault
 //!   plan says. Which streams a partition has — compacted runs plus a
@@ -33,8 +34,7 @@ use crate::input::SplitReader;
 use crate::mapper::MapperFactory;
 use crate::merge::{LoserTree, RunStream};
 use crate::reducer::Reducer;
-use crate::spill::{AttemptDir, ShuffleEnv, SpillRun};
-use crate::spillwriter::SpillWriter;
+use crate::spill::{write_sorted_run, AttemptDir, ShuffleEnv, SpillRun};
 use crate::staging::Staging;
 
 /// What a map attempt does with the pairs still staged when its split
@@ -61,8 +61,6 @@ pub(crate) struct MapAttempt<'a> {
     pub cap: Option<(usize, &'a Path)>,
     /// The end-of-split policy.
     pub end: SplitEnd<'a>,
-    /// Background spill-writer threads; 0 writes each run inline.
-    pub writer_threads: usize,
     /// Record-level fault schedule.
     pub fault: Option<&'a FaultPlan>,
 }
@@ -74,7 +72,7 @@ pub(crate) struct MapOutput {
     pub staged: Vec<Vec<(Value, Value)>>,
     /// Byte accounting for `staged`, per partition.
     pub staged_bytes: Vec<usize>,
-    /// `(partition, run)` in submission order.
+    /// `(partition, run)` in drain order.
     pub runs: Vec<(usize, SpillRun)>,
     /// Attempt-local counters, absorbed only if the attempt commits.
     pub counters: Arc<Counters>,
@@ -83,41 +81,36 @@ pub(crate) struct MapOutput {
     pub dir: Option<AttemptDir>,
 }
 
-/// Where a map attempt's drains go: an attempt directory and a spill
-/// writer, both created by the first drain that has pairs.
+/// Where a map attempt's drains go: an attempt directory, created by
+/// the first drain that has pairs, and the runs written into it.
 struct Spills<'a> {
     env: &'a ShuffleEnv,
     spec: &'a MapAttempt<'a>,
-    counters: &'a Arc<Counters>,
+    counters: &'a Counters,
     dir: Option<AttemptDir>,
-    writer: Option<SpillWriter>,
+    runs: Vec<(usize, SpillRun)>,
 }
 
 impl Spills<'_> {
-    /// Detach every nonempty staged partition and hand it to the
-    /// writer; mapping continues into fresh pooled buffers while it
-    /// sorts, compresses and flushes. Spill counters go to the
-    /// attempt's own counters: only a committed attempt's spills count.
+    /// Write every nonempty staged partition as a sorted run, in place
+    /// on the map thread; each partition's buffer comes back cleared
+    /// with its capacity. Spill counters go to the attempt's own
+    /// counters: only a committed attempt's spills count.
     fn drain(&mut self, parent: &Path, staging: &mut Staging) -> Result<()> {
         for p in 0..self.spec.num_reducers {
             if staging.is_empty(p) {
                 continue;
             }
-            if self.writer.is_none() {
+            if self.dir.is_none() {
                 let (task, attempt) = (self.spec.task, self.spec.attempt);
-                let dir = self
-                    .dir
-                    .insert(AttemptDir::create(parent, "map", task, attempt)?);
-                self.writer = Some(SpillWriter::new(
-                    self.env,
-                    dir.path(),
-                    Arc::clone(self.counters),
-                    self.spec.writer_threads,
-                ));
+                self.dir = Some(AttemptDir::create(parent, "map", task, attempt)?);
             }
-            let pairs = staging.take(p, &self.env.pool);
-            let writer = self.writer.as_mut().expect("writer installed above");
-            writer.submit(p, pairs)?;
+            let dir = self.dir.as_ref().expect("created above").path();
+            let seq = self.runs.len();
+            let run = staging.drain(p, |pairs| {
+                write_sorted_run(self.env, dir, p, seq, pairs, self.counters)
+            })?;
+            self.runs.push((p, run));
         }
         Ok(())
     }
@@ -125,13 +118,8 @@ impl Spills<'_> {
 
 /// Run one map attempt over `reader` with a fresh mapper from
 /// `mapper`. Nothing here touches shared state: every side effect lives
-/// in the returned [`MapOutput`] until the caller commits it.
-///
-/// This wrapper owns the attempt's resource discipline: whatever the
-/// record loop does, the spill writer is joined *before* the attempt
-/// directory can drop (a failing attempt must not delete run files
-/// under an in-flight write), and every pooled buffer is either handed
-/// to the caller or recycled.
+/// in the returned [`MapOutput`] until the caller commits it, and on
+/// failure every pooled staging buffer goes back to the pool.
 pub(crate) fn run_map(
     env: &ShuffleEnv,
     spec: &MapAttempt<'_>,
@@ -145,20 +133,13 @@ pub(crate) fn run_map(
         spec,
         counters: &counters,
         dir: None,
-        writer: None,
+        runs: Vec::new(),
     };
-    let body = map_split(spec, reader, mapper, &mut staging, &mut spills);
-    let Spills { dir, writer, .. } = spills;
-    let runs = writer.map_or(Ok(Vec::new()), SpillWriter::finish);
-    let runs = match (body, runs) {
-        (Ok(()), Ok(runs)) => runs,
-        // A writer-side error is the root cause — the loop only saw
-        // the placeholder from a failed submit.
-        (_, Err(e)) | (Err(e), Ok(_)) => {
-            staging.recycle(&env.pool);
-            return Err(e);
-        }
-    };
+    if let Err(e) = map_split(spec, reader, mapper, &mut staging, &mut spills) {
+        staging.recycle(&env.pool);
+        return Err(e);
+    }
+    let Spills { dir, runs, .. } = spills;
     let (staged, staged_bytes) = match spec.end {
         SplitEnd::KeepResident => staging.into_parts(),
         SplitEnd::SpillAll(_) => {
@@ -177,7 +158,7 @@ pub(crate) fn run_map(
 
 /// The fallible body of a map attempt: the record loop, the drains and
 /// the counter rollup. Separated from [`run_map`] so its `?`-returns
-/// cannot skip the writer join or the buffer recycling.
+/// cannot skip the buffer recycling.
 fn map_split(
     spec: &MapAttempt<'_>,
     mut reader: SplitReader,

@@ -25,7 +25,7 @@ use mr_ir::asm::parse_function;
 use mr_ir::printer::to_asm;
 use mr_ir::schema::Schema;
 use mr_ir::value::Value;
-use mr_json::Json;
+use mr_json::{Json, JsonError};
 use mr_storage::blockcodec::ShuffleCompression;
 use mr_storage::{hex, rowcodec, ScanBound, StorageError};
 
@@ -42,6 +42,14 @@ use crate::spill::SpillRun;
 
 fn bad(detail: impl Into<String>) -> EngineError {
     EngineError::Storage(StorageError::corrupt("task-protocol payload", detail))
+}
+
+/// A task-protocol payload is the only JSON this crate reads, so a
+/// missing or mistyped field is always a corrupt payload.
+impl From<JsonError> for EngineError {
+    fn from(e: JsonError) -> EngineError {
+        bad(e.to_string())
+    }
 }
 
 // ---- scalar helpers ----------------------------------------------------
@@ -84,36 +92,6 @@ fn path_json(p: &Path) -> Result<Json> {
         .ok_or_else(|| EngineError::Config(format!("non-UTF-8 path {p:?} cannot travel")))
 }
 
-fn u64_field(j: &Json, key: &str) -> Result<u64> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad(format!("missing or non-decimal u64 field `{key}`")))
-}
-
-fn usize_field(j: &Json, key: &str) -> Result<usize> {
-    j.get(key)
-        .and_then(Json::as_i64)
-        .and_then(|n| usize::try_from(n).ok())
-        .ok_or_else(|| bad(format!("missing or negative field `{key}`")))
-}
-
-fn str_field<'a>(j: &'a Json, key: &str) -> Result<&'a str> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad(format!("missing string field `{key}`")))
-}
-
-fn bool_field(j: &Json, key: &str) -> Result<bool> {
-    j.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| bad(format!("missing or non-boolean field `{key}`")))
-}
-
-fn path_field(j: &Json, key: &str) -> Result<PathBuf> {
-    Ok(PathBuf::from(str_field(j, key)?))
-}
-
 fn parse_payload(payload: &[u8]) -> Result<Json> {
     let text = std::str::from_utf8(payload).map_err(|_| bad("payload is not UTF-8"))?;
     mr_json::parse(text).map_err(|e| bad(format!("payload is not JSON: {e}")))
@@ -129,7 +107,7 @@ fn snapshot_json(s: &CounterSnapshot) -> Json {
 fn snapshot_from_json(j: &Json) -> Result<CounterSnapshot> {
     let mut s = CounterSnapshot::default();
     for (name, slot) in s.fields_mut() {
-        *slot = u64_field(j, name)?;
+        *slot = j.decimal_u64_field(name)?;
     }
     Ok(s)
 }
@@ -145,10 +123,10 @@ fn bound_json(b: &ScanBound) -> Result<Json> {
 }
 
 fn bound_from_json(j: &Json) -> Result<ScanBound> {
-    match str_field(j, "t")? {
+    match j.str_field("t")? {
         "u" => Ok(ScanBound::Unbounded),
-        "i" => Ok(ScanBound::Incl(value_from_hex(str_field(j, "v")?)?)),
-        "e" => Ok(ScanBound::Excl(value_from_hex(str_field(j, "v")?)?)),
+        "i" => Ok(ScanBound::Incl(value_from_hex(j.str_field("v")?)?)),
+        "e" => Ok(ScanBound::Excl(value_from_hex(j.str_field("v")?)?)),
         other => Err(bad(format!("unknown scan bound tag `{other}`"))),
     }
 }
@@ -187,16 +165,12 @@ fn input_json(spec: &InputSpec) -> Result<Json> {
 }
 
 fn input_from_json(j: &Json) -> Result<InputSpec> {
-    let path = path_field(j, "path")?;
-    match str_field(j, "kind")? {
+    let path = PathBuf::from(j.str_field("path")?);
+    match j.str_field("kind")? {
         "seq" => Ok(InputSpec::SeqFile { path }),
         "btree" => {
             let mut ranges = Vec::new();
-            for r in j
-                .get("ranges")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("btree input without ranges"))?
-            {
+            for r in j.arr_field("ranges")? {
                 let pair = r
                     .as_arr()
                     .filter(|a| a.len() == 2)
@@ -207,7 +181,7 @@ fn input_from_json(j: &Json) -> Result<InputSpec> {
         }
         "proj" => Ok(InputSpec::Projected {
             path,
-            source_schema: schema_from_hex(str_field(j, "schema")?)?,
+            source_schema: schema_from_hex(j.str_field("schema")?)?,
         }),
         "delta" => Ok(InputSpec::Delta { path }),
         "dict" => Ok(InputSpec::Dict { path }),
@@ -337,7 +311,7 @@ pub(crate) fn encode_job(job: &JobConfig, job_dir: &Path, slow_ms: u64) -> Resul
 /// Decode a job payload in a worker process.
 pub(crate) fn decode_job(payload: &[u8]) -> Result<WireJob> {
     let j = parse_payload(payload)?;
-    let reducer_json = j.get("reducer").ok_or_else(|| bad("missing reducer"))?;
+    let reducer_json = j.field("reducer")?;
     let reducer: Arc<dyn ReducerFactory> = if let Some(name) =
         reducer_json.get("builtin").and_then(Json::as_str)
     {
@@ -351,29 +325,17 @@ pub(crate) fn decode_job(payload: &[u8]) -> Result<WireJob> {
     } else {
         return Err(bad("reducer is neither builtin nor IR"));
     };
-    let combiner = match j.get("combiner") {
-        Some(Json::Null) | None => None,
-        Some(c) => {
-            let name = c.as_str().ok_or_else(|| bad("combiner is not a string"))?;
-            Some(combiner_by_name(name).ok_or_else(|| bad(format!("unknown combiner `{name}`")))?)
-        }
-    };
-    let fault = match j.get("fault") {
-        Some(Json::Null) | None => None,
-        Some(f) => {
-            let spec = f
-                .as_str()
-                .ok_or_else(|| bad("fault spec is not a string"))?;
-            Some(FaultPlan::from_spec(spec).map_err(|e| bad(format!("bad fault spec: {e}")))?)
-        }
-    };
+    let combiner = j
+        .opt_str_field("combiner")?
+        .map(|name| combiner_by_name(name).ok_or_else(|| bad(format!("unknown combiner `{name}`"))))
+        .transpose()?;
+    let fault = j
+        .opt_str_field("fault")?
+        .map(|spec| FaultPlan::from_spec(spec).map_err(|e| bad(format!("bad fault spec: {e}"))))
+        .transpose()?;
     let mut inputs = Vec::new();
-    for b in j
-        .get("inputs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("missing inputs"))?
-    {
-        let asm = str_field(b, "mapper")?;
+    for b in j.arr_field("inputs")? {
+        let asm = b.str_field("mapper")?;
         let func = parse_function(asm).map_err(|e| bad(format!("map IR does not parse: {e}")))?;
         let join = match b.get("join") {
             Some(Json::Null) | None => None,
@@ -382,44 +344,41 @@ pub(crate) fn decode_job(payload: &[u8]) -> Result<WireJob> {
                 Some("probe") => JoinSide::Probe,
                 Some(other) => return Err(bad(format!("unknown join role `{other}`"))),
                 None => {
-                    let asm = str_field(role, "mapper")?;
+                    let asm = role.str_field("mapper")?;
                     let func = parse_function(asm)
                         .map_err(|e| bad(format!("broadcast build IR does not parse: {e}")))?;
                     JoinSide::Broadcast(BroadcastSpec {
-                        input: input_from_json(
-                            role.get("input")
-                                .ok_or_else(|| bad("broadcast join without input"))?,
-                        )?,
+                        input: input_from_json(role.field("input")?)?,
                         mapper: Arc::new(func),
                     })
                 }
             }),
         };
         inputs.push(InputBinding {
-            input: input_from_json(b.get("input").ok_or_else(|| bad("binding without input"))?)?,
+            input: input_from_json(b.field("input")?)?,
             mapper: IrMapperFactory::new(func),
             join,
         });
     }
     Ok(WireJob {
-        job_dir: path_field(&j, "job_dir")?,
-        num_reducers: usize_field(&j, "num_reducers")?.max(1),
-        map_parallelism: usize_field(&j, "map_parallelism")?.max(1),
+        job_dir: PathBuf::from(j.str_field("job_dir")?),
+        num_reducers: j.usize_field("num_reducers")?.max(1),
+        map_parallelism: j.usize_field("map_parallelism")?.max(1),
         shuffle_buffer_bytes: match j.get("shuffle_buffer_bytes") {
             Some(Json::Null) | None => None,
-            Some(_) => Some(usize_field(&j, "shuffle_buffer_bytes")?),
+            Some(_) => Some(j.usize_field("shuffle_buffer_bytes")?),
         },
         compression: {
-            let name = str_field(&j, "compression")?;
+            let name = j.str_field("compression")?;
             ShuffleCompression::parse(name)
                 .ok_or_else(|| bad(format!("unknown shuffle codec `{name}`")))?
         },
-        sort_output: bool_field(&j, "sort_output")?,
+        sort_output: j.bool_field("sort_output")?,
         combiner,
         fault,
         reducer,
         inputs,
-        slow_ms: u64_field(&j, "slow_ms")?,
+        slow_ms: j.decimal_u64_field("slow_ms")?,
     })
 }
 
@@ -453,10 +412,10 @@ impl MapAssign {
     pub(crate) fn decode(payload: &[u8]) -> Result<MapAssign> {
         let j = parse_payload(payload)?;
         Ok(MapAssign {
-            task: usize_field(&j, "task")?,
-            binding: usize_field(&j, "binding")?,
-            split: usize_field(&j, "split")?,
-            attempt: usize_field(&j, "attempt")?,
+            task: j.usize_field("task")?,
+            binding: j.usize_field("binding")?,
+            split: j.usize_field("split")?,
+            attempt: j.usize_field("attempt")?,
         })
     }
 }
@@ -489,21 +448,14 @@ impl ReduceAssign {
 
     pub(crate) fn decode(payload: &[u8]) -> Result<ReduceAssign> {
         let j = parse_payload(payload)?;
-        let runs = j
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing runs"))?
-            .iter()
-            .map(|r| {
-                r.as_str()
-                    .map(PathBuf::from)
-                    .ok_or_else(|| bad("run path is not a string"))
-            })
-            .collect::<Result<Vec<_>>>()?;
         Ok(ReduceAssign {
-            partition: usize_field(&j, "partition")?,
-            attempt: usize_field(&j, "attempt")?,
-            runs,
+            partition: j.usize_field("partition")?,
+            attempt: j.usize_field("attempt")?,
+            runs: j
+                .str_array_field("runs")?
+                .into_iter()
+                .map(PathBuf::from)
+                .collect(),
         })
     }
 }
@@ -514,7 +466,7 @@ pub(crate) struct MapDone {
     pub task: usize,
     /// Attempt number (echoed).
     pub attempt: usize,
-    /// `(partition, run)` per spill, in submission order, still inside
+    /// `(partition, run)` per spill, in drain order, still inside
     /// the attempt directory awaiting commit (the coordinator renames
     /// them; a run's `seq` does not travel — decoding numbers runs by
     /// position).
@@ -551,28 +503,22 @@ impl MapDone {
     pub(crate) fn decode(payload: &[u8]) -> Result<MapDone> {
         let j = parse_payload(payload)?;
         let mut runs = Vec::new();
-        for r in j
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing runs"))?
-        {
+        for r in j.arr_field("runs")? {
             let run = SpillRun {
                 seq: runs.len(),
-                path: path_field(r, "path")?,
-                pairs: u64_field(r, "pairs")?,
-                raw_bytes: u64_field(r, "raw_bytes")?,
-                bytes: u64_field(r, "bytes")?,
+                path: PathBuf::from(r.str_field("path")?),
+                pairs: r.decimal_u64_field("pairs")?,
+                raw_bytes: r.decimal_u64_field("raw_bytes")?,
+                bytes: r.decimal_u64_field("bytes")?,
             };
-            runs.push((usize_field(r, "partition")?, run));
+            runs.push((r.usize_field("partition")?, run));
         }
         Ok(MapDone {
-            task: usize_field(&j, "task")?,
-            attempt: usize_field(&j, "attempt")?,
+            task: j.usize_field("task")?,
+            attempt: j.usize_field("attempt")?,
             runs,
-            counters: snapshot_from_json(
-                j.get("counters").ok_or_else(|| bad("missing counters"))?,
-            )?,
-            shuffle_nanos: u64_field(&j, "shuffle_nanos")?,
+            counters: snapshot_from_json(j.field("counters")?)?,
+            shuffle_nanos: j.decimal_u64_field("shuffle_nanos")?,
         })
     }
 }
@@ -605,12 +551,10 @@ impl ReduceDone {
     pub(crate) fn decode(payload: &[u8]) -> Result<ReduceDone> {
         let j = parse_payload(payload)?;
         Ok(ReduceDone {
-            partition: usize_field(&j, "partition")?,
-            attempt: usize_field(&j, "attempt")?,
-            out: path_field(&j, "out")?,
-            counters: snapshot_from_json(
-                j.get("counters").ok_or_else(|| bad("missing counters"))?,
-            )?,
+            partition: j.usize_field("partition")?,
+            attempt: j.usize_field("attempt")?,
+            out: PathBuf::from(j.str_field("out")?),
+            counters: snapshot_from_json(j.field("counters")?)?,
         })
     }
 }
@@ -646,14 +590,11 @@ impl TaskErr {
     pub(crate) fn decode(payload: &[u8]) -> Result<TaskErr> {
         let j = parse_payload(payload)?;
         Ok(TaskErr {
-            kind: str_field(&j, "kind")?.to_string(),
-            task: usize_field(&j, "task")?,
-            attempt: usize_field(&j, "attempt")?,
-            injected: j
-                .get("injected")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| bad("missing injected flag"))?,
-            msg: str_field(&j, "msg")?.to_string(),
+            kind: j.str_field("kind")?.to_string(),
+            task: j.usize_field("task")?,
+            attempt: j.usize_field("attempt")?,
+            injected: j.bool_field("injected")?,
+            msg: j.str_field("msg")?.to_string(),
         })
     }
 }
@@ -728,7 +669,6 @@ mod tests {
             fault_plan: Some(Arc::new(
                 FaultPlan::new().fail_map(0, 0, 5).slow_worker(1, 20),
             )),
-            spill_writer_threads: 1,
             buffer_pool: None,
             backend: Default::default(),
         }

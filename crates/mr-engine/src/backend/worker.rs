@@ -22,9 +22,6 @@
 //!   ends is written as sorted runs too (the spill counters therefore
 //!   report total shuffle disk traffic, which is higher than the local
 //!   backend's for the same job).
-//! * **0 writer threads.** `spill_writer_threads` shapes the local
-//!   backend's background writer only; workers write each run inline,
-//!   in submission order.
 //! * **No io faults.** `io:` fault sites are operation-counted per
 //!   process and would fire nondeterministically across workers;
 //!   record-level `map:`/`reduce:` faults keep their exact semantics.
@@ -187,7 +184,6 @@ fn run_map_attempt(job: &WireJob, env: &ShuffleEnv, assign: &MapAssign) -> Resul
             .shuffle_buffer_bytes
             .map(|b| ((b / 2 / job.map_parallelism).max(1), job.job_dir.as_path())),
         end: SplitEnd::SpillAll(&job.job_dir),
-        writer_threads: 0,
         fault: job.fault.as_ref(),
     };
     // One attempt at a time per worker: the shuffle clock is this

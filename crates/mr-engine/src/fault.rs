@@ -260,7 +260,7 @@ impl FaultPlan {
 
     /// The IO sites named by the plan's `io:` clauses (repeats kept) —
     /// the CLI validates these against the knobs that make each site
-    /// reachable (spill budget, shuffle codec, writer threads).
+    /// reachable (spill budget, shuffle codec).
     pub fn io_sites(&self) -> Vec<IoSite> {
         self.io.iter().map(|&(site, _)| site).collect()
     }

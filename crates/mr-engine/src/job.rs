@@ -228,16 +228,6 @@ pub struct JobConfig {
     /// A deterministic failure schedule for tests and fault drills
     /// ([`FaultPlan`]); `None` injects nothing.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Background spill-writer threads per map attempt. `1` (the
-    /// default) double-buffers the spill pipeline: a mapper detaches
-    /// its full staging buffer, hands it to the writer thread and keeps
-    /// mapping into a recycled buffer while the spill sorts,
-    /// compresses and flushes in the background. More threads deepen
-    /// the pipeline (useful when compression dominates); `0` restores
-    /// fully synchronous spilling — the pre-pipeline behaviour, and
-    /// the byte-identity reference in the differential tests. Output
-    /// is identical at every setting.
-    pub spill_writer_threads: usize,
     /// The [`BufferPool`] staging buffers and run-writer scratch
     /// recycle through. `None` (the default) gives the job a private
     /// pool; pass a shared pool to keep buffers warm across a sequence
@@ -276,7 +266,6 @@ impl JobConfig {
             combiner: None,
             max_task_attempts: 1,
             fault_plan: None,
-            spill_writer_threads: 1,
             buffer_pool: None,
             backend: BackendSpec::Local,
         }
@@ -344,13 +333,6 @@ impl JobConfig {
     /// Inject the given failure schedule.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Set the background spill-writer thread count (`0` = spill
-    /// synchronously inside the map loop).
-    pub fn with_spill_writer_threads(mut self, n: usize) -> Self {
-        self.spill_writer_threads = n;
         self
     }
 

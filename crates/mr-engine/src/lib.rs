@@ -65,7 +65,6 @@ pub mod pool;
 pub mod reducer;
 pub mod runner;
 pub mod spill;
-pub mod spillwriter;
 pub(crate) mod staging;
 
 pub use backend::{maybe_worker_entry, worker_main};
@@ -85,4 +84,3 @@ pub use reducer::{
 };
 pub use runner::{run_job, JobResult, PhaseTimings};
 pub use spill::{AttemptDir, ShuffleBucket, SpillDir, SpillRun};
-pub use spillwriter::SpillWriter;

@@ -27,9 +27,8 @@ use mr_storage::runfile::RunScratch;
 use parking_lot::Mutex as PlMutex;
 
 /// How many idle buffers of each kind a default pool retains. Sized
-/// for the worst steady-state demand: every map worker can have one
-/// staging buffer per partition plus one buffer in flight to the spill
-/// writer.
+/// for the worst steady-state demand: every map worker holds one
+/// staging buffer per partition, and a drain writes it in place.
 pub const DEFAULT_POOL_BUFFERS: usize = 256;
 
 /// A point-in-time view of pool traffic.

@@ -21,10 +21,8 @@
 //! production guarantee: individual tasks fail and are transparently
 //! re-executed. Every attempt runs through the attempt module the
 //! process backend's workers use too (`attempt.rs`); this runner
-//! passes it the in-process policy — drained runs written by
-//! [`JobConfig::spill_writer_threads`] background threads, io-site
-//! faults live, whatever is staged at the end of a split kept resident
-//! — and owns the commits. Idempotency comes from keeping every
+//! passes it the in-process policy — io-site faults live, whatever is
+//! staged at the end of a split kept resident — and owns the commits. Idempotency comes from keeping every
 //! attempt's side effects private until the attempt succeeds:
 //!
 //! * a **map attempt** stages emitted pairs task-locally and spills
@@ -59,7 +57,6 @@
 //! [`JobConfig::shuffle_buffer_bytes`]: crate::job::JobConfig::shuffle_buffer_bytes
 //! [`JobConfig::combiner`]: crate::job::JobConfig::combiner
 //! [`JobConfig::max_task_attempts`]: crate::job::JobConfig::max_task_attempts
-//! [`JobConfig::spill_writer_threads`]: crate::job::JobConfig::spill_writer_threads
 //! [`JobConfig::fault_plan`]: crate::job::JobConfig::fault_plan
 
 use std::collections::VecDeque;
@@ -256,9 +253,8 @@ fn spill_bucket(ctx: &MapCtx<'_>, p: usize, dir: &SpillDir) -> Result<()> {
 }
 
 /// Run one map attempt with the in-process policy: a retry re-opens
-/// the split, drains go to background writer threads, and whatever is
-/// staged at the end of the split stays resident for
-/// [`commit_map_attempt`].
+/// the split, and whatever is staged at the end of the split stays
+/// resident for [`commit_map_attempt`].
 fn run_map_attempt(ctx: &MapCtx<'_>, task: &mut MapTask, attempt: usize) -> Result<MapOutput> {
     let reader = match task.first_reader.take() {
         Some(r) => r,
@@ -277,7 +273,6 @@ fn run_map_attempt(ctx: &MapCtx<'_>, task: &mut MapTask, attempt: usize) -> Resu
         num_reducers: ctx.num_reducers,
         cap: ctx.budget.map(|b| (b.staging_cap, b.dir.path())),
         end: SplitEnd::KeepResident,
-        writer_threads: ctx.job.spill_writer_threads,
         fault: ctx.job.fault_plan.as_deref(),
     };
     run_map(ctx.env, &spec, reader, task.mapper.as_ref())
@@ -507,7 +502,6 @@ impl Drop for TextSink {
 ///     combiner: None,
 ///     max_task_attempts: 1,
 ///     fault_plan: None,
-///     spill_writer_threads: 1,
 ///     buffer_pool: None,
 ///     backend: Default::default(),
 /// };
@@ -938,7 +932,6 @@ mod tests {
             combiner: None,
             max_task_attempts: 1,
             fault_plan: None,
-            spill_writer_threads: 1,
             buffer_pool: None,
             backend: Default::default(),
         };
@@ -1057,7 +1050,6 @@ mod tests {
             combiner: None,
             max_task_attempts: 1,
             fault_plan: None,
-            spill_writer_threads: 1,
             buffer_pool: None,
             backend: Default::default(),
         };

@@ -34,9 +34,7 @@ use crate::pool::BufferPool;
 /// A job's shuffle-write settings: everything a run write needs besides
 /// the pairs, where they go and which counters they charge. Built once
 /// per job (local backend) or once per worker process, and shared by
-/// every spill, compaction rewrite and merge of that job; cloning it
-/// clones handles, not state.
-#[derive(Clone)]
+/// every spill, compaction rewrite and merge of that job.
 pub struct ShuffleEnv {
     /// Spill-time and compaction-time combine sites.
     pub combine: CombineStrategy,
@@ -48,7 +46,7 @@ pub struct ShuffleEnv {
     pub pool: Arc<BufferPool>,
     /// Cross-thread shuffle time (sorting, writing, compacting), in
     /// nanoseconds.
-    pub shuffle_nanos: Arc<AtomicU64>,
+    pub shuffle_nanos: AtomicU64,
 }
 
 impl ShuffleEnv {
@@ -65,7 +63,7 @@ impl ShuffleEnv {
             compression,
             io,
             pool,
-            shuffle_nanos: Arc::new(AtomicU64::new(0)),
+            shuffle_nanos: AtomicU64::new(0),
         }
     }
 
@@ -299,8 +297,8 @@ impl ShuffleBucket {
 /// the shuffle clock and to `counters` as one spill.
 ///
 /// The pair buffer is borrowed, not consumed: on return it holds the
-/// sorted (and possibly combined) pairs and the caller recycles it
-/// through the pool.
+/// sorted (and possibly combined) pairs, and the caller clears or
+/// recycles it.
 pub fn write_sorted_run(
     env: &ShuffleEnv,
     dir: &Path,

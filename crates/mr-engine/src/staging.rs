@@ -10,9 +10,9 @@
 //! remix of the same `h` picks the slot (the partition choice pins
 //! `h`'s residue, so the raw low bits would cluster). A hit injects the
 //! value and merges it into the stored partial in place; a miss appends
-//! an entry. A drain hands the entries `Vec` downstream as it is — no
-//! sort here, the spill write and the reduce both sort anyway, and keys
-//! are unique within a drained table so their stable sort is
+//! an entry. A drain hands the entries `Vec` to the spill write as it
+//! is — no sort here, the spill write and the reduce both sort anyway,
+//! and keys are unique within a drained table so their stable sort is
 //! deterministic.
 //!
 //! # The bail-out
@@ -129,7 +129,7 @@ impl Partition {
         self.slots[s] = entry as u32;
     }
 
-    /// Forget the index; `entries` is about to be replaced.
+    /// Forget the index; `entries` has just been drained.
     fn reset_index(&mut self) {
         self.hashes.clear();
         self.slots.fill(EMPTY);
@@ -156,10 +156,10 @@ pub(crate) struct Staging {
 }
 
 impl Staging {
-    /// Every partition's pair buffer is a pooled loan: each goes back
-    /// via [`into_parts`](Staging::into_parts) (the commit puts it after
-    /// absorbing), a spill ([`take`](Staging::take)), or
-    /// [`recycle`](Staging::recycle) on the error path.
+    /// Every partition's pair buffer is a pooled loan, held across
+    /// drains: each goes back via [`into_parts`](Staging::into_parts)
+    /// (the commit puts it after absorbing) or
+    /// [`recycle`](Staging::recycle).
     pub(crate) fn new(
         num_reducers: usize,
         combine: &CombineStrategy,
@@ -242,15 +242,22 @@ impl Staging {
         self.checked = (self.combine_in, self.combine_out);
     }
 
-    /// Detach partition `p`'s staged pairs for a spill, replacing the
-    /// slot with a fresh pooled loan so the mapper keeps staging while
-    /// the detached buffer rides the background writer.
-    pub(crate) fn take(&mut self, p: usize, pool: &BufferPool) -> Vec<(Value, Value)> {
+    /// Hand partition `p`'s staged pairs to `write` — a spill sorts,
+    /// combines and writes them in place — then empty the partition.
+    /// The buffer is cleared, not replaced, so it keeps its capacity
+    /// for the pairs staged next.
+    pub(crate) fn drain<T>(
+        &mut self,
+        p: usize,
+        write: impl FnOnce(&mut Vec<(Value, Value)>) -> T,
+    ) -> T {
         let part = &mut self.parts[p];
+        let out = write(&mut part.entries);
+        part.entries.clear();
         self.total_bytes -= part.bytes;
         part.bytes = 0;
         part.reset_index();
-        std::mem::replace(&mut part.entries, pool.get_pairs())
+        out
     }
 
     pub(crate) fn is_empty(&self, p: usize) -> bool {
@@ -334,15 +341,18 @@ mod tests {
         ];
         let bytes: usize = expect.iter().map(|(k, v)| pair_bytes(k, v)).sum();
         assert_eq!(s.total_bytes, bytes, "the cap sees resident partials only");
-        let drained = s.take(0, &pool);
-        assert_eq!(drained, expect);
+        assert_eq!(s.drain(0, |e| e.clone()), expect);
         assert_eq!(s.total_bytes, 0);
+        assert!(s.is_empty(0));
         // The table starts over after a drain: a seen key is a new entry.
         s.emit(Value::str("a"), Value::Int(1)).unwrap();
-        assert_eq!(s.take(0, &pool), vec![(Value::str("a"), Value::Int(1))]);
+        assert_eq!(
+            s.drain(0, |e| e.clone()),
+            vec![(Value::str("a"), Value::Int(1))]
+        );
         assert_eq!(counters(&s), (6, 3, 0));
-        pool.put_pairs(drained);
         s.recycle(&pool);
+        assert_eq!(pool.outstanding(), 0);
     }
 
     #[test]
@@ -351,7 +361,10 @@ mod tests {
         let mut s = staging(Some(Builtin::Count), 1, &pool);
         s.emit(Value::str("k"), Value::str("anything")).unwrap();
         assert_eq!(counters(&s), (1, 1, 0));
-        assert_eq!(s.take(0, &pool), vec![(Value::str("k"), Value::Int(1))]);
+        assert_eq!(
+            s.drain(0, |e| e.clone()),
+            vec![(Value::str("k"), Value::Int(1))]
+        );
         s.recycle(&pool);
     }
 

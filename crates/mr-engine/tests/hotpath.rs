@@ -1,13 +1,13 @@
 //! Hot-path integration tests: buffer-pool loan accounting across
 //! whole jobs (success, retries, injected I/O errors, exhausted
 //! attempts) and byte-identity of the spill/merge pipeline across
-//! writer-thread counts and pool configurations.
+//! shuffle codecs and pool configurations.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use mr_engine::{
-    run_job, BufferPool, Builtin, FaultPlan, InputSpec, JobConfig, ShuffleCompression,
+    run_job, BufferPool, Builtin, EngineError, FaultPlan, InputSpec, JobConfig, ShuffleCompression,
 };
 use mr_ir::asm::parse_function;
 use mr_ir::record::record;
@@ -134,7 +134,7 @@ fn pool_balances_when_the_job_fails() {
 }
 
 #[test]
-fn output_identical_across_writer_threads_and_pools() {
+fn output_identical_across_codecs_and_pools() {
     let path = write_input("ident", 2500);
     let reference = {
         let job = JobConfig::ir_job(
@@ -146,23 +146,84 @@ fn output_identical_across_writer_threads_and_pools() {
         run_job(&job).unwrap().output
     };
     for codec in ShuffleCompression::ALL {
-        for threads in [0usize, 1, 2, 4] {
-            for pool in [
-                BufferPool::new(),
-                BufferPool::disabled(),
-                BufferPool::with_capacity(1),
-            ] {
-                let job = spilling_job(&path, &pool)
-                    .with_shuffle_codec(codec)
-                    .with_spill_writer_threads(threads);
-                let result = run_job(&job).unwrap();
-                assert_eq!(
-                    result.output, reference,
-                    "codec {codec:?}, {threads} writer threads"
-                );
-                assert!(result.counters.spill_count > 0);
-                assert_eq!(pool.outstanding(), 0);
+        for pool in [
+            BufferPool::new(),
+            BufferPool::disabled(),
+            BufferPool::with_capacity(1),
+        ] {
+            let job = spilling_job(&path, &pool).with_shuffle_codec(codec);
+            let result = run_job(&job).unwrap();
+            assert_eq!(result.output, reference, "codec {codec:?}");
+            assert!(result.counters.spill_count > 0);
+            assert_eq!(pool.outstanding(), 0);
+        }
+    }
+}
+
+/// Every `attempt-*` directory left anywhere under `dir`.
+fn attempt_dirs(dir: &Path) -> Vec<PathBuf> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            if path
+                .file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("attempt-")
+            {
+                found.push(path.clone());
             }
+            found.extend(attempt_dirs(&path));
+        }
+    }
+    found
+}
+
+#[test]
+fn failed_spill_write_fails_the_attempt_and_recycles_everything() {
+    let path = write_input("spill-fault", 2000);
+    let clean = run_job(&spilling_job(&path, &BufferPool::new())).unwrap();
+    for codec in ShuffleCompression::ALL {
+        let mut sites = vec![IoSite::RunWrite];
+        if codec.is_framed() {
+            sites.push(IoSite::BlockWrite);
+        }
+        for site in sites {
+            let what = format!("codec {codec:?}, {}:0", site.name());
+            // One split, so the first write is a map attempt's drain,
+            // never a commit-time bucket spill.
+            let faulted = |attempts: usize, spill_dir: &Path, pool: &Arc<BufferPool>| {
+                let job = spilling_job(&path, pool)
+                    .with_parallelism(1)
+                    .with_shuffle_codec(codec)
+                    .with_spill_dir(spill_dir)
+                    .with_max_attempts(attempts)
+                    .with_fault_plan(Arc::new(FaultPlan::new().fail_io(site, 0)));
+                run_job(&job)
+            };
+
+            let spill_dir = tmp("spill-fault-dir");
+            let pool = BufferPool::new();
+            match faulted(1, &spill_dir, &pool).unwrap_err() {
+                EngineError::TaskFailed { cause, .. } => {
+                    assert!(matches!(*cause, EngineError::Storage(_)), "{what}: {cause}")
+                }
+                other => panic!("{what}: expected TaskFailed, got {other}"),
+            }
+            assert_eq!(
+                pool.outstanding(),
+                0,
+                "{what}: the fault path leaks nothing"
+            );
+            assert_eq!(attempt_dirs(&spill_dir), Vec::<PathBuf>::new(), "{what}");
+
+            let spill_dir = tmp("spill-fault-dir");
+            let pool = BufferPool::new();
+            let retried = faulted(2, &spill_dir, &pool).unwrap();
+            assert_eq!(retried.counters.task_retries, 1, "{what}");
+            assert_eq!(retried.output, clean.output, "{what}");
+            assert_eq!(pool.outstanding(), 0, "{what}");
         }
     }
 }

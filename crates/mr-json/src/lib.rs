@@ -34,15 +34,29 @@ pub enum Json {
 /// A parse or structure error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
-    /// What went wrong.
+    /// What went wrong; a structure error names the field.
     pub message: String,
     /// Byte offset in the input, when parsing.
-    pub offset: usize,
+    pub offset: Option<usize>,
+}
+
+impl JsonError {
+    /// A structure error: the document parsed, but a value does not
+    /// have the shape its reader expects.
+    pub fn shape(message: impl Into<String>) -> JsonError {
+        JsonError {
+            message: message.into(),
+            offset: None,
+        }
+    }
 }
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
+        match self.offset {
+            Some(offset) => write!(f, "{} at byte {offset}", self.message),
+            None => f.write_str(&self.message),
+        }
     }
 }
 
@@ -121,6 +135,78 @@ impl Json {
         self.as_obj()?
             .iter()
             .find_map(|(k, v)| (k == key).then_some(v))
+    }
+
+    /// Member `key` of this object.
+    pub fn field(&self, key: &str) -> Result<&Json, JsonError> {
+        self.get(key)
+            .ok_or_else(|| JsonError::shape(format!("missing field `{key}`")))
+    }
+
+    /// Member `key` read through `read`, which yields `None` when the
+    /// member is not `what`.
+    fn typed_field<'a, T>(
+        &'a self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, JsonError> {
+        read(self.field(key)?)
+            .ok_or_else(|| JsonError::shape(format!("field `{key}` is not {what}")))
+    }
+
+    /// Member `key` as a string.
+    pub fn str_field(&self, key: &str) -> Result<&str, JsonError> {
+        self.typed_field(key, "a string", Json::as_str)
+    }
+
+    /// Member `key` as a string, or `None` when it is `null`.
+    pub fn opt_str_field(&self, key: &str) -> Result<Option<&str>, JsonError> {
+        match self.field(key)? {
+            Json::Null => Ok(None),
+            _ => self.str_field(key).map(Some),
+        }
+    }
+
+    /// Member `key` as a boolean.
+    pub fn bool_field(&self, key: &str) -> Result<bool, JsonError> {
+        self.typed_field(key, "a boolean", Json::as_bool)
+    }
+
+    /// Member `key` as a non-negative integer.
+    pub fn u64_field(&self, key: &str) -> Result<u64, JsonError> {
+        self.typed_field(key, "a non-negative integer", Json::as_u64)
+    }
+
+    /// Member `key` as a non-negative integer that fits a `usize`.
+    pub fn usize_field(&self, key: &str) -> Result<usize, JsonError> {
+        self.typed_field(key, "a non-negative integer", |v| {
+            usize::try_from(v.as_u64()?).ok()
+        })
+    }
+
+    /// Member `key` as a `u64` written as a decimal string — the form
+    /// for quantities past `i64`, which a JSON number cannot carry
+    /// exactly.
+    pub fn decimal_u64_field(&self, key: &str) -> Result<u64, JsonError> {
+        self.typed_field(key, "a decimal u64 string", |v| v.as_str()?.parse().ok())
+    }
+
+    /// Member `key` as an array.
+    pub fn arr_field(&self, key: &str) -> Result<&[Json], JsonError> {
+        self.typed_field(key, "an array", Json::as_arr)
+    }
+
+    /// Member `key` as an array of strings.
+    pub fn str_array_field(&self, key: &str) -> Result<Vec<String>, JsonError> {
+        self.arr_field(key)?
+            .iter()
+            .map(|v| {
+                v.as_str().map(str::to_string).ok_or_else(|| {
+                    JsonError::shape(format!("field `{key}` has a non-string element"))
+                })
+            })
+            .collect()
     }
 
     /// Serialize compactly.
@@ -221,21 +307,30 @@ fn write_seq<T>(
     out.push(close);
 }
 
+/// Escaping works on bytes: every byte it escapes is ASCII, and no
+/// byte of a multi-byte UTF-8 sequence is, so each unescaped span is
+/// copied whole and always ends on a character boundary.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        match escape {
+            Some(e) => out.push_str(e),
+            None => out.push_str(&format!("\\u{b:04x}")),
         }
+        start = i + 1;
     }
+    out.push_str(&s[start..]);
     out.push('"');
 }
 
@@ -270,7 +365,7 @@ impl Parser<'_> {
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
-            offset: self.pos,
+            offset: Some(self.pos),
         }
     }
 
@@ -572,5 +667,42 @@ mod tests {
             v.to_string_pretty(),
             "{\n  \"a\": 1,\n  \"b\": [\n    2\n  ]\n}"
         );
+    }
+
+    #[test]
+    fn string_escapes_are_byte_exact() {
+        let s = Json::str("a\"b\\c\nd\re\tf\u{1}\u{1f} dé😀");
+        let text = r#""a\"b\\c\nd\re\tf\u0001\u001f dé😀""#;
+        assert_eq!(s.to_string_compact(), text);
+        assert_eq!(parse(text).unwrap(), s);
+    }
+
+    #[test]
+    fn typed_fields_name_the_key() {
+        let v = parse(r#"{"s":"x","b":true,"n":7,"neg":-1,"d":"18446744073709551615","a":["p","q"],"mixed":["p",1],"z":null}"#)
+            .unwrap();
+        assert_eq!(v.str_field("s").unwrap(), "x");
+        assert_eq!(v.opt_str_field("s").unwrap(), Some("x"));
+        assert_eq!(v.opt_str_field("z").unwrap(), None);
+        assert!(v.bool_field("b").unwrap());
+        assert_eq!(v.u64_field("n").unwrap(), 7);
+        assert_eq!(v.usize_field("n").unwrap(), 7);
+        assert_eq!(v.decimal_u64_field("d").unwrap(), u64::MAX);
+        assert_eq!(v.arr_field("a").unwrap().len(), 2);
+        assert_eq!(v.str_array_field("a").unwrap(), vec!["p", "q"]);
+        for (err, key) in [
+            (v.str_field("missing").unwrap_err(), "missing"),
+            (v.str_field("n").unwrap_err(), "n"),
+            (v.opt_str_field("b").unwrap_err(), "b"),
+            (v.bool_field("s").unwrap_err(), "s"),
+            (v.u64_field("neg").unwrap_err(), "neg"),
+            (v.usize_field("s").unwrap_err(), "s"),
+            (v.decimal_u64_field("n").unwrap_err(), "n"),
+            (v.arr_field("s").unwrap_err(), "s"),
+            (v.str_array_field("mixed").unwrap_err(), "mixed"),
+        ] {
+            assert_eq!(err.offset, None);
+            assert!(err.to_string().contains(&format!("`{key}`")), "{err}");
+        }
     }
 }
