@@ -218,6 +218,12 @@ impl CatalogEntry {
     }
 }
 
+/// The `catalog.json` layout this build writes and reads. Version 2 is
+/// the one row file: a catalog without the key may register artifacts
+/// in layouts no reader opens any more, so it fails to parse and
+/// [`Catalog::open`] moves it aside.
+const CATALOG_VERSION: u64 = 2;
+
 #[derive(Debug, Default)]
 struct CatalogFile {
     entries: Vec<CatalogEntry>,
@@ -393,18 +399,20 @@ impl CatalogEntry {
 
 impl CatalogFile {
     fn to_json(&self) -> Result<Json> {
-        Ok(Json::obj([(
-            "entries",
-            Json::Arr(
-                self.entries
-                    .iter()
-                    .map(CatalogEntry::to_json)
-                    .collect::<Result<Vec<_>>>()?,
-            ),
-        )]))
+        let entries = self.entries.iter().map(CatalogEntry::to_json);
+        Ok(Json::obj([
+            ("version", Json::Int(CATALOG_VERSION as i64)),
+            ("entries", Json::Arr(entries.collect::<Result<Vec<_>>>()?)),
+        ]))
     }
 
     fn from_json(j: &Json) -> Decoded<CatalogFile> {
+        let version = j.u64_field("version")?;
+        if version != CATALOG_VERSION {
+            return Err(JsonError::shape(format!(
+                "catalog version {version}, this build reads {CATALOG_VERSION}"
+            )));
+        }
         Ok(CatalogFile {
             entries: j
                 .arr_field("entries")?
@@ -552,13 +560,16 @@ impl Catalog {
         })
     }
 
-    /// All indexes registered for an input file.
+    /// The indexes registered for an input file as it is now. An entry
+    /// built over a file of another length was derived from other bytes
+    /// and is never served: one `stat` per call. (A rewrite that keeps
+    /// the length still reads as current.)
     pub fn indexes_for(&self, input: &Path) -> Vec<CatalogEntry> {
-        self.inner
-            .lock()
-            .entries
-            .iter()
-            .filter(|e| e.input_path == input)
+        let Ok(len) = std::fs::metadata(input).map(|m| m.len()) else {
+            return Vec::new();
+        };
+        (self.inner.lock().entries.iter())
+            .filter(|e| e.input_path == input && e.input_bytes == len)
             .cloned()
             .collect()
     }
@@ -598,6 +609,13 @@ mod tests {
         dir.join(format!("{name}-{}.json", std::process::id()))
     }
 
+    /// A real input file of the 1000 bytes [`entry`] records.
+    fn input(name: &str) -> String {
+        let path = tmp(name).with_extension("seq");
+        std::fs::write(&path, [0u8; 1000]).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
     fn entry(input: &str, kind: IndexKind) -> CatalogEntry {
         CatalogEntry {
             input_path: PathBuf::from(input),
@@ -613,8 +631,9 @@ mod tests {
         let path = tmp("roundtrip");
         let _ = std::fs::remove_file(&path);
         let cat = Catalog::open(&path).unwrap();
+        let logs = input("logs");
         cat.register(entry(
-            "/data/logs.seq",
+            &logs,
             IndexKind::Selection {
                 key: "value.rank".into(),
                 covered: vec![RangeRepr {
@@ -626,7 +645,7 @@ mod tests {
         ))
         .unwrap();
         cat.register(entry(
-            "/data/logs.seq",
+            &logs,
             IndexKind::Projection {
                 fields: vec!["url".into()],
             },
@@ -634,11 +653,9 @@ mod tests {
         .unwrap();
 
         let reopened = Catalog::open(&path).unwrap();
-        let found = reopened.indexes_for(Path::new("/data/logs.seq"));
+        let found = reopened.indexes_for(Path::new(&logs));
         assert_eq!(found.len(), 2);
-        assert!(reopened
-            .indexes_for(Path::new("/data/other.seq"))
-            .is_empty());
+        assert!(reopened.indexes_for(Path::new(&input("other"))).is_empty());
     }
 
     #[test]
@@ -650,11 +667,12 @@ mod tests {
             fields: vec!["ts".into()],
             projected: None,
         };
-        cat.register(entry("/a", kind.clone())).unwrap();
-        let mut second = entry("/a", kind);
+        let a = input("replace-a");
+        cat.register(entry(&a, kind.clone())).unwrap();
+        let mut second = entry(&a, kind);
         second.index_bytes = 999;
         cat.register(second).unwrap();
-        let found = cat.indexes_for(Path::new("/a"));
+        let found = cat.indexes_for(Path::new(&a));
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].index_bytes, 999);
     }
@@ -664,23 +682,70 @@ mod tests {
         let path = tmp("invalidate");
         let _ = std::fs::remove_file(&path);
         let cat = Catalog::open(&path).unwrap();
+        let (a, b) = (input("invalidate-a"), input("invalidate-b"));
         cat.register(entry(
-            "/a",
+            &a,
             IndexKind::Dict {
                 fields: vec!["u".into()],
             },
         ))
         .unwrap();
         cat.register(entry(
-            "/b",
+            &b,
             IndexKind::Dict {
                 fields: vec!["u".into()],
             },
         ))
         .unwrap();
-        cat.invalidate(Path::new("/a")).unwrap();
-        assert!(cat.indexes_for(Path::new("/a")).is_empty());
-        assert_eq!(cat.indexes_for(Path::new("/b")).len(), 1);
+        cat.invalidate(Path::new(&a)).unwrap();
+        assert!(cat.indexes_for(Path::new(&a)).is_empty());
+        assert_eq!(cat.indexes_for(Path::new(&b)).len(), 1);
+    }
+
+    /// An entry is served only while its input has the length it was
+    /// built from; a missing input has no entries.
+    #[test]
+    fn entries_of_a_resized_input_are_not_served() {
+        let path = tmp("resized");
+        let _ = std::fs::remove_file(&path);
+        let cat = Catalog::open(&path).unwrap();
+        let logs = input("resized-input");
+        let kind = IndexKind::Projection {
+            fields: vec!["url".into()],
+        };
+        cat.register(entry(&logs, kind)).unwrap();
+        assert_eq!(cat.indexes_for(Path::new(&logs)).len(), 1);
+        std::fs::write(&logs, [0u8; 1001]).unwrap();
+        assert!(cat.indexes_for(Path::new(&logs)).is_empty());
+        std::fs::remove_file(&logs).unwrap();
+        assert!(cat.indexes_for(Path::new(&logs)).is_empty());
+        assert_eq!(cat.entries().len(), 1, "kept, just not served");
+    }
+
+    /// A catalog written before the `version` key registers artifacts
+    /// in retired layouts: it is moved aside and the catalog opens empty.
+    #[test]
+    fn versionless_catalog_is_moved_aside() {
+        let path = tmp("versionless");
+        let backup = path.with_extension("json.corrupt");
+        let _ = std::fs::remove_file(&backup);
+        let cat = Catalog::open(&path).unwrap();
+        cat.register(entry(
+            &input("versionless-input"),
+            IndexKind::Dict {
+                fields: vec!["u".into()],
+            },
+        ))
+        .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let old = text.replacen("\"version\": 2,", "", 1);
+        assert_ne!(old, text, "{text}");
+        std::fs::write(&path, &old).unwrap();
+        let reopened = Catalog::open(&path).unwrap();
+        assert!(reopened.entries().is_empty());
+        assert_eq!(std::fs::read_to_string(&backup).unwrap(), old);
+        assert!(!path.exists(), "original slot is clear until next save");
+        let _ = std::fs::remove_file(&backup);
     }
 
     /// The lost-update fix: N threads, each with its *own* `Catalog`

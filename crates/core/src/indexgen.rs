@@ -18,13 +18,15 @@
 //!
 //! [`IndexGenProgram::run`] executes one. The selection program is the
 //! MapReduce job: its map drops records outside the view and its one
-//! reducer streams the sorted groups into the B+Tree writer. Projection
-//! and delta programs run on every core too: the input's sparse-index
-//! blocks are encoded apart, block *i* of the input becoming block *i*
-//! of the artifact, and one writer appends them in order, so the
-//! artifact is byte-identical to a sequential build. The dictionary
-//! program is one sequential scan (see [`DictFileWriter`]). Every
-//! artifact commits by rename.
+//! reducer streams the sorted groups into the B+Tree writer. Every other
+//! artifact is a sequence file, projected or with encoded fields. The
+//! projection and delta programs are one build that runs on every core:
+//! the input's sparse-index blocks are encoded apart, block *i* of the
+//! input becoming block *i* of the artifact, and one writer appends them
+//! in order, so the artifact is byte-identical to a sequential build.
+//! The dictionary program is one sequential scan, because dictionary
+//! codes are assigned first-seen across the whole file. Every artifact
+//! commits by rename.
 
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::sync_channel;
@@ -42,8 +44,6 @@ use mr_ir::value::Value;
 use mr_ir::IrError;
 use mr_storage::blockindex::{self, BlockEncoder, BLOCK_RECORDS};
 use mr_storage::btree::{BTreeWriter, ScanBound};
-use mr_storage::delta::DeltaFileWriter;
-use mr_storage::dict::DictFileWriter;
 use mr_storage::rowcodec::{encode_row, encode_value};
 use mr_storage::seqfile::{SeqFileMeta, SeqFileWriter, Split};
 
@@ -249,9 +249,9 @@ impl IndexGenProgram {
                 shuffle_buffer_bytes,
                 shuffle_compression,
             ),
-            IndexKind::Projection { fields } => self.build_projection(&tmp, fields, workers),
+            IndexKind::Projection { fields } => self.build_rows(&tmp, Some(fields), &[], workers),
             IndexKind::Delta { fields, projected } => {
-                self.build_delta(&tmp, fields, projected.as_deref(), workers)
+                self.build_rows(&tmp, projected.as_deref(), fields, workers)
             }
             IndexKind::Dict { fields } => self.build_dict(&tmp, fields),
         };
@@ -328,32 +328,28 @@ impl IndexGenProgram {
         Ok(())
     }
 
-    fn build_projection(&self, path: &Path, fields: &[String], workers: usize) -> Result<()> {
-        let meta = SeqFileMeta::open(&self.input)?;
-        let mut writer = SeqFileWriter::create(path, Arc::new(meta.schema.project(fields)))?;
-        let encoders = (0..workers)
-            .map(|_| writer.block_encoder(&meta.schema))
-            .collect::<mr_storage::Result<_>>()?;
-        encode_blocks(&meta, encoders, |rows, records| {
-            writer.append_block(rows, records)
-        })?;
-        writer.finish()?;
-        Ok(())
-    }
-
-    fn build_delta(
+    /// The projection and delta artifacts: the input, projected to
+    /// `kept` when given, with `delta_fields` delta-encoded, built block
+    /// by block on `workers` threads.
+    fn build_rows(
         &self,
         path: &Path,
-        fields: &[String],
-        projected: Option<&[String]>,
+        kept: Option<&[String]>,
+        delta_fields: &[String],
         workers: usize,
     ) -> Result<()> {
         let meta = SeqFileMeta::open(&self.input)?;
-        let schema = match projected {
+        let schema = match kept {
             Some(kept) => Arc::new(meta.schema.project(kept)),
             None => Arc::clone(&meta.schema),
         };
-        let mut writer = DeltaFileWriter::create(path, schema, fields)?;
+        let mut writer = SeqFileWriter::create_encoded(
+            path,
+            schema,
+            ShuffleCompression::None,
+            delta_fields,
+            &[],
+        )?;
         let encoders = (0..workers)
             .map(|_| writer.block_encoder(&meta.schema))
             .collect::<mr_storage::Result<_>>()?;
@@ -364,12 +360,14 @@ impl IndexGenProgram {
         Ok(())
     }
 
-    /// One sequential scan: [`DictFileWriter`] assigns codes in
-    /// first-seen order across the whole file, so its blocks cannot be
-    /// encoded apart.
+    /// One sequential scan: dictionary codes are assigned in first-seen
+    /// order across the whole file, so its blocks cannot be encoded
+    /// apart.
     fn build_dict(&self, path: &Path, fields: &[String]) -> Result<()> {
         let meta = SeqFileMeta::open(&self.input)?;
-        let mut writer = DictFileWriter::create(path, Arc::clone(&meta.schema), fields)?;
+        let schema = Arc::clone(&meta.schema);
+        let none = ShuffleCompression::None;
+        let mut writer = SeqFileWriter::create_encoded(path, schema, none, &[], fields)?;
         for rec in meta.read_all()? {
             writer.append(&rec?)?;
         }
@@ -410,16 +408,12 @@ fn encode_blocks<E: BlockEncoder>(
         let mut handles = Vec::with_capacity(workers);
         for (w, mut encoder) in encoders.into_iter().take(workers).enumerate() {
             let (tx, rx) = sync_channel(2);
-            // A schema copy of its own: every decoded record holds a
-            // handle on it, and workers run on different threads.
-            let meta = SeqFileMeta {
-                schema: Arc::new(Schema::clone(&input.schema)),
-                ..input.clone()
-            };
             let splits = &splits;
             handles.push(scope.spawn(move || {
                 for split in splits.iter().skip(w).step_by(workers) {
-                    let block = encode_block(&meta, split, &mut encoder);
+                    // Each split reader decodes into a schema copy of
+                    // its own, so workers share no reference count.
+                    let block = encode_block(input, split, &mut encoder);
                     let failed = block.is_err();
                     if tx.send(block).is_err() || failed {
                         return;
@@ -826,7 +820,10 @@ mod tests {
                     Some(kept) => Arc::new(meta.schema.project(kept)),
                     None => Arc::clone(&meta.schema),
                 };
-                let mut w = DeltaFileWriter::create(path, Arc::clone(&stored), fields).unwrap();
+                let none = ShuffleCompression::None;
+                let mut w =
+                    SeqFileWriter::create_encoded(path, Arc::clone(&stored), none, fields, &[])
+                        .unwrap();
                 for rec in rows() {
                     w.append(&rec.unwrap().project_to(Arc::clone(&stored)))
                         .unwrap();

@@ -33,7 +33,7 @@ use mr_ir::function::{Function, Program};
 use mr_ir::instr::{CmpOp, Instr, ParamId, Reg};
 use mr_ir::value::Value;
 use mr_storage::btree::ScanBound;
-use mr_storage::dict::DictFileReader;
+use mr_storage::seqfile::SeqFileMeta;
 
 use crate::catalog::{Catalog, CatalogEntry, IndexKind};
 use crate::error::Result;
@@ -603,7 +603,7 @@ fn rewrite_dict_constants(
     dict_fields: &[String],
     dict_path: &Path,
 ) -> Result<Function> {
-    let reader = DictFileReader::open(dict_path)?;
+    let meta = SeqFileMeta::open(dict_path)?;
     let cfg = Cfg::build(func);
     let rd = ReachingDefs::compute(func, &cfg);
 
@@ -649,7 +649,7 @@ fn rewrite_dict_constants(
             continue;
         };
         let Some(s) = val.as_str() else { continue };
-        let code = reader
+        let code = meta
             .dictionary(&field)
             .and_then(|d| d.code_of(s))
             .unwrap_or(-1); // matches no dictionary code
@@ -664,7 +664,7 @@ mod tests {
     use mr_ir::asm::parse_function;
     use mr_ir::record::record;
     use mr_ir::schema::{FieldType, Schema};
-    use mr_storage::dict::DictFileWriter;
+    use mr_storage::{SeqFileWriter, ShuffleCompression};
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -806,8 +806,15 @@ mod tests {
         )
         .into_arc();
         let path = tmp("dict");
-        let mut w =
-            DictFileWriter::create(&path, Arc::clone(&schema), &["destURL".into()]).unwrap();
+        let none = ShuffleCompression::None;
+        let mut w = SeqFileWriter::create_encoded(
+            &path,
+            Arc::clone(&schema),
+            none,
+            &[],
+            &["destURL".into()],
+        )
+        .unwrap();
         for u in ["http://a", "http://b"] {
             w.append(&record(&schema, vec![u.into(), 1.into()]))
                 .unwrap();
@@ -853,7 +860,10 @@ mod tests {
     fn dict_rewrite_absent_constant_gets_sentinel() {
         let schema = Schema::new("V", vec![("u", FieldType::Str)]).into_arc();
         let path = tmp("dict-absent");
-        let mut w = DictFileWriter::create(&path, Arc::clone(&schema), &["u".into()]).unwrap();
+        let none = ShuffleCompression::None;
+        let mut w =
+            SeqFileWriter::create_encoded(&path, Arc::clone(&schema), none, &[], &["u".into()])
+                .unwrap();
         w.append(&record(&schema, vec!["present".into()])).unwrap();
         w.finish().unwrap();
         let func = parse_function(

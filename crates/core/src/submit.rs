@@ -710,9 +710,12 @@ pub struct DagRun {
 
 /// FNV-1a over the parts of a stage definition that determine its
 /// output: the stage name, each resolved input path with its current
-/// size, and the IR of every program involved. Deliberately *not*
-/// content-hashing inputs — size changes on rewrite cover the common
-/// invalidation, matching the catalog's own staleness rule.
+/// size, and the IR of every program involved. Inputs are not
+/// content-hashed: a rewrite at another length changes the
+/// fingerprint, the same rule by which [`Catalog::indexes_for`] stops
+/// serving an artifact whose `input_bytes` no longer match its input.
+/// A same-length rewrite is seen by neither, nor by the daemon's result
+/// cache; both remain open (ROADMAP item 14).
 fn stage_fingerprint(name: &str, inputs: &[&Path], programs: &[&Program], kind: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {

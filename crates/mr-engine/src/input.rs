@@ -6,20 +6,24 @@
 //! Manimal-optimized paths — including the B+Tree range format, "the
 //! modifications to support B+Tree-indexed input formats".
 //!
+//! Every row artifact is a sequence file (`mr_storage::seqfile`): a
+//! projected copy, a file with delta-encoded fields and one with
+//! dict-encoded fields all open through the same split reader, which
+//! decodes each file's per-field encodings. The variants below name the
+//! plan, not a reader.
+//!
 //! Every split yields its records **as stored**: a projected file's
-//! records carry the projected schema, not the declared one. The
-//! optimizer binds a mapper's reads of fields an artifact does not store
-//! to constants at plan time, so no record is ever widened back.
+//! records carry the projected schema, not the declared one, and a dict
+//! field reads as its integer code. The optimizer binds a mapper's reads
+//! of fields an artifact does not store to constants at plan time, so no
+//! record is ever widened back.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mr_ir::record::Record;
 use mr_ir::schema::Schema;
 use mr_ir::value::Value;
 use mr_storage::btree::{BTreeIndex, BTreeScanner, ScanBound};
-use mr_storage::delta::{DeltaFileMeta, DeltaFileReader};
-use mr_storage::dict::DictFileReader;
 use mr_storage::fault::IoFaults;
 use mr_storage::seqfile::{SeqFileMeta, SeqFileReader};
 
@@ -55,14 +59,14 @@ pub enum InputSpec {
         /// parameter. Reading does not use it.
         source_schema: Arc<Schema>,
     },
-    /// Delta-compressed file, projected or not; records carry the
-    /// file's stored schema.
+    /// File with delta-encoded fields, projected or not; records carry
+    /// the file's stored schema.
     Delta {
         /// The file path.
         path: PathBuf,
     },
-    /// Dictionary-compressed file (sequential; map sees integer codes
-    /// in place of compressed strings).
+    /// File with dict-encoded fields, projected or not: map sees integer
+    /// codes in place of the encoded strings.
     Dict {
         /// The file path.
         path: PathBuf,
@@ -77,8 +81,8 @@ impl InputSpec {
     }
 
     /// [`open`](Self::open) with an IO fault injector threaded into
-    /// the sequence-file readers (`SeqFile` and `Projected`; the
-    /// other formats have no injection hooks). Split boundaries depend
+    /// the sequence-file readers (every variant but `BTreeRanges`,
+    /// which has no injection hooks). Split boundaries depend
     /// only on the input's files and `hint`, so re-opening the same input
     /// with the same hint — how a retried map task re-reads its split,
     /// and how a process-backend worker finds the split its coordinator
@@ -89,7 +93,10 @@ impl InputSpec {
         io: Option<&Arc<IoFaults>>,
     ) -> Result<Vec<SplitReader>> {
         match self {
-            InputSpec::SeqFile { path } | InputSpec::Projected { path, .. } => {
+            InputSpec::SeqFile { path }
+            | InputSpec::Projected { path, .. }
+            | InputSpec::Delta { path }
+            | InputSpec::Dict { path } => {
                 let meta = SeqFileMeta::open(path)?;
                 let splits = meta.splits(hint.max(1));
                 let mut out = Vec::with_capacity(splits.len());
@@ -114,35 +121,6 @@ impl InputSpec {
                 }
                 Ok(out)
             }
-            InputSpec::Delta { path } => {
-                let meta = DeltaFileMeta::open(path)?;
-                let mut out = Vec::new();
-                for (off, before, records) in meta.splits(hint.max(1)) {
-                    out.push(SplitReader::Delta {
-                        reader: meta.read_split(off, records)?,
-                        next_key: before,
-                    });
-                }
-                Ok(out)
-            }
-            InputSpec::Dict { path } => {
-                let whole = DictFileReader::open(path)?;
-                let mut out = Vec::new();
-                for (off, records) in whole.splits(hint.max(1)) {
-                    let mut before = 0;
-                    for &(boff, bbefore) in &whole.blocks {
-                        if boff == off {
-                            before = bbefore;
-                            break;
-                        }
-                    }
-                    out.push(SplitReader::Dict {
-                        reader: whole.read_split(off, records)?,
-                        next_key: before,
-                    });
-                }
-                Ok(out)
-            }
         }
     }
 }
@@ -152,7 +130,7 @@ impl InputSpec {
 /// schema handle every record clones is never shared between map
 /// threads.
 pub enum SplitReader {
-    /// Sequence-file split (plain or projected).
+    /// Sequence-file split: plain, projected or encoded.
     Seq {
         /// Underlying reader.
         reader: SeqFileReader,
@@ -164,20 +142,6 @@ pub enum SplitReader {
         /// Underlying scanner.
         scanner: BTreeScanner,
     },
-    /// Delta-compressed stream.
-    Delta {
-        /// Underlying reader.
-        reader: DeltaFileReader,
-        /// Next synthetic record key.
-        next_key: u64,
-    },
-    /// Dictionary-compressed stream.
-    Dict {
-        /// Underlying reader.
-        reader: DictFileReader,
-        /// Next synthetic record key.
-        next_key: u64,
-    },
 }
 
 impl SplitReader {
@@ -186,24 +150,8 @@ impl SplitReader {
         match self {
             SplitReader::Seq { reader, .. } => reader.bytes_read(),
             SplitReader::BTree { scanner } => scanner.bytes_read(),
-            SplitReader::Delta { reader, .. } => reader.bytes_read(),
-            SplitReader::Dict { reader, .. } => reader.bytes_read(),
         }
     }
-}
-
-/// Number a positional record: the split's next key, then advance it.
-fn positional(
-    rec: Option<mr_storage::Result<Record>>,
-    next_key: &mut u64,
-) -> Option<Result<(Value, Value)>> {
-    let rec = rec?;
-    let key = *next_key;
-    *next_key += 1;
-    Some(
-        rec.map(|r| (Value::Int(key as i64), Value::from(r)))
-            .map_err(EngineError::from),
-    )
 }
 
 impl Iterator for SplitReader {
@@ -211,7 +159,16 @@ impl Iterator for SplitReader {
 
     fn next(&mut self) -> Option<Self::Item> {
         match self {
-            SplitReader::Seq { reader, next_key } => positional(reader.next(), next_key),
+            SplitReader::Seq { reader, next_key } => {
+                let record = reader.next()?;
+                let key = *next_key;
+                *next_key += 1;
+                Some(
+                    record
+                        .map(|r| (Value::Int(key as i64), Value::from(r)))
+                        .map_err(EngineError::from),
+                )
+            }
             SplitReader::BTree { scanner } => {
                 let entry = scanner.next()?;
                 Some(
@@ -220,8 +177,6 @@ impl Iterator for SplitReader {
                         .map_err(EngineError::from),
                 )
             }
-            SplitReader::Delta { reader, next_key } => positional(reader.next(), next_key),
-            SplitReader::Dict { reader, next_key } => positional(reader.next(), next_key),
         }
     }
 }
@@ -232,7 +187,8 @@ mod tests {
     use mr_ir::record::record;
     use mr_ir::schema::FieldType;
     use mr_storage::btree::BTreeWriter;
-    use mr_storage::seqfile::write_seqfile;
+    use mr_storage::seqfile::{write_seqfile, SeqFileWriter};
+    use mr_storage::ShuffleCompression;
 
     fn schema() -> Arc<Schema> {
         Schema::new(
@@ -303,6 +259,49 @@ mod tests {
                 &key,
                 "not widened, still positional"
             );
+        }
+    }
+
+    /// Every split of an encoded artifact reads through a schema of its
+    /// own: records clone the handle, and splits run on different map
+    /// threads.
+    #[test]
+    fn encoded_splits_share_no_schema() {
+        let s = schema();
+        let records: Vec<_> = (0..3 * 4096)
+            .map(|i| record(&s, vec![format!("u{}", i % 9).into(), Value::Int(i)]))
+            .collect();
+        let none = ShuffleCompression::None;
+        let write = |name: &str, delta: &[String], dict: &[String]| {
+            let path = tmp(name);
+            let mut w =
+                SeqFileWriter::create_encoded(&path, Arc::clone(&s), none, delta, dict).unwrap();
+            for r in &records {
+                w.append(r).unwrap();
+            }
+            w.finish().unwrap();
+            path
+        };
+        let delta = InputSpec::Delta {
+            path: write("delta-splits", &["rank".into()], &[]),
+        };
+        let dict = InputSpec::Dict {
+            path: write("dict-splits", &[], &["url".into()]),
+        };
+        for spec in [delta, dict] {
+            let splits = spec.open(2).unwrap();
+            let schemas: Vec<Arc<Schema>> = (splits.iter())
+                .map(|sp| match sp {
+                    SplitReader::Seq { reader, .. } => Arc::clone(reader.schema()),
+                    SplitReader::BTree { .. } => unreachable!("a row file"),
+                })
+                .collect();
+            assert_eq!(schemas.len(), 2, "{spec:?}");
+            assert!(!Arc::ptr_eq(&schemas[0], &schemas[1]), "{spec:?}");
+            let read: Vec<i64> = (splits.into_iter().flatten())
+                .map(|item| item.unwrap().0.as_int().unwrap())
+                .collect();
+            assert_eq!(read, (0..3 * 4096).collect::<Vec<_>>(), "{spec:?}");
         }
     }
 

@@ -4,6 +4,7 @@
 //! `cargo test -p mr-engine --features bench-alloc --test allocgate`.
 #![cfg(feature = "bench-alloc")]
 
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use mr_engine::mapper::{IrMapper, Mapper};
@@ -12,8 +13,8 @@ use mr_ir::asm::parse_function;
 use mr_ir::record::record;
 use mr_ir::schema::{FieldType, Schema};
 use mr_ir::value::Value;
-use mr_storage::delta::DeltaFileWriter;
-use mr_storage::seqfile::write_seqfile;
+use mr_storage::seqfile::{write_seqfile, SeqFileWriter};
+use mr_storage::ShuffleCompression;
 
 /// Held by the tests that allocate in bulk: a job's allocation counters
 /// are process-wide, so another test's records would land in them.
@@ -102,17 +103,8 @@ fn jobs_report_alloc_deltas_and_pooling_reduces_them() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A projected-delta input feeds the mapper its stored two-field
-/// records: a B2-shaped mapper over it allocates per input record no
-/// more than over the nine-field sequence file. Counted on this thread
-/// only, like the test below. The bound is the rate measured when it
-/// was set (3.007; the sequence file read 8.012) plus a tenth: widening
-/// the stored records back to the declared schema read 9.010 and fails
-/// it.
-#[test]
-fn projected_delta_input_allocates_no_more_than_the_seqfile() {
-    let _bulk = BULK.lock().unwrap_or_else(|e| e.into_inner());
-    let schema = Schema::new(
+fn visits_schema() -> Arc<Schema> {
+    Schema::new(
         "UserVisits",
         vec![
             ("sourceIP", FieldType::Str),
@@ -126,17 +118,21 @@ fn projected_delta_input_allocates_no_more_than_the_seqfile() {
             ("duration", FieldType::Int),
         ],
     )
-    .into_arc();
-    let dir = std::env::temp_dir();
-    let seq = dir.join(format!("allocgate-visits-{}", std::process::id()));
-    let delta = dir.join(format!("allocgate-visits-delta-{}", std::process::id()));
+    .into_arc()
+}
+
+/// 4000 visits, the `i`-th to `http://u/{i % 100}`, written as a sequence
+/// file at `seq` and, through `stored` with the named fields encoded,
+/// at `encoded`.
+fn write_visits(seq: &Path, encoded: &Path, stored: &Arc<Schema>, delta: &[&str], dict: &[&str]) {
+    let schema = visits_schema();
     let records: Vec<_> = (0..4000i64)
         .map(|i| {
             record(
                 &schema,
                 vec![
                     format!("10.0.0.{}", i % 13).into(),
-                    format!("http://u/{i}").into(),
+                    format!("http://u/{}", i % 100).into(),
                     Value::Int(1_600_000_000 + i),
                     Value::Int(i % 50),
                     "agent".into(),
@@ -148,51 +144,73 @@ fn projected_delta_input_allocates_no_more_than_the_seqfile() {
             )
         })
         .collect();
-    let kept = ["sourceIP".to_string(), "adRevenue".to_string()];
-    let stored = Arc::new(schema.project(&kept));
-    let mut w =
-        DeltaFileWriter::create(&delta, Arc::clone(&stored), &["adRevenue".into()]).unwrap();
+    let names = |fields: &[&str]| fields.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+    let none = ShuffleCompression::None;
+    let mut w = SeqFileWriter::create_encoded(
+        encoded,
+        Arc::clone(stored),
+        none,
+        &names(delta),
+        &names(dict),
+    )
+    .unwrap();
     for r in &records {
-        w.append(&r.project_to(Arc::clone(&stored))).unwrap();
+        w.append(&r.project_to(Arc::clone(stored))).unwrap();
     }
     w.finish().unwrap();
-    write_seqfile(&seq, schema, records).unwrap();
+    write_seqfile(seq, schema, records).unwrap();
+}
 
-    let mapper = Arc::new(
-        parse_function(
-            r#"
-            func map(key, value) {
-              r0 = param value
-              r1 = field r0.sourceIP
-              r2 = field r0.adRevenue
-              emit r1, r2
-              ret
-            }
-            "#,
-        )
-        .unwrap(),
-    );
-    // One map worker on this thread: read the input's one split and map
-    // every record.
-    let per_record = |input: InputSpec| {
-        let mut mapper = IrMapper::new(Arc::clone(&mapper));
-        let mut out = Vec::new();
-        let mut records = 0u64;
-        let before = allocstats::thread_count();
-        for item in input.open(1).unwrap().into_iter().flatten() {
-            let (key, value) = item.unwrap();
-            out.clear();
-            mapper.map(&key, &value, &mut out).unwrap();
-            records += 1;
+/// Allocations per input record of one map worker on this thread:
+/// read `input`'s one split and map every record with `mapper`.
+fn allocs_per_record(mapper: &str, input: InputSpec) -> f64 {
+    let mut mapper = IrMapper::new(Arc::new(parse_function(mapper).unwrap()));
+    let mut out = Vec::new();
+    let mut records = 0u64;
+    let before = allocstats::thread_count();
+    for item in input.open(1).unwrap().into_iter().flatten() {
+        let (key, value) = item.unwrap();
+        out.clear();
+        mapper.map(&key, &value, &mut out).unwrap();
+        records += 1;
+    }
+    let allocs = allocstats::thread_count() - before;
+    assert_eq!(records, 4000);
+    allocs as f64 / records as f64
+}
+
+/// A projected-delta input feeds the mapper its stored two-field
+/// records: a B2-shaped mapper over it allocates per input record no
+/// more than over the nine-field sequence file. Counted on this thread
+/// only, like the test below. The bound is the rate measured when it
+/// was set (3.007; the sequence file read 8.012) plus a tenth: widening
+/// the stored records back to the declared schema read 9.010 and fails
+/// it.
+#[test]
+fn projected_delta_input_allocates_no_more_than_the_seqfile() {
+    let _bulk = BULK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir();
+    let seq = dir.join(format!("allocgate-visits-{}", std::process::id()));
+    let delta = dir.join(format!("allocgate-visits-delta-{}", std::process::id()));
+    let kept = ["sourceIP".to_string(), "adRevenue".to_string()];
+    let stored = Arc::new(visits_schema().project(&kept));
+    write_visits(&seq, &delta, &stored, &["adRevenue"], &[]);
+    let mapper = r#"
+        func map(key, value) {
+          r0 = param value
+          r1 = field r0.sourceIP
+          r2 = field r0.adRevenue
+          emit r1, r2
+          ret
         }
-        let allocs = allocstats::thread_count() - before;
-        assert_eq!(records, 4000);
-        allocs as f64 / records as f64
-    };
-    let full = per_record(InputSpec::SeqFile { path: seq.clone() });
-    let projected = per_record(InputSpec::Delta {
-        path: delta.clone(),
-    });
+    "#;
+    let full = allocs_per_record(mapper, InputSpec::SeqFile { path: seq.clone() });
+    let projected = allocs_per_record(
+        mapper,
+        InputSpec::Delta {
+            path: delta.clone(),
+        },
+    );
     assert!(
         projected <= full,
         "projected delta {projected:.3} vs seqfile {full:.3} allocations per record"
@@ -203,6 +221,56 @@ fn projected_delta_input_allocates_no_more_than_the_seqfile() {
     );
     std::fs::remove_file(&seq).ok();
     std::fs::remove_file(&delta).ok();
+}
+
+/// A dict input feeds the mapper the stored nine-field records with
+/// `destURL` as its code: a Table 6-shaped mapper (an equality test on
+/// `destURL`, the plan's rewritten constant) allocates per input record
+/// no more than over the sequence file, where `destURL` is a string.
+/// The bound is the rate measured when it was set plus a tenth (7.041,
+/// the dictionary's 100 strings included; the sequence file read 8.012).
+#[test]
+fn dict_input_allocates_no_more_than_the_seqfile() {
+    let _bulk = BULK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir();
+    let seq = dir.join(format!("allocgate-dict-visits-{}", std::process::id()));
+    let dict = dir.join(format!("allocgate-visits-dict-{}", std::process::id()));
+    write_visits(&seq, &dict, &visits_schema(), &[], &["destURL"]);
+    let mapper = |url: &str| {
+        format!(
+            r#"
+            func map(key, value) {{
+              r0 = param value
+              r1 = field r0.destURL
+              r2 = const {url}
+              r3 = cmp eq r1, r2
+              br r3, t, e
+            t:
+              r4 = field r0.sourceIP
+              r5 = field r0.adRevenue
+              emit r4, r5
+            e:
+              ret
+            }}
+            "#
+        )
+    };
+    // Visit 3's url, first seen fourth: code 3.
+    let full = allocs_per_record(
+        &mapper("\"http://u/3\""),
+        InputSpec::SeqFile { path: seq.clone() },
+    );
+    let coded = allocs_per_record(&mapper("3"), InputSpec::Dict { path: dict.clone() });
+    assert!(
+        coded <= full,
+        "dict {coded:.3} vs seqfile {full:.3} allocations per record"
+    );
+    assert!(
+        coded <= 7.041 * 1.1,
+        "dict: {coded:.3} allocations per input record (seqfile {full:.3})"
+    );
+    std::fs::remove_file(&seq).ok();
+    std::fs::remove_file(&dict).ok();
 }
 
 /// The interpreter's per-record path allocates nothing. A B1-shaped

@@ -2,8 +2,8 @@
 //! App. C).
 //!
 //! The paper treats compression as a first-class physical optimization:
-//! delta and dictionary encodings back the *index* layouts
-//! ([`delta`](crate::delta), [`dict`](crate::dict)), but until this
+//! delta and dictionary encodings back the *index* layouts (the encoded
+//! fields of a [`seqfile`](crate::seqfile)), but until this
 //! layer the streaming formats — shuffle spill runs
 //! ([`runfile`](crate::runfile)) and baseline sequence files
 //! ([`seqfile`](crate::seqfile)) — paid full I/O for every byte. A
@@ -165,7 +165,7 @@ const DICT_MAX_CODES: u32 = 1 << 16;
 /// Byte-sequence dictionary compression (LZW): repeated byte strings —
 /// above all the repeated keys of a sorted, low-cardinality spill run —
 /// collapse to varint-coded dictionary references. The block-codec
-/// sibling of the record-level [`dict`](crate::dict) format: same
+/// sibling of a [`seqfile`](crate::seqfile)'s dict-encoded fields: same
 /// paper idea ("a compressed version … that preserves equality
 /// testing", App. D), applied to opaque stream bytes instead of a
 /// schema field, with the dictionary rebuilt from the data itself so
@@ -284,11 +284,11 @@ const DELTA_PROBE: usize = 4096;
 /// Stride-delta compression with varint-coded zero runs: the paper's
 /// delta idea ("storing just small deltas … combined with a
 /// size-sensitive representation", §2.1 — the record-level version is
-/// [`delta`](crate::delta)) applied to opaque stream bytes. The
-/// encoder probes strides 1..=64 for the one under which the block is
-/// most self-similar, subtracts each byte from the byte one stride
-/// back, and run-length-codes the zero bytes that numeric runs and
-/// repeated frames leave behind ([`varint`](crate::varint) lengths).
+/// a [`seqfile`](crate::seqfile)'s delta-encoded fields) applied to
+/// opaque stream bytes. The encoder probes strides 1..=64 for the one
+/// under which the block is most self-similar, subtracts each byte
+/// from the byte one stride back, and run-length-codes the zero bytes
+/// that numeric runs and repeated frames leave behind ([`varint`](crate::varint) lengths).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DeltaVarint;
 
@@ -605,8 +605,13 @@ pub(crate) fn read_frame_into<R: Read>(
             e
         }
     };
-    comp.resize(comp_len as usize, 0);
-    inner.read_exact(comp).map_err(truncated)?;
+    // Grown by the bytes that arrive, not reserved at the length the
+    // header claims: a corrupt length cannot allocate past the input.
+    comp.clear();
+    let read = (&mut *inner).take(comp_len).read_to_end(comp)?;
+    if read as u64 != comp_len {
+        return Err(truncated(io::ErrorKind::UnexpectedEof.into()));
+    }
     let mut crc_bytes = [0u8; 4];
     inner.read_exact(&mut crc_bytes).map_err(truncated)?;
     if crc32(comp) != u32::from_le_bytes(crc_bytes) {
@@ -873,6 +878,21 @@ impl<R: Read> Read for BlockReader<R> {
         out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
         self.pos += n;
         Ok(n)
+    }
+
+    /// Unframed, the inner reader's own `read_exact`: a buffered file
+    /// serves a row-length byte or a row from its buffer in one copy.
+    fn read_exact(&mut self, mut out: &mut [u8]) -> io::Result<()> {
+        if !self.framed {
+            return self.inner.read_exact(out);
+        }
+        while !out.is_empty() {
+            match self.read(out)? {
+                0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                n => out = &mut out[n..],
+            }
+        }
+        Ok(())
     }
 }
 

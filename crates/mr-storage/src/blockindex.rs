@@ -1,16 +1,16 @@
-//! The sparse block index shared by the row-file formats.
+//! The sparse block index of the row file.
 //!
-//! Sequence (and so projected), delta and dictionary files cut their
-//! row region into blocks of [`BLOCK_RECORDS`] records and list each
-//! block's `(byte offset, records before)` in their footer. Input
-//! splits follow those blocks. Because every format uses the same grid,
-//! block *i* of a sequence file holds exactly the records of block *i*
-//! of any artifact built from it: an index build can encode blocks
-//! apart, on as many threads as it likes, and append them in order
-//! through the writers' `append_block`.
+//! A sequence file — plain, projected or with encoded fields — cuts its
+//! row region into blocks of [`BLOCK_RECORDS`] records and lists each
+//! block's `(byte offset, records before)` in its footer. Input splits
+//! follow those blocks. Because every file uses the same grid, block
+//! *i* of an input holds exactly the records of block *i* of any
+//! artifact built from it: an index build can encode blocks apart, on
+//! as many threads as it likes, and append them in order through the
+//! writer's `append_block`.
 //!
-//! A footer is input from outside the program, so every format's
-//! `open` validates the index before any split is cut from it.
+//! A footer is input from outside the program, so `open` validates the
+//! index before any split is cut from it.
 
 use std::ops::Range;
 
@@ -19,12 +19,12 @@ use mr_ir::record::Record;
 use crate::error::{Result, StorageError};
 use crate::varint::{capacity_for, decode_u64, encode_u64};
 
-/// Records per sparse-index block, in every row-file format.
+/// Records per sparse-index block, in every row file.
 pub const BLOCK_RECORDS: u64 = 4096;
 
 /// Encodes a row file's rows one block at a time, so that blocks can
 /// be encoded apart and appended in order with the file writer's
-/// `append_block`. The writers' own per-record `append` runs the same
+/// `append_block`. The writer's own per-record `append` runs the same
 /// encoder, so both paths produce the same bytes.
 pub trait BlockEncoder: Send {
     /// Encode one more row into the open block.
@@ -37,7 +37,7 @@ pub trait BlockEncoder: Send {
 
 /// The encoded rows of an encoder's open block: each row is built in a
 /// scratch buffer, then committed length-prefixed
-/// (`varint row_len, row`), the framing every row file shares.
+/// (`varint row_len, row`), the row file's framing.
 #[derive(Default)]
 pub(crate) struct BlockRows {
     row: Vec<u8>,

@@ -4,16 +4,16 @@
 //!
 //! * [`seqfile`] — the baseline format "standard Hadoop" reads: a
 //!   schema-carrying header plus length-prefixed binary rows and a
-//!   sparse block index for input splits;
+//!   sparse block index for input splits. It is also every row
+//!   artifact: a projected copy is a sequence file of the projected
+//!   schema, and the delta (App. C/D, Table 5) and dictionary (App. D
+//!   Table 6, direct operation on codes) layouts are per-field
+//!   encodings recorded in its header;
 //! * [`btree`] — clustered B+Tree indexes for the selection
 //!   optimization (paper §2.1): leaf entries hold full (or projected)
 //!   records, so a range scan replaces the original file;
-//! * [`colfile`] — projected copies storing only analyzer-proven-used
-//!   fields (§1, App. D Table 4);
-//! * [`delta`] — zig-zag varint delta encoding of integer fields
-//!   (App. C/D, Table 5);
-//! * [`dict`] — dictionary compression with direct operation on codes
-//!   (App. D Table 6);
+//! * [`colfile`] — the projection transform and a projected file's
+//!   handle on its source schema (§1, App. D Table 4);
 //! * [`runfile`] — sorted-run files the execution fabric spills shuffle
 //!   buckets into and k-way merges at reduce time (the external-shuffle
 //!   path; Hadoop's `IFile` analog);
@@ -39,8 +39,6 @@ pub mod blockcodec;
 pub mod blockindex;
 pub mod btree;
 pub mod colfile;
-pub mod delta;
-pub mod dict;
 pub mod error;
 pub mod fault;
 pub mod hex;
@@ -52,9 +50,12 @@ pub mod varint;
 pub use blockcodec::{BlockCodec, BlockReader, BlockWriter, ShuffleCompression};
 pub use btree::{BTreeIndex, BTreeScanner, BTreeStats, BTreeWriter, ScanBound};
 pub use colfile::{write_projected, ProjectedFile};
-pub use delta::{DeltaFileReader, DeltaFileWriter};
-pub use dict::{DictFileReader, DictFileWriter, Dictionary};
 pub use error::{Result, StorageError};
 pub use fault::{IoFaults, IoSite};
 pub use runfile::{RunFileReader, RunFileStats, RunFileWriter, RunScratch};
-pub use seqfile::{write_seqfile, SeqFileMeta, SeqFileReader, SeqFileWriter, Split};
+pub use seqfile::{write_seqfile, Dictionary, SeqFileMeta, SeqFileReader, SeqFileWriter, Split};
+
+/// A reader of a file with delta-encoded fields: a [`SeqFileReader`].
+pub type DeltaFileReader = SeqFileReader;
+/// A reader of a file with dict-encoded fields: a [`SeqFileReader`].
+pub type DictFileReader = SeqFileReader;

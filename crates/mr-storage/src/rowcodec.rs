@@ -9,7 +9,7 @@
 //! `Double` = 8), like Hadoop's `IntWritable`/`LongWritable` — the
 //! baseline the paper's delta-compression is measured against. The
 //! "size-sensitive representation" (zig-zag varints) is applied only by
-//! the delta file format, so Table 5's space saving is reproducible.
+//! a sequence file's delta-encoded fields, so Table 5's space saving is reproducible.
 
 use std::sync::Arc;
 

@@ -1,4 +1,5 @@
-//! Sequence files: the baseline on-disk format.
+//! Sequence files: the baseline on-disk format, and the one row file
+//! every row artifact is.
 //!
 //! A sequence file is what "standard Hadoop" reads in every experiment:
 //! a header carrying the record schema ("the code that serializes and
@@ -25,64 +26,177 @@
 //! offsets land on frame starts and input splits seek exactly as they
 //! do in the uncompressed format. Readers pick the variant from the
 //! magic; callers never declare it.
+//!
+//! # Encoded fields
+//!
+//! The paper's delta (§2.1, App. D Table 5) and direct-operation
+//! (Table 6) layouts are per-field encodings of the same rows. A file
+//! with an encoded field has magic `MRSQ3`, always followed by the codec
+//! byte (0: rows unframed), and one encoding byte per field after the
+//! header's schema: `0` plain, `1` delta, `2` dict.
+//!
+//! * A *delta* field (`Int`/`Long`) is the zig-zag varint difference
+//!   from the previous record's value. Delta state restarts from 0 at
+//!   every [`BLOCK_RECORDS`]-record block, so every block is a split.
+//! * A *dict* field (`Str`) is the zig-zag varint of a dense code,
+//!   assigned in first-seen order across the whole file. Readers yield
+//!   the code itself, as a `Long` of a `<name>#dict` schema: "destURL is
+//!   implemented as an integer instead of a String". The footer carries
+//!   each dict field's strings in code order after the record count, so
+//!   the optimizer can rewrite string constants into codes
+//!   ([`SeqFileMeta::dictionary`]).
+//!
+//! Plain files never carry the new magic: without an encoded field the
+//! writer emits `MRSQ1`/`MRSQ2` byte for byte.
+//!
+//! ```
+//! use std::sync::Arc;
+//! use mr_ir::record::record;
+//! use mr_ir::schema::{FieldType, Schema};
+//! use mr_storage::{ShuffleCompression, SeqFileReader, SeqFileWriter};
+//!
+//! let schema = Schema::new("T", vec![("ts", FieldType::Long)]).into_arc();
+//! let path = std::env::temp_dir().join(format!("delta-doc-{}", std::process::id()));
+//! let none = ShuffleCompression::None;
+//! let mut w = SeqFileWriter::create_encoded(&path, Arc::clone(&schema), none, &["ts".into()], &[])?;
+//! for i in 0..1000i64 {
+//!     w.append(&record(&schema, vec![(1_600_000_000 + i).into()]))?;
+//! }
+//! assert_eq!(w.finish()?, 1000);
+//! let bytes = std::fs::metadata(&path)?.len();
+//! assert!(bytes < 1000 * 8, "well under the fixed-width encoding");
+//!
+//! let first = SeqFileReader::open(&path)?.next().unwrap()?;
+//! assert_eq!(first.get("ts").unwrap().as_int(), Some(1_600_000_000));
+//! # std::fs::remove_file(&path).ok();
+//! # Ok::<(), mr_storage::StorageError>(())
+//! ```
 
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use mr_ir::record::Record;
-use mr_ir::schema::Schema;
+use mr_ir::schema::{FieldDef, FieldType, Schema};
+use mr_ir::value::Value;
 
 use crate::blockcodec::{BlockReader, BlockWriter, ShuffleCompression};
 use crate::blockindex::{self, BlockEncoder, BlockRows, BLOCK_RECORDS};
 use crate::error::{Result, StorageError};
 use crate::fault::{IoFaults, IoSite};
-use crate::rowcodec::{decode_row, decode_schema, encode_field, encode_schema, FieldBinding};
-use crate::varint::{decode_u64, encode_u64, read_u64_from};
+use crate::rowcodec::{
+    decode_field, decode_row, decode_schema, encode_field, encode_schema, FieldBinding,
+};
+use crate::varint::{
+    capacity_for, decode_i64, decode_len_prefixed, decode_u64, encode_i64, encode_u64,
+    read_u64_from,
+};
 
 const MAGIC: &[u8; 5] = b"MRSQ1";
 const MAGIC_COMPRESSED: &[u8; 5] = b"MRSQ2";
+const MAGIC_ENCODED: &[u8; 5] = b"MRSQ3";
 const FOOTER_MAGIC: &[u8; 5] = b"MRSQF";
 
 /// Upper bound on a single serialized row; lengths beyond this are
 /// treated as corruption rather than allocated.
 const MAX_ROW_LEN: u64 = 1 << 30;
 
-/// Encodes sequence-file rows (`varint row_len, encode_row`) one
-/// sparse-index block at a time. It reads records of a source schema
-/// and stores the fields of the file's schema, a projection of it, so a
-/// projected file is encoded without building projected records.
+/// The encoding bytes of an `MRSQ3` header.
+const PLAIN: u8 = 0;
+const DELTA: u8 = 1;
+const DICT: u8 = 2;
+
+/// One stored field's write state in an encoded file.
+#[derive(Clone)]
+enum FieldWriter {
+    Plain,
+    /// The previous value in this block.
+    Delta(i64),
+    /// Codes assigned so far, in first-seen order.
+    Dict(HashMap<String, i64>),
+}
+
+impl FieldWriter {
+    fn tag(&self) -> u8 {
+        match self {
+            FieldWriter::Plain => PLAIN,
+            FieldWriter::Delta(_) => DELTA,
+            FieldWriter::Dict(_) => DICT,
+        }
+    }
+
+    fn encode(&mut self, fd: &FieldDef, v: &Value, row: &mut Vec<u8>) -> Result<()> {
+        match self {
+            FieldWriter::Plain => encode_field(fd.ty, v, &fd.name, row)?,
+            FieldWriter::Delta(prev) => {
+                let cur = (v.as_int()).ok_or_else(|| {
+                    StorageError::Schema(format!("field `{}` not an int", fd.name))
+                })?;
+                encode_i64(cur.wrapping_sub(*prev), row);
+                *prev = cur;
+            }
+            FieldWriter::Dict(codes) => {
+                let s = (v.as_str()).ok_or_else(|| {
+                    StorageError::Schema(format!("field `{}` not a string", fd.name))
+                })?;
+                let code = match codes.get(s) {
+                    Some(&code) => code,
+                    None => {
+                        let code = codes.len() as i64;
+                        codes.insert(s.to_string(), code);
+                        code
+                    }
+                };
+                encode_i64(code, row);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Encodes sequence-file rows (`varint row_len, row`) one sparse-index
+/// block at a time. It reads records of a source schema and stores the
+/// fields of the file's schema, a projection of it, so a projected file
+/// is encoded without building projected records.
 pub struct SeqBlockEncoder {
     /// The stored schema; a private copy, so encoders on different
     /// threads share nothing.
     schema: Schema,
     binding: FieldBinding,
+    /// Per stored field, its encoding; `None` for a plain file.
+    fields: Option<Vec<FieldWriter>>,
     block: BlockRows,
-}
-
-impl SeqBlockEncoder {
-    fn new(schema: &Schema, binding: FieldBinding) -> SeqBlockEncoder {
-        SeqBlockEncoder {
-            schema: schema.clone(),
-            binding,
-            block: BlockRows::default(),
-        }
-    }
 }
 
 impl BlockEncoder for SeqBlockEncoder {
     fn push(&mut self, record: &Record) -> Result<()> {
         let row = self.block.start_row();
         let values = self.binding.values(record)?;
-        for (fd, v) in self.schema.fields().iter().zip(values) {
-            encode_field(fd.ty, v, &fd.name, row)?;
+        match &mut self.fields {
+            None => {
+                for (fd, v) in self.schema.fields().iter().zip(values) {
+                    encode_field(fd.ty, v, &fd.name, row)?;
+                }
+            }
+            Some(fields) => {
+                for ((fd, v), f) in self.schema.fields().iter().zip(values).zip(fields) {
+                    f.encode(fd, v, row)?;
+                }
+            }
         }
         self.block.commit_row();
         Ok(())
     }
 
     fn finish_block(&mut self) -> (Vec<u8>, u64) {
+        // The next block decodes independently: deltas restart from 0.
+        for f in self.fields.iter_mut().flatten() {
+            if let FieldWriter::Delta(prev) = f {
+                *prev = 0;
+            }
+        }
         self.block.take()
     }
 }
@@ -139,18 +253,71 @@ impl SeqFileWriter {
         codec: ShuffleCompression,
         faults: Option<Arc<IoFaults>>,
     ) -> Result<SeqFileWriter> {
+        SeqFileWriter::create_inner(path.as_ref(), schema, codec, None, faults)
+    }
+
+    /// Create `path` with `delta_fields` (integer fields, the analyzer's
+    /// delta descriptor) and `dict_fields` (string fields, its
+    /// direct-operation descriptor) encoded: the `MRSQ3` variant. With
+    /// both lists empty this is [`create_with_codec`](Self::create_with_codec).
+    pub fn create_encoded(
+        path: impl AsRef<Path>,
+        schema: Arc<Schema>,
+        codec: ShuffleCompression,
+        delta_fields: &[String],
+        dict_fields: &[String],
+    ) -> Result<SeqFileWriter> {
+        let mut named = delta_fields.iter().chain(dict_fields);
+        if let Some(name) = named.find(|n| schema.field(n).is_none()) {
+            return Err(StorageError::Schema(format!(
+                "encoded field `{name}` not in schema"
+            )));
+        }
+        let fields = (schema.fields().iter())
+            .map(|fd| {
+                let delta = delta_fields.contains(&fd.name);
+                match (delta, dict_fields.contains(&fd.name), fd.ty) {
+                    (false, false, _) => Ok(FieldWriter::Plain),
+                    (true, false, FieldType::Int | FieldType::Long) => Ok(FieldWriter::Delta(0)),
+                    (false, true, FieldType::Str) => Ok(FieldWriter::Dict(HashMap::new())),
+                    _ => Err(StorageError::Schema(format!(
+                        "field `{}` ({:?}) cannot be {} encoded",
+                        fd.name,
+                        fd.ty,
+                        if delta { "delta" } else { "dict" }
+                    ))),
+                }
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let encoded = (!delta_fields.is_empty() || !dict_fields.is_empty()).then_some(fields);
+        SeqFileWriter::create_inner(path.as_ref(), schema, codec, encoded, None)
+    }
+
+    fn create_inner(
+        path: &Path,
+        schema: Arc<Schema>,
+        codec: ShuffleCompression,
+        fields: Option<Vec<FieldWriter>>,
+        faults: Option<Arc<IoFaults>>,
+    ) -> Result<SeqFileWriter> {
         let mut file = BufWriter::new(File::create(path)?);
         let framed = codec.is_framed();
-        let mut data_start = MAGIC.len() as u64;
-        if framed {
-            file.write_all(MAGIC_COMPRESSED)?;
-            file.write_all(&[codec.stream_tag()])?;
-            data_start += 1;
-        } else {
-            file.write_all(MAGIC)?;
-        }
         let mut header = Vec::new();
         encode_schema(&schema, &mut header);
+        let magic = match &fields {
+            Some(fields) => {
+                header.extend(fields.iter().map(FieldWriter::tag));
+                MAGIC_ENCODED
+            }
+            None if framed => MAGIC_COMPRESSED,
+            None => MAGIC,
+        };
+        file.write_all(magic)?;
+        let mut data_start = magic.len() as u64;
+        if magic != MAGIC {
+            file.write_all(&[codec.stream_tag()])?;
+            data_start += 1;
+        }
         let mut lenbuf = Vec::new();
         encode_u64(header.len() as u64, &mut lenbuf);
         file.write_all(&lenbuf)?;
@@ -158,7 +325,12 @@ impl SeqFileWriter {
         data_start += (lenbuf.len() + header.len()) as u64;
         Ok(SeqFileWriter {
             out: BlockWriter::new(file, codec, faults.clone()),
-            pending: SeqBlockEncoder::new(&schema, FieldBinding::identity(&schema)),
+            pending: SeqBlockEncoder {
+                schema: Schema::clone(&schema),
+                binding: FieldBinding::identity(&schema),
+                fields,
+                block: BlockRows::default(),
+            },
             schema,
             framed,
             data_start,
@@ -188,17 +360,29 @@ impl SeqFileWriter {
     }
 
     /// An encoder for this file's blocks, reading records of `source`:
-    /// this file's schema, or one it is a projection of.
+    /// this file's schema, or one it is a projection of. A file with a
+    /// dict field has none: its codes are first-seen across the whole
+    /// file, so block *i* depends on every block before it.
     pub fn block_encoder(&self, source: &Schema) -> Result<SeqBlockEncoder> {
-        let binding = FieldBinding::projecting(&self.schema, source)?;
-        Ok(SeqBlockEncoder::new(&self.schema, binding))
+        let fields = self.pending.fields.clone();
+        if (fields.iter().flatten()).any(|f| matches!(f, FieldWriter::Dict(_))) {
+            return Err(StorageError::Schema(
+                "a file with a dict field is encoded on one thread".into(),
+            ));
+        }
+        Ok(SeqBlockEncoder {
+            schema: Schema::clone(&self.schema),
+            binding: FieldBinding::projecting(&self.schema, source)?,
+            fields,
+            block: BlockRows::default(),
+        })
     }
 
     /// Append one whole block encoded by a [`block_encoder`]: `rows`
     /// holds `records` rows. Blocks keep the shared grid, so every
     /// block but the last must be full and no [`append`]ed records may
     /// be pending. Plain (uncompressed) files only; the parallel index
-    /// builds are its one caller and write plain projected files.
+    /// builds are its one caller and write unframed files.
     ///
     /// [`block_encoder`]: Self::block_encoder
     /// [`append`]: Self::append
@@ -248,6 +432,18 @@ impl SeqFileWriter {
         let mut footer = Vec::new();
         blockindex::encode(&self.blocks, &mut footer);
         encode_u64(self.count, &mut footer);
+        // Each dict field's strings, in code order.
+        for f in self.pending.fields.iter().flatten() {
+            if let FieldWriter::Dict(codes) = f {
+                let mut strings: Vec<(&String, &i64)> = codes.iter().collect();
+                strings.sort_unstable_by_key(|&(_, &code)| code);
+                encode_u64(strings.len() as u64, &mut footer);
+                for (s, _) in strings {
+                    encode_u64(s.len() as u64, &mut footer);
+                    footer.extend_from_slice(s.as_bytes());
+                }
+            }
+        }
         // Close the framed row region; the footer is raw so the reader
         // can find it from the end without decoding anything.
         self.out.flush_block()?;
@@ -263,12 +459,90 @@ impl SeqFileWriter {
     }
 }
 
+/// One dict field's strings, indexed by code.
+#[derive(Debug, Clone, Default)]
+pub struct Dictionary {
+    /// code → string, dense.
+    pub strings: Vec<String>,
+}
+
+impl Dictionary {
+    /// Code of `s`, if present.
+    pub fn code_of(&self, s: &str) -> Option<i64> {
+        self.strings.iter().position(|x| x == s).map(|i| i as i64)
+    }
+
+    /// String of `code`, if present.
+    pub fn decode(&self, code: i64) -> Option<&str> {
+        usize::try_from(code)
+            .ok()
+            .and_then(|i| self.strings.get(i))
+            .map(String::as_str)
+    }
+}
+
+/// One stored field's read state in an encoded file.
+#[derive(Debug, Clone)]
+enum FieldReader {
+    Plain(FieldType),
+    /// The previous value in this block.
+    Delta(i64),
+    /// Shared by every split of the file.
+    Dict(Arc<Dictionary>),
+}
+
+/// Decodes the rows of an encoded file, field by field.
+#[derive(Debug, Clone)]
+struct RowDecoder {
+    fields: Vec<FieldReader>,
+    /// Rows decoded so far; delta state restarts on the block grid.
+    rows: u64,
+}
+
+impl RowDecoder {
+    fn decode(&mut self, schema: &Arc<Schema>, buf: &[u8]) -> Result<(Record, usize)> {
+        if self.rows.is_multiple_of(BLOCK_RECORDS) {
+            for f in &mut self.fields {
+                if let FieldReader::Delta(prev) = f {
+                    *prev = 0;
+                }
+            }
+        }
+        self.rows += 1;
+        let mut pos = 0usize;
+        let mut values = Vec::with_capacity(self.fields.len());
+        for f in &mut self.fields {
+            let (value, n) = match f {
+                FieldReader::Plain(ty) => decode_field(*ty, &buf[pos..])?,
+                FieldReader::Delta(prev) => {
+                    let (d, n) = decode_i64(&buf[pos..])?;
+                    *prev = prev.wrapping_add(d);
+                    (Value::Int(*prev), n)
+                }
+                FieldReader::Dict(dict) => {
+                    let (code, n) = decode_i64(&buf[pos..])?;
+                    if dict.decode(code).is_none() {
+                        return Err(StorageError::corrupt("seqfile", "dict code out of range"));
+                    }
+                    (Value::Int(code), n)
+                }
+            };
+            values.push(value);
+            pos += n;
+        }
+        let record = Record::new(Arc::clone(schema), values)
+            .map_err(|e| StorageError::Schema(e.to_string()))?;
+        Ok((record, pos))
+    }
+}
+
 /// Metadata of an open sequence file.
 #[derive(Debug, Clone)]
 pub struct SeqFileMeta {
     /// The file path.
     pub path: PathBuf,
-    /// The record schema.
+    /// The schema of the records readers yield: the stored schema, with
+    /// dict fields as `Long` under a `<name>#dict` name.
     pub schema: Arc<Schema>,
     /// Total records.
     pub record_count: u64,
@@ -278,9 +552,14 @@ pub struct SeqFileMeta {
     pub data_start: u64,
     /// Sparse block index: (byte offset, records before).
     pub blocks: Vec<(u64, u64)>,
-    /// Whether the row region is block-compressed (the `MRSQ2`
-    /// variant) — split offsets then point at frame starts.
+    /// Whether the row region is block-compressed (`MRSQ2`, or `MRSQ3`
+    /// with a nonzero codec byte) — split offsets then point at frame
+    /// starts.
     pub framed: bool,
+    /// Byte offset where rows end and the footer starts.
+    rows_end: u64,
+    /// The field decoders of an encoded (`MRSQ3`) file.
+    decoder: Option<RowDecoder>,
 }
 
 /// One input split: a byte range plus how many records it holds.
@@ -301,29 +580,31 @@ impl SeqFileMeta {
 
         let mut magic = [0u8; 5];
         f.read_exact(&mut magic)?;
-        let framed = match &magic {
-            m if m == MAGIC => false,
-            m if m == MAGIC_COMPRESSED => true,
-            _ => return Err(StorageError::corrupt("seqfile", "bad magic")),
-        };
+        let encoded = &magic == MAGIC_ENCODED;
+        if !encoded && &magic != MAGIC && &magic != MAGIC_COMPRESSED {
+            return Err(StorageError::corrupt("seqfile", "bad magic"));
+        }
         let mut header_at = 5u64;
-        if framed {
-            // Codec byte (informational: each frame names its own).
+        let mut framed = false;
+        if &magic != MAGIC {
+            // The codec byte: 0 means unframed rows (only `MRSQ3` uses
+            // it); otherwise informational, as each frame names its own.
             let mut codec = [0u8; 1];
             f.read_exact(&mut codec)?;
             header_at += 1;
+            framed = codec[0] != 0 || !encoded;
         }
         // Header length varint: read a small chunk.
-        let mut head = vec![0u8; 10.min((file_size - header_at) as usize)];
+        let mut head = vec![0u8; 10.min(file_size.saturating_sub(header_at) as usize)];
         f.read_exact(&mut head)?;
         let (header_len, n) = decode_u64(&head)?;
-        if header_len > MAX_ROW_LEN {
+        if header_len > file_size - header_at {
             return Err(StorageError::corrupt("seqfile", "header implausibly large"));
         }
         f.seek(SeekFrom::Start(header_at + n as u64))?;
         let mut header = vec![0u8; header_len as usize];
         f.read_exact(&mut header)?;
-        let (schema, _) = decode_schema(&header)?;
+        let (schema, used) = decode_schema(&header)?;
         let data_start = header_at + n as u64 + header_len;
 
         // Footer: fixed 8-byte length + 5-byte magic at the very end.
@@ -345,12 +626,12 @@ impl SeqFileMeta {
         let mut footer = vec![0u8; footer_len as usize];
         f.read_exact(&mut footer)?;
 
-        let (blocks, used) = blockindex::decode(&footer)?;
-        let (record_count, _) = decode_u64(&footer[used..])?;
+        let (blocks, used_footer) = blockindex::decode(&footer)?;
+        let (record_count, n) = decode_u64(&footer[used_footer..])?;
         let rows_end = file_size - 13 - footer_len;
         blockindex::check("seqfile", &blocks, record_count, data_start..rows_end)?;
 
-        Ok(SeqFileMeta {
+        let mut meta = SeqFileMeta {
             path,
             schema: Arc::new(schema),
             record_count,
@@ -358,7 +639,101 @@ impl SeqFileMeta {
             data_start,
             blocks,
             framed,
-        })
+            rows_end,
+            decoder: None,
+        };
+        if encoded {
+            meta.decode_encodings(&header[used..], &footer[used_footer + n..])?;
+        }
+        Ok(meta)
+    }
+
+    /// Read an `MRSQ3` file's encoding bytes and dictionary tables, and
+    /// rewrite the schema to the records its readers yield.
+    fn decode_encodings(&mut self, tags: &[u8], mut tables: &[u8]) -> Result<()> {
+        let corrupt = |detail: &str| Err(StorageError::corrupt("seqfile", detail));
+        if tags.len() != self.schema.len() {
+            return corrupt("encoding count does not match the schema");
+        }
+        // Readers restart delta state every `BLOCK_RECORDS` records of a
+        // split, so a split may start only on the grid.
+        if !blockindex::on_grid(&self.blocks, self.record_count) {
+            return corrupt("block index off the grid");
+        }
+        let mut fields = Vec::with_capacity(tags.len());
+        for (fd, &tag) in self.schema.fields().iter().zip(tags) {
+            fields.push(match (tag, fd.ty) {
+                (PLAIN, ty) => FieldReader::Plain(ty),
+                (DELTA, FieldType::Int | FieldType::Long) => FieldReader::Delta(0),
+                (DICT, FieldType::Str) => {
+                    let (n, used) = decode_u64(tables)?;
+                    tables = &tables[used..];
+                    let mut strings = Vec::with_capacity(capacity_for(n, tables.len()));
+                    for _ in 0..n {
+                        let (s, used) = decode_len_prefixed(tables, "seqfile", "dictionary")?;
+                        let s = std::str::from_utf8(s)
+                            .map_err(|_| StorageError::corrupt("seqfile", "invalid utf-8"))?;
+                        strings.push(s.to_string());
+                        tables = &tables[used..];
+                    }
+                    FieldReader::Dict(Arc::new(Dictionary { strings }))
+                }
+                _ => return corrupt("bad field encoding"),
+            });
+        }
+        if !tables.is_empty() {
+            return corrupt("trailing footer bytes");
+        }
+        if fields.iter().any(|f| matches!(f, FieldReader::Dict(_))) {
+            let typed = (self.schema.fields().iter().zip(&fields))
+                .map(|(fd, f)| match f {
+                    FieldReader::Dict(_) => (fd.name.as_str(), FieldType::Long),
+                    _ => (fd.name.as_str(), fd.ty),
+                })
+                .collect();
+            self.schema = Arc::new(Schema::new(format!("{}#dict", self.schema.name()), typed));
+        }
+        self.decoder = Some(RowDecoder { fields, rows: 0 });
+        Ok(())
+    }
+
+    /// The dictionary of a dict-encoded field, if `field` is one.
+    ///
+    /// Codes preserve equality without decompression, and the
+    /// dictionary decodes them for humans:
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use mr_ir::record::record;
+    /// use mr_ir::schema::{FieldType, Schema};
+    /// use mr_storage::{SeqFileMeta, SeqFileWriter, ShuffleCompression};
+    ///
+    /// let schema = Schema::new("V", vec![("url", FieldType::Str)]).into_arc();
+    /// let path = std::env::temp_dir().join(format!("dict-doc-{}", std::process::id()));
+    /// let none = ShuffleCompression::None;
+    /// let mut w = SeqFileWriter::create_encoded(&path, Arc::clone(&schema), none, &[], &["url".into()])?;
+    /// for url in ["http://a", "http://b", "http://a"] {
+    ///     w.append(&record(&schema, vec![url.into()]))?;
+    /// }
+    /// assert_eq!(w.finish()?, 3);
+    ///
+    /// let meta = SeqFileMeta::open(&path)?;
+    /// assert_eq!(meta.schema.field("url").unwrap().ty, FieldType::Long);
+    /// let dict = meta.dictionary("url").unwrap();
+    /// assert_eq!(dict.decode(dict.code_of("http://b").unwrap()), Some("http://b"));
+    /// let codes: Vec<i64> = (meta.read_all()?)
+    ///     .map(|r| r.unwrap().get("url").unwrap().as_int().unwrap())
+    ///     .collect();
+    /// assert_eq!(codes, [0, 1, 0], "first-seen codes, same url same code");
+    /// # std::fs::remove_file(&path).ok();
+    /// # Ok::<(), mr_storage::StorageError>(())
+    /// ```
+    pub fn dictionary(&self, field: &str) -> Option<&Dictionary> {
+        let i = self.schema.index_of(field)?;
+        match self.decoder.as_ref()?.fields.get(i)? {
+            FieldReader::Dict(dict) => Some(dict),
+            _ => None,
+        }
     }
 
     /// Cut the file into at most `n` splits along block boundaries.
@@ -383,13 +758,20 @@ impl SeqFileMeta {
     ) -> Result<SeqFileReader> {
         let mut f = BufReader::new(File::open(&self.path)?);
         f.seek(SeekFrom::Start(split.offset))?;
+        // Unframed, no row outlasts the row region.
+        let max_row_len = match self.framed {
+            true => MAX_ROW_LEN,
+            false => self.rows_end.saturating_sub(split.offset),
+        };
         Ok(SeqFileReader {
             input: BlockReader::new(f, self.framed, faults.clone()),
             // A copy of its own, not a handle on the meta's: every
             // record a reader yields clones this `Arc`, and readers of
             // different splits run on different map threads.
             schema: Arc::new(Schema::clone(&self.schema)),
+            decoder: self.decoder.clone(),
             remaining: split.records,
+            max_row_len,
             bytes_read: 0,
             buf: Vec::new(),
             faults,
@@ -409,13 +791,21 @@ impl SeqFileMeta {
 pub struct SeqFileReader {
     input: BlockReader<BufReader<File>>,
     schema: Arc<Schema>,
+    /// The field decoders of an encoded file; `None` for a plain one.
+    decoder: Option<RowDecoder>,
     remaining: u64,
+    max_row_len: u64,
     bytes_read: u64,
     buf: Vec<u8>,
     faults: Option<Arc<IoFaults>>,
 }
 
 impl SeqFileReader {
+    /// Open `path` for a full sequential read.
+    pub fn open(path: impl AsRef<Path>) -> Result<SeqFileReader> {
+        SeqFileMeta::open(path)?.read_all()
+    }
+
     /// Bytes consumed so far (row payloads + length prefixes).
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
@@ -437,7 +827,7 @@ impl SeqFileReader {
         // row, so a clean EOF here is truncation.
         let (len, len_bytes) = read_u64_from(&mut self.input)?
             .ok_or_else(|| StorageError::corrupt("seqfile", "split ends mid-stream"))?;
-        if len > MAX_ROW_LEN {
+        if len > self.max_row_len {
             return Err(StorageError::corrupt(
                 "seqfile",
                 "row length implausibly large",
@@ -447,7 +837,10 @@ impl SeqFileReader {
         self.input.read_exact(&mut self.buf)?;
         self.bytes_read += len_bytes + len;
         self.remaining -= 1;
-        let (record, used) = decode_row(&self.schema, &self.buf)?;
+        let (record, used) = match &mut self.decoder {
+            None => decode_row(&self.schema, &self.buf)?,
+            Some(decoder) => decoder.decode(&self.schema, &self.buf)?,
+        };
         if used != self.buf.len() {
             return Err(StorageError::corrupt("seqfile", "row length mismatch"));
         }

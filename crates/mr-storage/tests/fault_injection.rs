@@ -2,6 +2,9 @@
 //! truncated, bit-flipped or wholly random input with a clean error —
 //! never a panic, never an infinite loop, never garbage records
 //! accepted as valid row data beyond what the format cannot detect.
+//! The encoded sequence file gets the exhaustive treatment: every
+//! truncation and every single-bit flip, with the largest allocation
+//! each read makes measured on the reading thread.
 //! The deterministic [`IoFaults`] layer additionally proves that the
 //! run/seq readers and writers fail *exactly* the scheduled operation,
 //! once, and then proceed — the contract the engine's task retries are
@@ -16,8 +19,6 @@ use mr_ir::record::record;
 use mr_ir::schema::{FieldType, Schema};
 use mr_ir::value::Value;
 use mr_storage::btree::{BTreeIndex, BTreeWriter, ScanBound};
-use mr_storage::delta::{DeltaFileMeta, DeltaFileWriter};
-use mr_storage::dict::{DictFileReader, DictFileWriter};
 use mr_storage::fault::{IoFaults, IoSite};
 use mr_storage::runfile::{RunFileReader, RunFileWriter};
 use mr_storage::seqfile::{write_seqfile, SeqFileMeta, SeqFileWriter};
@@ -197,62 +198,6 @@ proptest! {
         }
         std::fs::remove_file(&corrupt).ok();
     }
-
-    /// Delta files reject corruption cleanly.
-    #[test]
-    fn delta_survives_corruption(pos_frac in 0.0f64..1.0, bit in 0u8..8) {
-        let s = schema();
-        let path = tmp("fuzz-delta-src");
-        let mut w = DeltaFileWriter::create(&path, Arc::clone(&s), &["n".into()]).unwrap();
-        for i in 0..100i64 {
-            w.append(&record(&s, vec![format!("k{i}").into(), Value::Int(i)])).unwrap();
-        }
-        w.finish().unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
-        bytes[pos] ^= 1 << bit;
-
-        let corrupt = tmp("fuzz-delta");
-        std::fs::write(&corrupt, &bytes).unwrap();
-        if let Ok(meta) = DeltaFileMeta::open(&corrupt) {
-            if let Ok(reader) = meta.read_all() {
-                for item in reader.take(1000) {
-                    if item.is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-        std::fs::remove_file(&corrupt).ok();
-    }
-
-    /// Dict files reject corruption cleanly.
-    #[test]
-    fn dict_survives_corruption(pos_frac in 0.0f64..1.0, bit in 0u8..8) {
-        let s = schema();
-        let path = tmp("fuzz-dict-src");
-        let mut w = DictFileWriter::create(&path, Arc::clone(&s), &["s".into()]).unwrap();
-        for i in 0..100i64 {
-            w.append(&record(&s, vec![format!("k{}", i % 7).into(), Value::Int(i)])).unwrap();
-        }
-        w.finish().unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
-        bytes[pos] ^= 1 << bit;
-
-        let corrupt = tmp("fuzz-dict");
-        std::fs::write(&corrupt, &bytes).unwrap();
-        if let Ok(reader) = DictFileReader::open(&corrupt) {
-            for item in reader.take(1000) {
-                if item.is_err() {
-                    break;
-                }
-            }
-        }
-        std::fs::remove_file(&corrupt).ok();
-    }
 }
 
 // ---- the block-compressed variants -------------------------------------
@@ -371,4 +316,174 @@ fn compressed_seqfile_survives_random_prefix_corruption() {
             }
         }
     }
+}
+
+// ---- the encoded sequence file: every truncation, every bit flip -------
+
+use mr_storage::SeqFileReader;
+
+/// The largest single allocation the calling thread has asked for, so
+/// a sweep can tell a reader that sizes a buffer by a corrupt length.
+mod peak {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        // Const-initialised and drop-free, so touching it from inside
+        // the allocator neither allocates nor registers a destructor.
+        static PEAK: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn note(size: usize) {
+        let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
+    }
+
+    /// The peak since the last call, which resets it.
+    pub fn take() -> usize {
+        PEAK.with(|p| p.replace(0))
+    }
+
+    pub struct PeakAlloc;
+
+    unsafe impl GlobalAlloc for PeakAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+}
+
+#[global_allocator]
+static ALLOC: peak::PeakAlloc = peak::PeakAlloc;
+
+/// The reader's one fixed-size allocation: its buffered file handle.
+const READ_BUFFER: usize = 8 * 1024;
+
+/// A small file with a plain, a delta and a dict field, its rows
+/// framed by `codec`.
+fn encoded_file_bytes(codec: ShuffleCompression) -> Vec<u8> {
+    let s = Schema::new(
+        "E",
+        vec![
+            ("s", FieldType::Str),
+            ("n", FieldType::Long),
+            ("u", FieldType::Str),
+        ],
+    )
+    .into_arc();
+    let path = tmp("encoded-src");
+    let mut w =
+        SeqFileWriter::create_encoded(&path, Arc::clone(&s), codec, &["n".into()], &["u".into()])
+            .unwrap();
+    // Enough rows that a frame's compressed length takes two varint
+    // bytes: one flip there claims more than the whole file.
+    for i in 0..40i64 {
+        let plain = format!("r{}", i * 7_919 % 1_009);
+        let url = format!("http://u/{}", i % 3);
+        let row = vec![plain.into(), (1000 - 7 * i).into(), url.into()];
+        w.append(&record(&s, row)).unwrap();
+    }
+    w.finish().unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+/// Open and drain `bytes` as a file: every item is a record or a typed
+/// error, after which the read stops. Returns a description of what
+/// went wrong: a panic, or an allocation past the file's length.
+fn drain_encoded(bytes: &[u8], path: &std::path::Path) -> Option<String> {
+    std::fs::write(path, bytes).unwrap();
+    peak::take();
+    let read = std::panic::catch_unwind(|| {
+        let Ok(reader) = SeqFileReader::open(path) else {
+            return;
+        };
+        for item in reader {
+            if item.is_err() {
+                break;
+            }
+        }
+    });
+    let peak = peak::take();
+    match read {
+        Err(_) => Some("panicked".into()),
+        Ok(()) if peak > bytes.len().max(READ_BUFFER) => Some(format!(
+            "allocated {peak} bytes for a {}-byte file",
+            bytes.len()
+        )),
+        Ok(()) => None,
+    }
+}
+
+/// Every truncation and every single-bit flip of `valid`.
+fn sweep_encoded(valid: &[u8]) {
+    let path = tmp("encoded-sweep");
+    let mut failures = Vec::new();
+    for cut in 0..valid.len() {
+        if let Some(what) = drain_encoded(&valid[..cut], &path) {
+            failures.push(format!("cut at {cut}: {what}"));
+        }
+    }
+    let mut bytes = valid.to_vec();
+    for at in 0..valid.len() {
+        for bit in 0..8 {
+            bytes[at] ^= 1 << bit;
+            if let Some(what) = drain_encoded(&bytes, &path) {
+                failures.push(format!("bit {bit} of byte {at}: {what}"));
+            }
+            bytes[at] ^= 1 << bit;
+        }
+    }
+    std::fs::remove_file(&path).ok();
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// The unframed encoded file (plain, delta and dict fields) survives
+/// every truncation and every bit flip.
+#[test]
+fn delta_survives_corruption() {
+    sweep_encoded(&encoded_file_bytes(ShuffleCompression::None));
+}
+
+/// The framed encoded file survives every truncation and every bit
+/// flip, and a dict-coded row with bytes past its fields is corrupt.
+#[test]
+fn dict_survives_corruption() {
+    sweep_encoded(&encoded_file_bytes(ShuffleCompression::Auto));
+
+    let s = Schema::new("D", vec![("u", FieldType::Str)]).into_arc();
+    let path = tmp("dict-trailing");
+    let none = ShuffleCompression::None;
+    let mut w =
+        SeqFileWriter::create_encoded(&path, Arc::clone(&s), none, &[], &["u".into()]).unwrap();
+    w.append(&record(&s, vec!["http://a".into()])).unwrap();
+    w.finish().unwrap();
+    let start = SeqFileMeta::open(&path).unwrap().data_start as usize;
+    let mut bytes = std::fs::read(&path).unwrap();
+    // One row of one code: `[len 1][code 0]`. Claim one more byte and
+    // supply it; the footer is found from the end, so it still opens.
+    assert_eq!(bytes[start..start + 2], [1, 0]);
+    bytes[start] = 2;
+    bytes.insert(start + 2, 0);
+    std::fs::write(&path, &bytes).unwrap();
+    let rows: Vec<_> = SeqFileReader::open(&path).unwrap().collect();
+    assert!(
+        matches!(rows[..], [Err(StorageError::Corrupt { .. })]),
+        "{rows:?}"
+    );
 }

@@ -12,7 +12,7 @@ use mr_ir::value::Value;
 use mr_storage::btree::{BTreeIndex, BTreeScanner, BTreeWriter, ScanBound};
 use mr_storage::rowcodec::{decode_row, decode_value, encode_row, encode_value};
 use mr_storage::varint::{decode_i64, decode_u64, encode_i64, encode_u64};
-use mr_storage::{DeltaFileReader, DeltaFileWriter, DictFileReader, DictFileWriter};
+use mr_storage::{SeqFileReader, SeqFileWriter};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("mr-storage-proptests");
@@ -254,17 +254,20 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Delta files reproduce arbitrary integer sequences exactly.
+    /// Delta-encoded fields reproduce arbitrary integer sequences exactly.
     #[test]
     fn delta_roundtrip_arbitrary_ints(values in proptest::collection::vec(any::<i64>(), 0..200)) {
         let schema = Schema::new("T", vec![("v", FieldType::Int)]).into_arc();
         let path = tmp("delta");
-        let mut w = DeltaFileWriter::create(&path, Arc::clone(&schema), &["v".into()]).unwrap();
+        let none = ShuffleCompression::None;
+        let mut w =
+            SeqFileWriter::create_encoded(&path, Arc::clone(&schema), none, &["v".into()], &[])
+                .unwrap();
         for &v in &values {
             w.append(&record(&schema, vec![Value::Int(v)])).unwrap();
         }
         w.finish().unwrap();
-        let back: Vec<i64> = DeltaFileReader::open(&path)
+        let back: Vec<i64> = SeqFileReader::open(&path)
             .unwrap()
             .map(|r| r.unwrap().get("v").unwrap().as_int().unwrap())
             .collect();
@@ -277,12 +280,15 @@ proptest! {
     fn dict_codes_preserve_equality(strings in proptest::collection::vec("[a-d]{0,4}", 1..150)) {
         let schema = Schema::new("T", vec![("s", FieldType::Str)]).into_arc();
         let path = tmp("dict");
-        let mut w = DictFileWriter::create(&path, Arc::clone(&schema), &["s".into()]).unwrap();
+        let none = ShuffleCompression::None;
+        let mut w =
+            SeqFileWriter::create_encoded(&path, Arc::clone(&schema), none, &[], &["s".into()])
+                .unwrap();
         for s in &strings {
             w.append(&record(&schema, vec![s.as_str().into()])).unwrap();
         }
         w.finish().unwrap();
-        let codes: Vec<i64> = DictFileReader::open(&path)
+        let codes: Vec<i64> = SeqFileReader::open(&path)
             .unwrap()
             .map(|r| r.unwrap().get("s").unwrap().as_int().unwrap())
             .collect();
