@@ -44,7 +44,7 @@ use crate::indexgen::IndexGenProgram;
 use crate::submit::Manimal;
 
 use admission::{Admission, Admit};
-use cache::{CachedResult, ResultCache};
+use cache::{CachedResult, InputStamp, Lookup, ResultCache};
 use proto::{
     decode_payload, encode_hex_value, parse_invalidate, JobReply, JobRequest, TAG_ERROR,
     TAG_INVALIDATE, TAG_INVALIDATE_OK, TAG_REJECTED, TAG_RESULT, TAG_SHUTDOWN, TAG_SHUTDOWN_OK,
@@ -97,7 +97,8 @@ pub struct ServiceStats {
     pub cache_hits: Counter,
     /// Submissions that had to run (and then populated the cache).
     pub cache_misses: Counter,
-    /// Invalidation requests served.
+    /// Invalidation requests served, plus cached results dropped on
+    /// lookup because their input changed without one.
     pub invalidations: Counter,
 }
 
@@ -141,7 +142,7 @@ pub struct StatsSnapshot {
     pub cache_hits: u64,
     /// Cache misses.
     pub cache_misses: u64,
-    /// Invalidation requests served.
+    /// Invalidation requests served, plus stale cached results dropped.
     pub invalidations: u64,
 }
 
@@ -372,12 +373,18 @@ impl JobService {
             Admit::Rejected(r) => return Ok((TAG_REJECTED, r.to_payload())),
         };
         let key = req.to_payload()?;
-        if let Some(hit) = self
+        // Stat the input before anything reads it: a result computed
+        // from this read is only ever served to the same file.
+        let stamp = InputStamp::of(&req.input)?;
+        let lookup = self
             .cache
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
+            .get(&key, &stamp);
+        if let Lookup::Stale = lookup {
+            self.stats.invalidations.bump();
+        }
+        if let Lookup::Hit(hit) = lookup {
             self.stats.cache_hits.bump();
             let reply = JobReply {
                 plan: hit.plan,
@@ -435,7 +442,7 @@ impl JobService {
         self.cache
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(key, &req.input, cached);
+            .insert(key, &req.input, stamp, cached);
         let reply = JobReply {
             plan: exec.descriptor_summary,
             applied: exec.applied,

@@ -215,6 +215,44 @@ fn cache_serves_repeats_and_invalidation_drops_regenerated_inputs() {
     assert_eq!(stats.cache_misses, 2);
 }
 
+/// A rewrite of the input that nobody announces (no `invalidate`) still
+/// retires the cached reply: the resubmission runs afresh over the new
+/// rows and returns the baseline's bytes.
+#[test]
+fn cache_drops_a_reply_whose_input_was_rewritten_unannounced() {
+    let dir = tmpdir("cache-stale");
+    let input = webpages(&dir, "webpages.seq", 2_000);
+    let c = cfg(&dir, "cache-stale");
+    let handle = start(c.clone()).unwrap();
+    let mut client = ServiceClient::connect(&c.socket).unwrap();
+    let req = selection_request(&input, false);
+    let submit = |client: &mut ServiceClient| match client.submit(&req).unwrap() {
+        SubmitOutcome::Completed(r) => r,
+        SubmitOutcome::Rejected(r) => panic!("{r}"),
+    };
+    let cold = submit(&mut client);
+    assert!(submit(&mut client).cache_hit, "unchanged input: a hit");
+
+    webpages(&dir, "webpages.seq", 3_000);
+    let fresh = submit(&mut client);
+    assert!(
+        !fresh.cache_hit,
+        "the rewritten input must not be served stale"
+    );
+    assert_ne!(fresh.output_hex, cold.output_hex);
+    let local = Manimal::new(dir.join("local-work")).unwrap();
+    let program = selection_query(threshold_for_selectivity(10));
+    let baseline = local
+        .execute_baseline(&local.submit(&program, &input), Arc::new(Builtin::Count))
+        .unwrap();
+    assert_eq!(fresh.decode_output().unwrap(), baseline.result.output);
+    let stats = handle.shutdown().unwrap();
+    assert_eq!(
+        (stats.cache_hits, stats.cache_misses, stats.invalidations),
+        (1, 2, 1)
+    );
+}
+
 #[test]
 fn client_shutdown_drains_cleanly_with_no_orphaned_jobs() {
     let dir = tmpdir("shutdown");

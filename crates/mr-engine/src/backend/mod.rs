@@ -62,14 +62,9 @@ pub(crate) struct JobRun<'a> {
     pub counters: Arc<Counters>,
 }
 
-/// A backend's committed reduce output.
-pub(crate) enum Partitions {
-    /// Each partition's output pairs, in partition order.
-    Pairs(Vec<Vec<(Value, Value)>>),
-    /// Part files the reduce attempts already streamed and committed,
-    /// in partition order.
-    Files(Vec<PathBuf>),
-}
+/// A backend's committed reduce output: each partition's pairs, in
+/// partition order.
+pub(crate) type Partitions = Vec<Vec<(Value, Value)>>;
 
 /// A job's map tasks in id order: bindings in order, each binding's
 /// splits in order at the job's parallelism hint. Splits depend only on
@@ -143,16 +138,11 @@ type Output = (Vec<(Value, Value)>, Vec<PathBuf>);
 /// Turn committed partitions into the job's output: in memory, the
 /// partitions concatenated in order (then sorted by key and value if
 /// the job asks); in a text directory, one `part-NNNNN` file of
-/// `key\tvalue` lines per partition, unless the reduce attempts
-/// already streamed them there. Under `sort_output` the reduce loop
+/// `key\tvalue` lines per partition. Under `sort_output` the reduce loop
 /// already sorted every key group's pairs, so the stable sort here
 /// merges presorted runs (see [`crate::join`] for why that cannot
 /// change a byte).
-fn assemble_output(job: &JobConfig, partitions: Partitions) -> Result<Output> {
-    let parts = match partitions {
-        Partitions::Files(files) => return Ok((Vec::new(), files)),
-        Partitions::Pairs(parts) => parts,
-    };
+fn assemble_output(job: &JobConfig, parts: Partitions) -> Result<Output> {
     match &job.output {
         OutputSpec::InMemory => {
             let mut output = Vec::with_capacity(parts.iter().map(Vec::len).sum());

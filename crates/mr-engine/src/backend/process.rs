@@ -1,22 +1,19 @@
 //! The process backend coordinator: fork worker processes and drive
 //! the job over the Unix-socket task protocol.
 //!
-//! The coordinator owns everything the local runner's shared state
-//! owned, but across a process boundary:
-//!
-//! * **Task scheduling** — a queue of `(kind, task)` work items behind
-//!   a mutex + condvar; one handler thread per worker slot pops work,
-//!   ships it as a task frame, and blocks on the response.
-//! * **Attempt/commit** — workers stage all side effects in attempt
-//!   directories under the shared job spill dir; the *coordinator*
-//!   commits a finished attempt by renaming its run files to their
-//!   job-level names (`run-{p:05}-{seq:06}`, `out-{p:05}`) under the
-//!   scheduler lock. First commit wins; a second finisher of the same
-//!   task gets `DISCARD` and its attempt dir cleans up by RAII. This
-//!   is the whole speculative-execution story: duplicate attempts race
-//!   on rename-into-place, exactly like Hadoop's output committer.
-//! * **Counter absorption** — each attempt carries its own counter
-//!   snapshot; only a committed attempt's counters are absorbed.
+//! * **Scheduling** — the local runner's scheduler (`scheduler.rs`):
+//!   one handler thread per worker slot asks it for an attempt, builds
+//!   the assignment from state the coordinator keeps — `(binding,
+//!   split)` per map task, committed runs per partition — ships it, and
+//!   blocks on the result. Speculation ([`ProcessCfg::speculate`]) is
+//!   this backend's alone.
+//! * **Commit** — workers stage side effects in attempt directories
+//!   under the shared job dir. The first finished attempt of a task
+//!   wins and its counters are absorbed; the coordinator publishes it
+//!   by renaming its files to their job-level names
+//!   (`run-{p:05}-{seq:06}`, `out-{p:05}`). A later finisher gets
+//!   `DISCARD` and its attempt dir cleans up by RAII — Hadoop's output
+//!   committer, and the whole speculative-execution story.
 //! * **Fault hooks** — `kill:W:N` sites SIGKILL worker `W`'s process
 //!   right after its `N`-th task frame is sent (the attempt is failed
 //!   and the slot respawns a fresh worker with a new id); `slow:W:MS`
@@ -34,7 +31,7 @@
 //! fresh monotonically-increasing ids, so each `kill:`/`slow:` site is
 //! naturally one-shot.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -43,11 +40,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::counters::{CounterSnapshot, Counters};
+use crate::counters::Counters;
 use crate::error::{EngineError, Result};
 use crate::fault::FaultPlan;
 use crate::job::{JobConfig, ProcessCfg};
 use crate::runner::PhaseTimings;
+use crate::scheduler::{Kind, PanicGuard, Scheduler, Shared};
 use crate::spill::SpillDir;
 
 use super::protocol::*;
@@ -57,296 +55,6 @@ use super::{plan_map_tasks, JobRun, Partitions};
 /// How long a handler waits for its freshly-forked worker to connect
 /// and say hello before declaring the spawn failed.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Map,
-    Reduce,
-}
-
-impl Kind {
-    fn label(self) -> &'static str {
-        match self {
-            Kind::Map => "map",
-            Kind::Reduce => "reduce",
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct TaskState {
-    /// Attempts launched (retries and speculative duplicates included);
-    /// the next attempt number — attempt directories never collide.
-    launches: usize,
-    failures: usize,
-    running: usize,
-    committed: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Map,
-    Reduce,
-    Done,
-}
-
-struct SchedState {
-    phase: Phase,
-    queue: VecDeque<(Kind, usize)>,
-    maps: Vec<TaskState>,
-    /// `(binding, split)` per map task.
-    map_meta: Vec<(usize, usize)>,
-    reduces: Vec<TaskState>,
-    committed_maps: usize,
-    committed_reduces: usize,
-    /// Committed run paths per partition, in sequence order.
-    partition_runs: Vec<Vec<PathBuf>>,
-    partition_seq: Vec<usize>,
-    out_paths: Vec<Option<PathBuf>>,
-    error: Option<EngineError>,
-    map_done_at: Option<Instant>,
-    reduce_done_at: Option<Instant>,
-}
-
-impl SchedState {
-    fn task(&mut self, kind: Kind, task: usize) -> &mut TaskState {
-        match kind {
-            Kind::Map => &mut self.maps[task],
-            Kind::Reduce => &mut self.reduces[task],
-        }
-    }
-}
-
-/// What a handler does next.
-enum Next {
-    Map(MapAssign),
-    Reduce(ReduceAssign),
-    Shutdown,
-}
-
-struct Sched {
-    state: Mutex<SchedState>,
-    cv: Condvar,
-    max_attempts: usize,
-    speculate: bool,
-    counters: Arc<Counters>,
-}
-
-impl Sched {
-    /// A scheduler in the map phase over `map_meta`'s tasks — or, with
-    /// no splits at all (degenerate but legal), straight in the reduce
-    /// phase over empty partitions.
-    fn new(
-        map_meta: Vec<(usize, usize)>,
-        reducers: usize,
-        max_attempts: usize,
-        speculate: bool,
-        counters: Arc<Counters>,
-    ) -> Sched {
-        let maps = map_meta.len();
-        let (phase, queue, map_done_at) = match maps {
-            0 => (
-                Phase::Reduce,
-                (0..reducers).map(|p| (Kind::Reduce, p)).collect(),
-                Some(Instant::now()),
-            ),
-            _ => (
-                Phase::Map,
-                (0..maps).map(|t| (Kind::Map, t)).collect(),
-                None,
-            ),
-        };
-        let state = SchedState {
-            phase,
-            queue,
-            maps: (0..maps).map(|_| TaskState::default()).collect(),
-            map_meta,
-            reduces: (0..reducers).map(|_| TaskState::default()).collect(),
-            committed_maps: 0,
-            committed_reduces: 0,
-            partition_runs: vec![Vec::new(); reducers],
-            partition_seq: vec![0; reducers],
-            out_paths: vec![None; reducers],
-            error: None,
-            map_done_at,
-            reduce_done_at: None,
-        };
-        Sched {
-            state: Mutex::new(state),
-            cv: Condvar::new(),
-            max_attempts,
-            speculate,
-            counters,
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SchedState> {
-        self.state.lock().expect("scheduler lock poisoned")
-    }
-
-    /// Block until there is work for an idle worker — or, with
-    /// speculation on and the queue dry, duplicate the first in-flight
-    /// singleton attempt so the two race.
-    fn next(&self) -> Next {
-        let mut st = self.lock();
-        loop {
-            if st.error.is_some() || st.phase == Phase::Done {
-                return Next::Shutdown;
-            }
-            if let Some((kind, task)) = st.queue.pop_front() {
-                return self.launch(&mut st, kind, task);
-            }
-            if self.speculate {
-                if let Some((kind, task)) = Self::straggler(&st) {
-                    Counters::add(&self.counters.speculative_tasks, 1);
-                    return self.launch(&mut st, kind, task);
-                }
-            }
-            st = self.cv.wait(st).expect("scheduler lock poisoned");
-        }
-    }
-
-    /// The lowest-numbered uncommitted task of the current phase with
-    /// exactly one attempt in flight (bounding every task to two
-    /// concurrent attempts).
-    fn straggler(st: &SchedState) -> Option<(Kind, usize)> {
-        let (kind, tasks) = match st.phase {
-            Phase::Map => (Kind::Map, &st.maps),
-            Phase::Reduce => (Kind::Reduce, &st.reduces),
-            Phase::Done => return None,
-        };
-        tasks
-            .iter()
-            .position(|t| t.running == 1 && !t.committed)
-            .map(|task| (kind, task))
-    }
-
-    fn launch(&self, st: &mut SchedState, kind: Kind, task: usize) -> Next {
-        let t = st.task(kind, task);
-        let attempt = t.launches;
-        t.launches += 1;
-        t.running += 1;
-        match kind {
-            Kind::Map => {
-                let (binding, split) = st.map_meta[task];
-                Next::Map(MapAssign {
-                    task,
-                    binding,
-                    split,
-                    attempt,
-                })
-            }
-            Kind::Reduce => Next::Reduce(ReduceAssign {
-                partition: task,
-                attempt,
-                runs: st.partition_runs[task].clone(),
-            }),
-        }
-    }
-
-    /// Commit a finished attempt of `kind` task `task` unless another
-    /// attempt of the task got there first: `publish` renames its files
-    /// to their job-level names under the lock, then its `counters` are
-    /// absorbed. Returns whether the attempt won. A rename failure
-    /// mid-commit is not retryable — part of the attempt may already be
-    /// published — so it fails the job.
-    fn commit(
-        &self,
-        kind: Kind,
-        task: usize,
-        counters: &CounterSnapshot,
-        publish: impl FnOnce(&mut SchedState) -> std::io::Result<()>,
-    ) -> bool {
-        let mut st = self.lock();
-        let t = st.task(kind, task);
-        t.running -= 1;
-        let won = !t.committed
-            && match publish(&mut st) {
-                Ok(()) => true,
-                Err(e) => {
-                    st.error = Some(EngineError::TaskFailed {
-                        task: format!("{} task {task} commit", kind.label()),
-                        attempts: 1,
-                        cause: Box::new(e.into()),
-                    });
-                    false
-                }
-            };
-        if won {
-            st.task(kind, task).committed = true;
-            self.counters.absorb(counters);
-            match kind {
-                Kind::Map => {
-                    st.committed_maps += 1;
-                    if st.committed_maps == st.maps.len() {
-                        st.phase = Phase::Reduce;
-                        st.map_done_at = Some(Instant::now());
-                        let reduces = st.reduces.len();
-                        st.queue = (0..reduces).map(|p| (Kind::Reduce, p)).collect();
-                    }
-                }
-                Kind::Reduce => {
-                    st.committed_reduces += 1;
-                    if st.committed_reduces == st.reduces.len() {
-                        st.phase = Phase::Done;
-                        st.reduce_done_at = Some(Instant::now());
-                    }
-                }
-            }
-        }
-        self.cv.notify_all();
-        won
-    }
-
-    /// Record a failed attempt: count it, requeue the task when no
-    /// sibling attempt is still in flight, fail the job when the task
-    /// is out of attempts. Failures of attempts whose task already
-    /// committed (a speculative loser dying late) are ignored entirely.
-    fn fail(&self, kind: Kind, task: usize, cause: EngineError) {
-        let mut st = self.lock();
-        let t = st.task(kind, task);
-        t.running -= 1;
-        if t.committed {
-            self.cv.notify_all();
-            return;
-        }
-        t.failures += 1;
-        let exhausted = t.failures >= self.max_attempts;
-        let requeue = !exhausted && t.running == 0;
-        match kind {
-            Kind::Map => Counters::add(&self.counters.map_task_failures, 1),
-            Kind::Reduce => Counters::add(&self.counters.reduce_task_failures, 1),
-        }
-        if exhausted {
-            if st.error.is_none() {
-                st.error = Some(EngineError::TaskFailed {
-                    task: format!("{} task {task}", kind.label()),
-                    attempts: self.max_attempts,
-                    cause: Box::new(cause),
-                });
-            }
-        } else if requeue {
-            st.queue.push_back((kind, task));
-            Counters::add(&self.counters.task_retries, 1);
-        }
-        self.cv.notify_all();
-    }
-
-    /// Abort the job with an infrastructure error (spawn failure,
-    /// connect timeout, protocol violation).
-    fn abort(&self, e: EngineError) {
-        let mut st = self.lock();
-        if st.error.is_none() {
-            st.error = Some(e);
-        }
-        self.cv.notify_all();
-    }
-
-    fn finished(&self) -> bool {
-        let st = self.lock();
-        st.error.is_some() || st.phase == Phase::Done
-    }
-}
 
 /// Routes incoming worker connections to the handler that spawned the
 /// worker, keyed by the id in the hello frame.
@@ -422,7 +130,12 @@ impl Broker {
 struct HandlerCtx<'a> {
     job: &'a JobConfig,
     cfg: &'a ProcessCfg,
-    sched: &'a Sched,
+    sched: &'a Shared,
+    /// `(binding, split)` per map task.
+    map_meta: &'a [(usize, usize)],
+    /// Committed runs per partition, in sequence order.
+    runs: &'a Mutex<Vec<Vec<PathBuf>>>,
+    counters: &'a Counters,
     broker: &'a Broker,
     job_dir: &'a Path,
     socket: &'a Path,
@@ -452,8 +165,9 @@ fn spawn_worker(ctx: &HandlerCtx<'_>, id: usize) -> Result<Child> {
 /// [`serve`] it; on worker death (fault-plan kill or otherwise),
 /// respawn under a fresh id until the job finishes.
 fn worker_slot(ctx: &HandlerCtx<'_>) {
+    let _guard = PanicGuard(ctx.sched);
     loop {
-        if ctx.sched.finished() {
+        if ctx.sched.is_finished() {
             return;
         }
         let id = ctx.next_id.fetch_add(1, Ordering::Relaxed);
@@ -514,50 +228,59 @@ fn serve(
 ) -> bool {
     let mut ordinal = 0u64;
     loop {
-        let next = ctx.sched.next();
-        let (kind, task, attempt, frame) = match &next {
-            Next::Shutdown => {
-                let _ = write_frame(&mut writer, TAG_SHUTDOWN, b"");
-                let _ = child.wait();
-                return false;
+        let Some((kind, task, attempt)) = ctx.sched.next() else {
+            let _ = write_frame(&mut writer, TAG_SHUTDOWN, b"");
+            let _ = child.wait();
+            return false;
+        };
+        let frame = match kind {
+            Kind::Map => {
+                let (binding, split) = ctx.map_meta[task];
+                let a = MapAssign {
+                    task,
+                    binding,
+                    split,
+                    attempt,
+                };
+                (TAG_MAP_TASK, a.encode())
             }
-            Next::Map(a) => (Kind::Map, a.task, a.attempt, (TAG_MAP_TASK, a.encode())),
-            Next::Reduce(a) => match a.encode() {
-                Ok(p) => (Kind::Reduce, a.partition, a.attempt, (TAG_REDUCE_TASK, p)),
-                Err(e) => {
-                    ctx.sched.fail(Kind::Reduce, a.partition, e);
-                    continue;
+            Kind::Reduce => {
+                let runs = ctx.runs.lock().expect("runs lock")[task].clone();
+                let a = ReduceAssign {
+                    partition: task,
+                    attempt,
+                    runs,
+                };
+                match a.encode() {
+                    Ok(p) => (TAG_REDUCE_TASK, p),
+                    Err(e) => {
+                        ctx.sched.fail(kind, task, e);
+                        continue;
+                    }
                 }
-            },
+            }
         };
         let attempt_dir = ctx
             .job_dir
             .join(format!("attempt-{}-{task:05}-{attempt:03}", kind.label()));
-        if write_frame(&mut writer, frame.0, &frame.1).is_err() {
-            // Worker died between tasks: fail this attempt, respawn.
+        let lost = |child: &mut Child, why: String| {
             let _ = child.wait();
-            ctx.sched.fail(
-                kind,
-                task,
-                EngineError::Remote("worker connection lost".into()),
-            );
-            return true;
+            let _ = std::fs::remove_dir_all(&attempt_dir);
+            ctx.sched.fail(kind, task, EngineError::Remote(why));
+            true
+        };
+        if write_frame(&mut writer, frame.0, &frame.1).is_err() {
+            return lost(child, "worker connection lost".into());
         }
         let this_ordinal = ordinal;
         ordinal += 1;
         if ctx.fault.is_some_and(|f| f.worker_kill(id, this_ordinal)) {
             // Whole-worker fault injection: SIGKILL, no cleanup on
-            // the worker side — remove its dead attempt dir here,
-            // fail the attempt, and respawn under a fresh id.
+            // the worker side — `lost` removes its dead attempt dir,
+            // fails the attempt, and the slot respawns a fresh id.
             reap(child);
-            Counters::add(&ctx.sched.counters.workers_killed, 1);
-            let _ = std::fs::remove_dir_all(&attempt_dir);
-            ctx.sched.fail(
-                kind,
-                task,
-                EngineError::Remote(format!("worker {id} killed by fault plan")),
-            );
-            return true;
+            Counters::add(&ctx.counters.workers_killed, 1);
+            return lost(child, format!("worker {id} killed by fault plan"));
         }
         let done = match read_frame(&mut reader) {
             Ok(Some((TAG_MAP_DONE, p))) => MapDone::decode(&p).map(Done::Map),
@@ -580,17 +303,9 @@ fn serve(
             }
             Ok(None) | Err(_) => {
                 // The worker died mid-task (crash, or a kill racing
-                // a previous slot's shutdown): fail the attempt and
-                // respawn. Its attempt dir may survive the SIGKILL;
-                // remove it like the kill path does.
-                let _ = child.wait();
-                let _ = std::fs::remove_dir_all(&attempt_dir);
-                ctx.sched.fail(
-                    kind,
-                    task,
-                    EngineError::Remote(format!("worker {id} died mid-task")),
-                );
-                return true;
+                // a previous slot's shutdown); its attempt dir may
+                // survive it.
+                return lost(child, format!("worker {id} died mid-task"));
             }
         };
         let done = match done {
@@ -613,22 +328,19 @@ fn serve(
             Done::Map(d) => {
                 ctx.shuffle_nanos
                     .fetch_add(d.shuffle_nanos, Ordering::Relaxed);
-                ctx.sched.commit(kind, task, &d.counters, |st| {
+                ctx.sched.commit(kind, task, &d.counters, || {
+                    let mut runs = ctx.runs.lock().expect("runs lock");
                     for (p, r) in &d.runs {
-                        let seq = st.partition_seq[*p];
+                        let seq = runs[*p].len();
                         let dest = ctx.job_dir.join(format!("run-{p:05}-{seq:06}"));
                         std::fs::rename(&r.path, &dest)?;
-                        st.partition_seq[*p] = seq + 1;
-                        st.partition_runs[*p].push(dest);
+                        runs[*p].push(dest);
                     }
                     Ok(())
                 })
             }
-            Done::Reduce(d) => ctx.sched.commit(kind, task, &d.counters, |st| {
-                let dest = ctx.job_dir.join(format!("out-{task:05}"));
-                std::fs::rename(&d.out, &dest)?;
-                st.out_paths[task] = Some(dest);
-                Ok(())
+            Done::Reduce(d) => ctx.sched.commit(kind, task, &d.counters, || {
+                Ok(std::fs::rename(&d.out, out_path(ctx.job_dir, task))?)
             }),
         };
         let verdict = if won { TAG_COMMIT_ACK } else { TAG_DISCARD };
@@ -640,6 +352,11 @@ fn serve(
             return true;
         }
     }
+}
+
+/// Where partition `p`'s committed reduce output lives.
+fn out_path(job_dir: &Path, p: usize) -> PathBuf {
+    job_dir.join(format!("out-{p:05}"))
 }
 
 /// A decoded result frame.
@@ -684,21 +401,21 @@ pub(super) fn run(run: &JobRun<'_>, cfg: &ProcessCfg) -> Result<(Partitions, Pha
 
     // Workers re-open their splits at the same hint, so boundaries agree.
     let plan = plan_map_tasks(job, None)?.into_iter();
-    let map_meta = plan.map(|(binding, split, _)| (binding, split)).collect();
+    let map_meta: Vec<(usize, usize)> = plan.map(|(binding, split, _)| (binding, split)).collect();
+    let runs = Mutex::new(vec![Vec::new(); num_reducers]);
 
     let socket = job_dir.join("ctl.sock");
     let listener = UnixListener::bind(&socket)?;
     listener.set_nonblocking(true)?;
 
     let shuffle_nanos = AtomicU64::new(0);
-    let map_start = Instant::now();
-    let sched = Sched::new(
-        map_meta,
+    let sched = Shared::new(Scheduler::new(
+        map_meta.len(),
         num_reducers,
         run.max_attempts,
         cfg.speculate,
         Arc::clone(&run.counters),
-    );
+    ));
 
     let broker = Broker::new();
     let stop_broker = AtomicBool::new(false);
@@ -712,6 +429,9 @@ pub(super) fn run(run: &JobRun<'_>, cfg: &ProcessCfg) -> Result<(Partitions, Pha
                 job,
                 cfg,
                 sched: &sched,
+                map_meta: &map_meta,
+                runs: &runs,
+                counters: &run.counters,
                 broker: &broker,
                 job_dir: &job_dir,
                 socket: &socket,
@@ -727,33 +447,21 @@ pub(super) fn run(run: &JobRun<'_>, cfg: &ProcessCfg) -> Result<(Partitions, Pha
         stop_broker.store(true, Ordering::Relaxed);
     });
 
-    let st = sched.state.into_inner().expect("scheduler lock poisoned");
-    if let Some(e) = st.error {
-        return Err(e);
-    }
+    let shuffle = Duration::from_nanos(shuffle_nanos.load(Ordering::Relaxed));
+    let phases = sched.into_inner().finish(start, shuffle)?;
     let mut partitions = Vec::with_capacity(num_reducers);
-    for path in &st.out_paths {
-        let path = path.as_ref().expect("every partition commits before Done");
-        let reader = mr_storage::RunFileReader::open(path)?;
+    for p in 0..num_reducers {
+        let reader = mr_storage::RunFileReader::open(out_path(&job_dir, p))?;
         partitions.push(reader.collect::<std::result::Result<Vec<_>, _>>()?);
     }
     drop(spill_dir); // runs, outs, attempt dirs, socket — all gone
-
-    let map_done = st.map_done_at.unwrap_or_else(Instant::now);
-    let reduce_done = st.reduce_done_at.unwrap_or_else(Instant::now);
-    let phases = PhaseTimings {
-        setup: map_start.duration_since(start),
-        map: map_done.duration_since(map_start),
-        shuffle: Duration::from_nanos(shuffle_nanos.load(Ordering::Relaxed)),
-        reduce: reduce_done.duration_since(map_done),
-        output: Duration::ZERO,
-    };
-    Ok((Partitions::Pairs(partitions), phases))
+    Ok((partitions, phases))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::CounterSnapshot;
     use crate::input::InputSpec;
     use crate::reducer::Builtin;
     use mr_ir::asm::parse_function;
@@ -778,12 +486,16 @@ mod tests {
             path: "/nonexistent".into(),
         };
         let job = JobConfig::ir_job("answers", input, map, Builtin::Count);
-        let sched = Sched::new(vec![(0, 0); tasks], 1, 2, false, Counters::new());
+        let counters = Counters::new();
+        let sched = Shared::new(Scheduler::new(tasks, 1, 2, false, Arc::clone(&counters)));
         let job_dir = SpillDir::create(None, "answers").unwrap();
         let ctx = HandlerCtx {
             job: &job,
             cfg: &ProcessCfg::default(),
             sched: &sched,
+            map_meta: &vec![(0, 0); tasks],
+            runs: &Mutex::new(vec![Vec::new()]),
+            counters: &counters,
             broker: &Broker::new(),
             job_dir: job_dir.path(),
             socket: &job_dir.path().join("ctl.sock"),
@@ -806,11 +518,12 @@ mod tests {
         let respawn = serve(&ctx, 0, &mut child, reader, BufWriter::new(coordinator));
         let verdict = fake.join().unwrap();
         let status = child.try_wait().unwrap().expect("the worker was reaped");
-        let st = sched.state.into_inner().unwrap();
+        let core = sched.into_inner();
         Served {
             respawn,
-            error: st.error,
-            committed: st.committed_maps,
+            error: core.finish(Instant::now(), Duration::ZERO).err(),
+            // Each reply counts one record, absorbed only on commit.
+            committed: counters.snapshot().map_input_records as usize,
             status,
             verdict,
         }
@@ -821,7 +534,10 @@ mod tests {
             task,
             attempt,
             runs: Vec::new(),
-            counters: Default::default(),
+            counters: CounterSnapshot {
+                map_input_records: 1,
+                ..Default::default()
+            },
             shuffle_nanos: 0,
         }
     }

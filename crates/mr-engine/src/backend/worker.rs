@@ -170,10 +170,7 @@ fn run_map_attempt(job: &WireJob, env: &ShuffleEnv, assign: &MapAssign) -> Resul
         .ok_or_else(|| EngineError::Config(format!("no input binding {}", assign.binding)))?;
     let reader = binding
         .input
-        .open(job.map_parallelism)?
-        .into_iter()
-        .nth(assign.split)
-        .ok_or_else(|| EngineError::Config(format!("no split {} in binding", assign.split)))?;
+        .open_split(job.map_parallelism, None, assign.split)?;
     let spec = MapAttempt {
         task: assign.task,
         attempt: assign.attempt,

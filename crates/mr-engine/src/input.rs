@@ -80,6 +80,20 @@ impl InputSpec {
         self.open_with_faults(hint, None)
     }
 
+    /// Split `split` of the input opened at `hint`: how a retry or a
+    /// worker re-opens a planned map task's split.
+    pub(crate) fn open_split(
+        &self,
+        hint: usize,
+        io: Option<&Arc<IoFaults>>,
+        split: usize,
+    ) -> Result<SplitReader> {
+        let mut splits = self.open_with_faults(hint, io)?.into_iter();
+        splits
+            .nth(split)
+            .ok_or_else(|| EngineError::Config(format!("no split {split} at hint {hint}")))
+    }
+
     /// [`open`](Self::open) with an IO fault injector threaded into
     /// the sequence-file readers (every variant but `BTreeRanges`,
     /// which has no injection hooks). Split boundaries depend

@@ -64,6 +64,10 @@ pub mod partition;
 pub mod pool;
 pub mod reducer;
 pub mod runner;
+// Public only so the seeded simulator (`tests/scheduler_sim.rs`) can
+// drive the state machine; not part of the engine's API.
+#[doc(hidden)]
+pub mod scheduler;
 pub mod spill;
 pub(crate) mod staging;
 

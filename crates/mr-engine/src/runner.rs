@@ -17,36 +17,28 @@
 //! # Task attempts and the commit protocol
 //!
 //! Map and reduce tasks are *retryable units*
-//! ([`JobConfig::max_task_attempts`]), inheriting MapReduce's core
-//! production guarantee: individual tasks fail and are transparently
-//! re-executed. Every attempt runs through the attempt module the
-//! process backend's workers use too (`attempt.rs`); this runner
-//! passes it the in-process policy — io-site faults live, whatever is
-//! staged at the end of a split kept resident — and owns the commits. Idempotency comes from keeping every
-//! attempt's side effects private until the attempt succeeds:
+//! ([`JobConfig::max_task_attempts`]). The job runs on `map_parallelism`
+//! scoped threads; each asks the scheduler the process backend uses too
+//! (`scheduler.rs`: front requeue, retry counting, speculation off
+//! here) for an attempt, runs it through the attempt module the
+//! process backend's workers use too (`attempt.rs`) with the
+//! in-process policy — io-site faults live, whatever is staged at the
+//! end of a split kept resident — and commits it or reports the
+//! failure. An attempt's side effects stay private until it commits,
+//! so a failed attempt contributes no pairs, files or counts:
 //!
-//! * a **map attempt** stages emitted pairs task-locally and spills
-//!   overfull staging into runs under an attempt-scoped directory
-//!   ([`crate::spill::AttemptDir`], an RAII guard that deletes
-//!   everything uncommitted on drop). On success the attempt
-//!   **commits**: run files are renamed into the job spill directory
-//!   under bucket-assigned sequence numbers, resident pairs are
-//!   absorbed into the shared buckets (spilling buckets that outgrow
-//!   their cap), and the attempt's privately-accumulated counters are
-//!   folded into the job counters — so a failed attempt contributes
-//!   nothing: no pairs, no files, no counts;
-//! * a **reduce attempt** reads committed state only (run files plus a
-//!   shared sorted tail) and publishes its output and counters on
-//!   success. Run compaction is resumable across attempts
-//!   ([`crate::merge::compact_runs`]) — the worker, whose runs are
-//!   shared with speculative siblings, never compacts.
+//! * a **map attempt** spills overfull staging into an attempt-scoped
+//!   directory ([`crate::spill::AttemptDir`], deleted on drop unless
+//!   committed). Its publish, outside the scheduler lock, renames the
+//!   runs into the job spill directory under bucket-assigned sequence
+//!   numbers and absorbs the resident pairs into the shared buckets;
+//! * a **reduce attempt** reads committed state only — runs plus a
+//!   shared sorted tail, kept in a per-partition slot so a retry on any
+//!   thread resumes from it (compaction is resumable,
+//!   [`crate::merge::compact_runs`]) — and publishes its output.
 //!
-//! One retry helper (`Attempts::retry`) drives both phases: a task that
-//! fails every allowed attempt surfaces [`EngineError::TaskFailed`] and
-//! aborts the job; each failed attempt bumps
-//! `map_task_failures`/`reduce_task_failures` and each re-execution
-//! bumps `task_retries`. Failures are driven deterministically in tests
-//! by [`JobConfig::fault_plan`] ([`crate::fault::FaultPlan`]).
+//! Failures are driven deterministically in tests by
+//! [`JobConfig::fault_plan`] ([`crate::fault::FaultPlan`]).
 //!
 //! Within a reduce group, values arrive in a deterministic order for a
 //! fixed schedule, but it is *commit order* across tasks (emission
@@ -59,11 +51,8 @@
 //! [`JobConfig::max_task_attempts`]: crate::job::JobConfig::max_task_attempts
 //! [`JobConfig::fault_plan`]: crate::job::JobConfig::fault_plan
 
-use std::collections::VecDeque;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mr_ir::value::Value;
@@ -72,15 +61,15 @@ use parking_lot::Mutex as PlMutex;
 
 use crate::attempt::{merge_reduce, run_map, MapAttempt, MapOutput, SplitEnd};
 use crate::backend::{plan_map_tasks, JobRun, Partitions};
-use crate::counters::Counters;
-use crate::error::{EngineError, Result};
+use crate::counters::{CounterSnapshot, Counters};
+use crate::error::Result;
 use crate::fault::FaultPlan;
 use crate::input::SplitReader;
-use crate::job::{JobConfig, OutputSpec};
+use crate::job::JobConfig;
 use crate::mapper::MapperFactory;
 use crate::merge::{compact_runs, RunStream};
 use crate::pool::BufferPool;
-use crate::reducer::Reducer;
+use crate::scheduler::{Kind, PanicGuard, Scheduler, Shared};
 use crate::spill::{write_sorted_run, ShuffleBucket, ShuffleEnv, SpillDir, SpillRun};
 
 /// Where a job's time went, for bench tables that need to attribute
@@ -147,89 +136,29 @@ struct Budget {
     bucket_cap: usize,
 }
 
-/// The local job's retry discipline, shared by its map and reduce
-/// worker threads: each task gets up to `max` attempts, and the first
-/// job-level failure stops every thread.
-struct Attempts<'a> {
-    counters: &'a Counters,
-    max: usize,
-    failed: PlMutex<Option<EngineError>>,
-    abort: AtomicBool,
-}
-
-impl Attempts<'_> {
-    fn aborted(&self) -> bool {
-        self.abort.load(Ordering::Relaxed)
-    }
-
-    /// Abort the job with `e`.
-    fn fail(&self, e: EngineError) {
-        *self.failed.lock() = Some(e);
-        self.abort.store(true, Ordering::Relaxed);
-    }
-
-    /// Run attempts of `kind` task `id` until one succeeds: each failed
-    /// attempt bumps `failures`, each re-execution `task_retries`, and a
-    /// task out of attempts fails the job with [`EngineError::TaskFailed`]
-    /// carrying the last cause. `None` tells the thread to stop: the
-    /// job is aborting.
-    fn retry<T>(
-        &self,
-        kind: &str,
-        id: usize,
-        failures: &AtomicU64,
-        mut attempt: impl FnMut(usize) -> Result<T>,
-    ) -> Option<T> {
-        let mut last_err = None;
-        for n in 0..self.max {
-            if self.aborted() {
-                return None;
-            }
-            if n > 0 {
-                Counters::add(&self.counters.task_retries, 1);
-            }
-            match attempt(n) {
-                Ok(done) => return Some(done),
-                Err(e) => {
-                    Counters::add(failures, 1);
-                    last_err = Some(e);
-                }
-            }
-        }
-        let cause = last_err.expect("a failed task records its last error");
-        self.fail(EngineError::TaskFailed {
-            task: format!("{kind} task {id}"),
-            attempts: self.max,
-            cause: Box::new(cause),
-        });
-        None
-    }
-
-    /// The error that aborted the job, if any.
-    fn check(&self) -> Result<()> {
-        self.failed.lock().take().map_or(Ok(()), Err)
-    }
-}
-
-/// Everything the map phase threads through task attempts.
-struct MapCtx<'a> {
-    job: &'a JobConfig,
+/// Everything the local job's worker threads share.
+struct LocalJob<'a> {
+    run: &'a JobRun<'a>,
     env: &'a ShuffleEnv,
-    num_reducers: usize,
     budget: Option<&'a Budget>,
-    counters: &'a Counters,
-    buckets: &'a [PlMutex<ShuffleBucket>],
+    /// Planned map tasks, by id.
+    maps: Vec<MapTask>,
+    /// Committed shuffle state, per partition.
+    buckets: Vec<PlMutex<ShuffleBucket>>,
+    /// Each partition's reduce input, between its attempts.
+    inputs: Vec<PlMutex<Option<PartitionInput>>>,
+    /// Committed reduce output, per partition.
+    outputs: Vec<PlMutex<Vec<(Value, Value)>>>,
 }
 
 /// One planned map task. `first_reader` is the split reader opened at
 /// planning time, consumed by attempt 0; retries re-open the split
 /// (same input, same hint ⇒ same boundaries).
 struct MapTask {
-    id: usize,
     binding: usize,
     split: usize,
     mapper: Arc<dyn MapperFactory>,
-    first_reader: Option<SplitReader>,
+    first_reader: PlMutex<Option<SplitReader>>,
 }
 
 /// Spill one bucket: detach its buffer under the lock, but sort and
@@ -237,12 +166,12 @@ struct MapTask {
 /// same partition are not serialized behind the disk write. The spill
 /// sequence number assigned at detach time keeps runs in commit order
 /// however the writes interleave.
-fn spill_bucket(ctx: &MapCtx<'_>, p: usize, dir: &SpillDir) -> Result<()> {
+fn spill_bucket(ctx: &LocalJob<'_>, p: usize, dir: &SpillDir) -> Result<()> {
     let bucket = &ctx.buckets[p];
     let Some((mut pairs, seq)) = bucket.lock().take_for_spill() else {
         return Ok(());
     };
-    let run = write_sorted_run(ctx.env, dir.path(), p, seq, &mut pairs, ctx.counters)?;
+    let run = write_sorted_run(ctx.env, dir.path(), p, seq, &mut pairs, &ctx.run.counters)?;
     let mut b = bucket.lock();
     b.record_run(run);
     // Hand the detached buffer's capacity back to the bucket so the
@@ -255,37 +184,33 @@ fn spill_bucket(ctx: &MapCtx<'_>, p: usize, dir: &SpillDir) -> Result<()> {
 /// Run one map attempt with the in-process policy: a retry re-opens
 /// the split, and whatever is staged at the end of the split stays
 /// resident for [`commit_map_attempt`].
-fn run_map_attempt(ctx: &MapCtx<'_>, task: &mut MapTask, attempt: usize) -> Result<MapOutput> {
-    let reader = match task.first_reader.take() {
+fn run_map_attempt(ctx: &LocalJob<'_>, task: usize, attempt: usize) -> Result<MapOutput> {
+    let t = &ctx.maps[task];
+    let first = t.first_reader.lock().take();
+    let reader = match first {
         Some(r) => r,
-        None => ctx.job.inputs[task.binding]
-            .input
-            .open_with_faults(ctx.job.map_parallelism.max(1), ctx.env.io.as_ref())?
-            .into_iter()
-            .nth(task.split)
-            .ok_or_else(|| {
-                EngineError::Config(format!("split {} vanished on retry", task.split))
-            })?,
+        None => ctx.run.job.inputs[t.binding].input.open_split(
+            ctx.run.job.map_parallelism.max(1),
+            ctx.env.io.as_ref(),
+            t.split,
+        )?,
     };
     let spec = MapAttempt {
-        task: task.id,
+        task,
         attempt,
-        num_reducers: ctx.num_reducers,
+        num_reducers: ctx.run.num_reducers,
         cap: ctx.budget.map(|b| (b.staging_cap, b.dir.path())),
         end: SplitEnd::KeepResident,
-        fault: ctx.job.fault_plan.as_deref(),
+        fault: ctx.run.job.fault_plan.as_deref(),
     };
-    run_map(ctx.env, &spec, reader, task.mapper.as_ref())
+    run_map(ctx.env, &spec, reader, t.mapper.as_ref())
 }
 
-/// Publish a successful map attempt: promote its runs into the job
-/// spill directory under bucket-assigned sequence numbers, absorb the
-/// resident pairs (spilling buckets past their cap), and fold the
-/// attempt counters into the job counters. Commit errors are not
-/// retryable — a failure mid-commit may have published part of the
-/// attempt, so the caller aborts the job instead of re-running the
-/// task.
-fn commit_map_attempt(ctx: &MapCtx<'_>, out: MapOutput) -> Result<()> {
+/// Publish a committed map attempt: promote its runs into the job
+/// spill directory under bucket-assigned sequence numbers and absorb
+/// the resident pairs, spilling buckets past their cap (the scheduler
+/// already absorbed the attempt's counters).
+fn commit_map_attempt(ctx: &LocalJob<'_>, out: MapOutput) -> Result<()> {
     // An attempt spills only under a budget.
     if let Some(budget) = ctx.budget {
         for (p, run) in &out.runs {
@@ -319,7 +244,6 @@ fn commit_map_attempt(ctx: &MapCtx<'_>, out: MapOutput) -> Result<()> {
             spill_bucket(ctx, p, &budget.dir)?;
         }
     }
-    ctx.counters.absorb(&out.counters.snapshot());
     Ok(())
 }
 
@@ -388,72 +312,70 @@ impl PartitionInput {
     }
 }
 
-/// Pipelined text output for one reduce partition: wraps an attempt's
-/// reducer so each finished group's output drains straight to a hidden
-/// temp file instead of accumulating in memory — merge, group, reduce
-/// and write proceed in lockstep with bounded buffering, and a
-/// partition's output never has to fit in memory. The file reaches its
-/// final `part-NNNNN` name by atomic rename only when the attempt
-/// succeeds. A failed attempt's sink removes its temp file on drop, so
-/// retries start clean and the output directory only ever holds
-/// committed part files — the same write-then-rename idempotency the
-/// spill commit uses.
-struct TextSink {
-    inner: Box<dyn Reducer>,
-    tmp: PathBuf,
-    dest: PathBuf,
-    file: Option<std::io::BufWriter<std::fs::File>>,
-    pairs_written: u64,
+/// Run one reduce attempt of partition `p` over its committed input —
+/// taken from the bucket by the first attempt and kept in the
+/// partition's slot, for a retry on any thread, until it commits.
+fn run_reduce_attempt(
+    ctx: &LocalJob<'_>,
+    p: usize,
+    attempt: usize,
+) -> Result<(CounterSnapshot, Vec<(Value, Value)>)> {
+    let is_last = attempt + 1 == ctx.run.max_attempts;
+    let streams = ctx.inputs[p]
+        .lock()
+        .get_or_insert_with(|| PartitionInput::take(&ctx.buckets[p], ctx.env))
+        .streams(ctx.env, ctx.budget, p, is_last, &ctx.run.counters)?;
+    let fault = ctx.run.job.fault_plan.as_deref();
+    let fire_at = fault.and_then(|f| f.reduce_fault(p, attempt));
+    // Combine site 3: with a combiner, the grouping loop runs the
+    // merging/finishing wrapper instead of the raw reducer — the loop
+    // itself is shared.
+    let mut reducer = ctx.env.combine.make_reducer(&ctx.run.job.reducer);
+    let mut out = Vec::new();
+    let sort = ctx.run.job.sort_output;
+    let groups = merge_reduce(
+        streams,
+        fire_at,
+        p,
+        attempt,
+        reducer.as_mut(),
+        sort,
+        &mut out,
+    )?;
+    let counters = CounterSnapshot {
+        reduce_input_groups: groups,
+        reduce_output_records: out.len() as u64,
+        ..Default::default()
+    };
+    Ok((counters, out))
 }
 
-impl TextSink {
-    fn create(inner: Box<dyn Reducer>, dir: &Path, p: usize, attempt: usize) -> Result<TextSink> {
-        let dest = dir.join(format!("part-{p:05}"));
-        let tmp = dir.join(format!(".part-{p:05}.attempt-{attempt}.tmp"));
-        let file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        Ok(TextSink {
-            inner,
-            tmp,
-            dest,
-            file: Some(file),
-            pairs_written: 0,
-        })
-    }
-
-    /// Flush and publish the part file; returns its final path and the
-    /// pair count it carries.
-    fn finish(mut self) -> Result<(PathBuf, u64)> {
-        let mut f = self.file.take().expect("sink finished twice");
-        f.flush()?;
-        drop(f);
-        std::fs::rename(&self.tmp, &self.dest)?;
-        Ok((self.dest.clone(), self.pairs_written))
-    }
+/// Publish partition `p`'s committed output, and drop its input.
+fn publish_reduce(ctx: &LocalJob<'_>, p: usize, out: Vec<(Value, Value)>) -> Result<()> {
+    ctx.inputs[p].lock().take();
+    *ctx.outputs[p].lock() = out;
+    Ok(())
 }
 
-impl Reducer for TextSink {
-    /// Reduce one group, then drain its output to the file as
-    /// `key\tvalue` lines.
-    fn reduce(
-        &mut self,
-        key: &Value,
-        values: &[Value],
-        out: &mut Vec<(Value, Value)>,
-    ) -> Result<()> {
-        self.inner.reduce(key, values, out)?;
-        let f = self.file.as_mut().expect("sink written after finish");
-        for (k, v) in out.drain(..) {
-            writeln!(f, "{k}\t{v}")?;
-            self.pairs_written += 1;
-        }
-        Ok(())
-    }
-}
-
-impl Drop for TextSink {
-    fn drop(&mut self) {
-        if self.file.take().is_some() {
-            let _ = std::fs::remove_file(&self.tmp);
+/// One worker thread: run the attempts the scheduler hands out until it
+/// says stop, committing each success and reporting each failure.
+fn work(ctx: &LocalJob<'_>, sched: &Shared) {
+    let _guard = PanicGuard(sched);
+    while let Some((kind, task, attempt)) = sched.next() {
+        match kind {
+            Kind::Map => match run_map_attempt(ctx, task, attempt) {
+                Ok(out) => {
+                    let counters = out.counters.snapshot();
+                    sched.commit(kind, task, &counters, || commit_map_attempt(ctx, out));
+                }
+                Err(e) => sched.fail(kind, task, e),
+            },
+            Kind::Reduce => match run_reduce_attempt(ctx, task, attempt) {
+                Ok((counters, out)) => {
+                    sched.commit(kind, task, &counters, || publish_reduce(ctx, task, out));
+                }
+                Err(e) => sched.fail(kind, task, e),
+            },
         }
     }
 }
@@ -517,13 +439,12 @@ pub fn run_job(job: &JobConfig) -> Result<JobResult> {
 
 /// The in-process scoped-thread execution path — the reference
 /// implementation every other backend must match byte for byte.
-/// Returns each partition's reduce output (or the part files it
-/// streamed) for [`crate::backend`] to assemble.
+/// Returns each partition's reduce output for [`crate::backend`] to
+/// assemble.
 pub(crate) fn run_job_local(run: &JobRun<'_>) -> Result<(Partitions, PhaseTimings)> {
     let setup_start = Instant::now();
     let job = run.job;
     let num_reducers = run.num_reducers;
-    let counters: &Counters = &run.counters;
     let fault: Option<&FaultPlan> = job.fault_plan.as_deref();
     let workers = job.map_parallelism.max(1);
 
@@ -552,168 +473,45 @@ pub(crate) fn run_job_local(run: &JobRun<'_>) -> Result<(Partitions, PhaseTiming
         job.buffer_pool.clone().unwrap_or_else(BufferPool::new),
     );
 
-    // ---- plan map tasks ------------------------------------------------
     // Join roles wrap each binding's mapper (tagging / broadcast-table
     // probing) once here; broadcast build tables load a single time and
     // are shared by every task, retries included.
     let mappers = crate::join::effective_factories(&job.inputs)?;
-    let tasks: VecDeque<MapTask> = plan_map_tasks(job, env.io.as_ref())?
+    let maps: Vec<MapTask> = plan_map_tasks(job, env.io.as_ref())?
         .into_iter()
-        .enumerate()
-        .map(|(id, (binding, split, reader))| MapTask {
-            id,
+        .map(|(binding, split, reader)| MapTask {
             binding,
             split,
             mapper: Arc::clone(&mappers[binding]),
-            first_reader: Some(reader),
+            first_reader: PlMutex::new(Some(reader)),
         })
         .collect();
-
-    // ---- map phase ------------------------------------------------------
-    let map_start = Instant::now();
-    let buckets: Vec<PlMutex<ShuffleBucket>> = (0..num_reducers)
-        .map(|_| PlMutex::new(ShuffleBucket::new()))
-        .collect();
-    let queue = Mutex::new(tasks);
-    let attempts = Attempts {
-        counters,
-        max: run.max_attempts,
-        failed: PlMutex::new(None),
-        abort: AtomicBool::new(false),
-    };
-    let ctx = MapCtx {
-        job,
+    let ctx = LocalJob {
+        run,
         env: &env,
-        num_reducers,
         budget: budget.as_ref(),
-        counters,
-        buckets: &buckets,
+        maps,
+        buckets: (0..num_reducers).map(|_| Default::default()).collect(),
+        inputs: (0..num_reducers).map(|_| Default::default()).collect(),
+        outputs: (0..num_reducers).map(|_| Default::default()).collect(),
     };
 
+    let sched = Shared::new(Scheduler::new(
+        ctx.maps.len(),
+        num_reducers,
+        run.max_attempts,
+        false,
+        Arc::clone(&run.counters),
+    ));
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                if attempts.aborted() {
-                    return;
-                }
-                let task = queue.lock().expect("queue lock").pop_front();
-                let Some(mut task) = task else { return };
-                let failures = &counters.map_task_failures;
-                let Some(out) = attempts.retry("map", task.id, failures, |attempt| {
-                    run_map_attempt(&ctx, &mut task, attempt)
-                }) else {
-                    return;
-                };
-                if let Err(e) = commit_map_attempt(&ctx, out) {
-                    attempts.fail(e);
-                    return;
-                }
-            });
+            scope.spawn(|| work(&ctx, &sched));
         }
     });
-    attempts.check()?;
-    let map_elapsed = map_start.elapsed();
+    let shuffle = Duration::from_nanos(env.shuffle_nanos.load(Ordering::Relaxed));
+    let phases = sched.into_inner().finish(setup_start, shuffle)?;
 
-    // ---- sort/merge + reduce phase ---------------------------------------
-    let reduce_start = Instant::now();
-    let reduce_outputs: Vec<PlMutex<Vec<(Value, Value)>>> = (0..num_reducers)
-        .map(|_| PlMutex::new(Vec::new()))
-        .collect();
-    // Pipelined text output: with an unsorted TextDir destination each
-    // partition's pairs stream to their part file as groups complete
-    // (merge → reduce → write in lockstep) instead of buffering the
-    // whole partition and writing it after the phase. Sorted output
-    // still buffers — the final sort needs the full partition anyway.
-    let streaming_dir: Option<PathBuf> = match &job.output {
-        OutputSpec::TextDir(dir) if !job.sort_output => {
-            std::fs::create_dir_all(dir)?;
-            Some(dir.clone())
-        }
-        _ => None,
-    };
-    let part_paths: Vec<PlMutex<Option<PathBuf>>> =
-        (0..num_reducers).map(|_| PlMutex::new(None)).collect();
-    let partitions: Mutex<VecDeque<usize>> = Mutex::new((0..num_reducers).collect());
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(num_reducers) {
-            scope.spawn(|| loop {
-                if attempts.aborted() {
-                    return;
-                }
-                let p = partitions.lock().expect("partition lock").pop_front();
-                let Some(p) = p else { return };
-                let mut input = PartitionInput::take(&buckets[p], &env);
-                let failures = &counters.reduce_task_failures;
-                let reduced = attempts.retry("reduce", p, failures, |attempt| {
-                    // Combine site 3: with a combiner, the grouping
-                    // loop runs the merging/finishing wrapper instead
-                    // of the raw reducer — the loop itself is shared.
-                    // With a streaming destination the [`TextSink`]
-                    // additionally wraps it.
-                    let is_last = attempt + 1 == run.max_attempts;
-                    let streams = input.streams(&env, budget.as_ref(), p, is_last, counters)?;
-                    let fire_at = fault.and_then(|f| f.reduce_fault(p, attempt));
-                    let mut reducer = env.combine.make_reducer(&job.reducer);
-                    let mut out: Vec<(Value, Value)> = Vec::new();
-                    let Some(dir) = &streaming_dir else {
-                        let groups = merge_reduce(
-                            streams,
-                            fire_at,
-                            p,
-                            attempt,
-                            reducer.as_mut(),
-                            job.sort_output,
-                            &mut out,
-                        )?;
-                        return Ok((groups, out.len() as u64, out));
-                    };
-                    // A streaming destination exists only for unsorted output.
-                    let mut sink = TextSink::create(reducer, dir, p, attempt)?;
-                    let groups =
-                        merge_reduce(streams, fire_at, p, attempt, &mut sink, false, &mut out)?;
-                    let (path, written) = sink.finish()?;
-                    *part_paths[p].lock() = Some(path);
-                    Ok((groups, written, out))
-                });
-                let Some((groups, written, out)) = reduced else {
-                    return;
-                };
-                Counters::add(&counters.reduce_input_groups, groups);
-                Counters::add(&counters.reduce_output_records, written);
-                *reduce_outputs[p].lock() = out;
-            });
-        }
-    });
-    attempts.check()?;
-    let reduce_elapsed = reduce_start.elapsed();
-
-    let partitions = match streaming_dir {
-        // Part files were streamed and committed during the reduce
-        // phase; just collect their paths in partition order.
-        Some(_) => Partitions::Files(
-            part_paths
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("every committed partition published a part file")
-                })
-                .collect(),
-        ),
-        None => Partitions::Pairs(
-            reduce_outputs
-                .into_iter()
-                .map(PlMutex::into_inner)
-                .collect(),
-        ),
-    };
-    let phases = PhaseTimings {
-        setup: map_start.duration_since(setup_start),
-        map: map_elapsed,
-        shuffle: Duration::from_nanos(env.shuffle_nanos.load(Ordering::Relaxed)),
-        reduce: reduce_elapsed,
-        output: Duration::ZERO,
-    };
+    let partitions = ctx.outputs.into_iter().map(PlMutex::into_inner).collect();
     // The budget's spill directory drops on return: run files are gone
     // before the output is declared done.
     Ok((partitions, phases))
@@ -722,8 +520,10 @@ pub(crate) fn run_job_local(run: &JobRun<'_>) -> Result<(Partitions, PhaseTiming
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
     use crate::input::InputSpec;
     use crate::job::InputBinding;
+    use crate::job::OutputSpec;
     use crate::reducer::Builtin;
     use mr_ir::asm::parse_function;
     use mr_ir::record::record;

@@ -2,12 +2,17 @@
 //! retried map/reduce attempts produce output byte-identical to a
 //! fault-free run, counters account failures exactly once, exhausted
 //! tasks surface `EngineError::TaskFailed`, and no spill file outlives
-//! the attempt (or job) that wrote it.
+//! the attempt (or job) that wrote it. The record-level retry cells run
+//! on both backends, which share one scheduler and so must agree on
+//! every retry counter (`io:` sites stay local: workers ignore them).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use mr_engine::{run_job, Builtin, EngineError, FaultPlan, InputSpec, JobConfig, JobResult};
+use mr_engine::{
+    run_job, BackendSpec, Builtin, EngineError, FaultPlan, FnMapperFactory, InputSpec, JobConfig,
+    JobResult, ProcessCfg,
+};
 use mr_ir::asm::parse_function;
 use mr_ir::record::{record, Record};
 use mr_ir::schema::{FieldType, Schema};
@@ -66,6 +71,7 @@ struct JobSpec<'a> {
     attempts: usize,
     fault: Option<FaultPlan>,
     spill_parent: Option<&'a Path>,
+    backend: BackendSpec,
 }
 
 impl JobSpec<'_> {
@@ -91,7 +97,7 @@ impl JobSpec<'_> {
         if let Some(dir) = self.spill_parent {
             j = j.with_spill_dir(dir);
         }
-        j
+        j.with_backend(self.backend)
     }
 
     fn run(self) -> JobResult {
@@ -109,7 +115,27 @@ fn spec(path: &Path) -> JobSpec<'_> {
         attempts: 1,
         fault: None,
         spill_parent: None,
+        backend: BackendSpec::Local,
     }
+}
+
+/// Both backends: the local runner, and two forked `mr_worker`
+/// processes (the default re-exec would re-run this test binary).
+fn backends() -> [BackendSpec; 2] {
+    [
+        BackendSpec::Local,
+        BackendSpec::Process(ProcessCfg {
+            workers: 2,
+            worker_cmd: Some(vec![env!("CARGO_BIN_EXE_mr_worker").to_string()]),
+            speculate: false,
+        }),
+    ]
+}
+
+/// `task_retries`, `map_task_failures` and `reduce_task_failures`.
+fn retry_counters(r: &JobResult) -> [u64; 3] {
+    let c = &r.counters;
+    [c.task_retries, c.map_task_failures, c.reduce_task_failures]
 }
 
 /// The acceptance scenario: an injected single-map-task failure with
@@ -119,23 +145,24 @@ fn spec(path: &Path) -> JobSpec<'_> {
 fn retried_map_fault_matches_fault_free_output() {
     let path = write_data("map-retry", 3000, 7);
     let clean = spec(&path).run();
-    let mut s = spec(&path);
-    s.attempts = 2;
-    s.fault = Some(FaultPlan::new().fail_map(0, 0, 50));
-    let faulted = s.run();
-    assert_eq!(faulted.output, clean.output, "retry must not change output");
-    assert_eq!(faulted.counters.task_retries, 1);
-    assert_eq!(faulted.counters.map_task_failures, 1);
-    assert_eq!(faulted.counters.reduce_task_failures, 0);
-    // A retried attempt never double-counts its input.
-    assert_eq!(
-        faulted.counters.map_input_records,
-        clean.counters.map_input_records
-    );
-    assert_eq!(
-        faulted.counters.map_output_records,
-        clean.counters.map_output_records
-    );
+    for backend in backends() {
+        let mut s = spec(&path);
+        s.attempts = 2;
+        s.fault = Some(FaultPlan::new().fail_map(0, 0, 50));
+        s.backend = backend;
+        let faulted = s.run();
+        assert_eq!(faulted.output, clean.output, "retry must not change output");
+        assert_eq!(retry_counters(&faulted), [1, 1, 0]);
+        // A retried attempt never double-counts its input.
+        assert_eq!(
+            faulted.counters.map_input_records,
+            clean.counters.map_input_records
+        );
+        assert_eq!(
+            faulted.counters.map_output_records,
+            clean.counters.map_output_records
+        );
+    }
 }
 
 /// The other half of the acceptance criterion: with
@@ -167,41 +194,46 @@ fn reduce_faults_retry_on_both_shuffle_paths() {
         let mut clean = spec(&path);
         clean.budget = budget;
         let clean = clean.run();
-        let mut s = spec(&path);
-        s.budget = budget;
-        s.attempts = 3;
-        // Partition 0 fails twice (mid-stream, then immediately),
-        // partition 2 once.
-        s.fault = Some(
-            FaultPlan::new()
-                .fail_reduce(0, 0, 40)
-                .fail_reduce(0, 1, 0)
-                .fail_reduce(2, 0, 1),
-        );
-        let faulted = s.run();
-        assert_eq!(faulted.output, clean.output, "budget {budget:?}");
-        assert_eq!(faulted.counters.task_retries, 3);
-        assert_eq!(faulted.counters.reduce_task_failures, 3);
-        assert_eq!(
-            faulted.counters.reduce_input_groups, clean.counters.reduce_input_groups,
-            "groups counted once despite retries"
-        );
+        for backend in backends() {
+            let mut s = spec(&path);
+            s.budget = budget;
+            s.attempts = 3;
+            s.backend = backend;
+            // Partition 0 fails twice (mid-stream, then immediately),
+            // partition 2 once.
+            s.fault = Some(
+                FaultPlan::new()
+                    .fail_reduce(0, 0, 40)
+                    .fail_reduce(0, 1, 0)
+                    .fail_reduce(2, 0, 1),
+            );
+            let faulted = s.run();
+            assert_eq!(faulted.output, clean.output, "budget {budget:?}");
+            assert_eq!(retry_counters(&faulted), [3, 0, 3], "budget {budget:?}");
+            assert_eq!(
+                faulted.counters.reduce_input_groups, clean.counters.reduce_input_groups,
+                "groups counted once despite retries"
+            );
+        }
     }
 }
 
 #[test]
 fn exhausted_reduce_attempts_fail_typed() {
     let path = write_data("reduce-fatal", 300, 3);
-    let mut s = spec(&path);
-    s.attempts = 2;
-    s.fault = Some(FaultPlan::new().fail_reduce_attempts(1, 2));
-    let err = run_job(&s.build()).unwrap_err();
-    match err {
-        EngineError::TaskFailed { task, attempts, .. } => {
-            assert_eq!(task, "reduce task 1");
-            assert_eq!(attempts, 2);
+    for backend in backends() {
+        let mut s = spec(&path);
+        s.attempts = 2;
+        s.fault = Some(FaultPlan::new().fail_reduce_attempts(1, 2));
+        s.backend = backend;
+        let err = run_job(&s.build()).unwrap_err();
+        match err {
+            EngineError::TaskFailed { task, attempts, .. } => {
+                assert_eq!(task, "reduce task 1");
+                assert_eq!(attempts, 2);
+            }
+            other => panic!("expected TaskFailed, got {other}"),
         }
-        other => panic!("expected TaskFailed, got {other}"),
     }
 }
 
@@ -441,4 +473,21 @@ fn empty_partition_reduce_fault_fires_and_retries() {
     assert_eq!(result.counters.reduce_task_failures, 3);
     assert_eq!(result.counters.task_retries, 3);
     assert_eq!(result.output.len(), 1);
+}
+
+/// A mapper that panics on one split takes the job down with the
+/// panic: the sibling worker stops instead of waiting forever for the
+/// dead thread's attempt to report.
+#[test]
+fn a_panicking_mapper_fails_the_job_instead_of_hanging() {
+    let path = write_data("panic", 3000, 7);
+    let mut job = spec(&path).build();
+    // Keys are row numbers: only the first split's first record panics.
+    job.inputs[0].mapper = Arc::new(FnMapperFactory(
+        |k: &Value, _v: &Value, _out: &mut Vec<(Value, Value)>| {
+            assert_ne!(k, &Value::Int(0), "mapper bug");
+        },
+    ));
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(&job)));
+    assert!(run.is_err(), "the panic must reach the caller");
 }
